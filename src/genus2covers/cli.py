@@ -3,8 +3,9 @@
 Subcommands: curve-info, model, twist, verify, search.  All output is JSON
 with sorted keys, so identical invocations (same seed) are byte-identical.
 
-Exit codes: 0 ok, 1 internal error, 2 invalid curve, 3 norm condition
-N(delta) != n^2, 4 vanishing scale factor t_I, 5 verification failure.
+Exit codes: 0 ok, 1 internal error or unreadable --model-ref, 2 invalid
+curve, 3 norm condition N(delta) != n^2, 4 vanishing scale factor t_I,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .errors import GammaViolation, Genus2Error, TIVanishes
 from .etale import EtaleAlgebra, all_two_torsion, even_masks, weil_pairing
 from .fields import parse_field_spec
 from .kummer import KummerModels
-from .linalg import rank_rows
+from .linalg import Mat, rank_rows
 from .poly import Poly, _lift
-from .quadrics import JacobianModel, vanishing_kernel_dimensions
+from .quadrics import JacobianModel, QuadricForm, vanishing_kernel_dimensions
 from .torsion import TorsionActionCtx
 from .twist import (TwistDatum, TwistModel, count_jacobian_points,
                     search_twist_points, search_vdelta_points,
@@ -50,6 +51,9 @@ def main(argv=None) -> int:
     except _BadCurve as exc:
         emit({"error": str(exc), "kind": "bad-curve"}, args)
         return EXIT_BAD_CURVE
+    except _BadModelRef as exc:
+        emit({"error": str(exc), "kind": "bad-model-ref"}, args)
+        return EXIT_INTERNAL
     except Genus2Error as exc:
         emit({"error": str(exc), "kind": "internal"}, args)
         return EXIT_INTERNAL
@@ -58,6 +62,10 @@ def main(argv=None) -> int:
 
 
 class _BadCurve(Exception):
+    pass
+
+
+class _BadModelRef(Exception):
     pass
 
 
@@ -75,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="JSON array of f0..f6 (or a path to one)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("curve-info", help="separability and splitting data")
     common(sp)
@@ -329,43 +336,52 @@ def cmd_twist(args):
     return bundle
 
 
+def load_model_ref(raw: str, finite: bool) -> dict:
+    """The JSON object given inline or as a path by --model-ref, checked for
+    the keys its search reads."""
+    try:
+        if raw.strip().startswith("{"):
+            bundle = json.loads(raw)
+        else:
+            with open(raw, "r", encoding="utf-8") as fh:
+                bundle = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _BadModelRef(f"cannot read model-ref: {exc}") from exc
+    if not isinstance(bundle, dict):
+        raise _BadModelRef("model-ref must be a JSON object")
+    if "quadrics_ground" in bundle:
+        need = ("delta", "n")
+    else:
+        need = ("matrices", "delta") if finite else ("matrices",)
+    missing = [k for k in need if k not in bundle]
+    if missing:
+        raise _BadModelRef(f"model-ref bundle lacks {', '.join(missing)}")
+    return bundle
+
+
 def cmd_search(args):
     field = parse_field_spec(args.field)
-    raw = args.model_ref
-    if raw.strip().startswith("{"):
-        bundle = json.loads(raw)
-    else:
-        with open(raw, "r", encoding="utf-8") as fh:
-            bundle = json.load(fh)
+    bundle = load_model_ref(args.model_ref, field.is_finite())
+    curve = load_curve(args)
     if "quadrics_ground" in bundle:
-        curve = load_curve(args)
         alg = EtaleAlgebra(curve, seed=args.seed)
         ctx = TorsionActionCtx(alg)
         datum = TwistDatum(alg, [field.parse(c) for c in bundle["delta"]],
                            field.parse(bundle["n"]))
         model = TwistModel(ctx, datum, seed=args.seed)
-        from .quadrics import QuadricForm
         forms = [QuadricForm.from_json(field, q) for q in bundle["quadrics_ground"]]
-        pts = search_twist_points(model, descended=forms, threads=args.threads)
-        return {"count": len(pts),
-                "points": [[field.fmt(v) for v in p] for p in pts]}
-    if "matrices" in bundle:
-        curve = load_curve(args)
-        alg = EtaleAlgebra(curve, seed=args.seed) if field.is_finite() else None
-        if field.is_finite():
-            km = KummerModels(alg)
-            delta = alg.elem([field.parse(c) for c in bundle["delta"]])
-            vd = km.v_delta(delta)
-            pts = search_vdelta_points(vd, threads=args.threads)
-            return {"count": len(pts),
-                    "points": [[field.fmt(v) for v in p] for p in pts]}
+        pts = search_twist_points(model, descended=forms)
+    elif field.is_finite():
+        alg = EtaleAlgebra(curve, seed=args.seed)
+        vd = KummerModels(alg).v_delta(alg.elem([field.parse(c) for c in bundle["delta"]]))
+        pts = search_vdelta_points(vd)
+    else:
         # over Q: enumerate integer vectors up to the bound on the matrices
-        from .linalg import Mat
         mats = [Mat(field, [[field.parse(v) for v in row] for row in M])
                 for M in bundle["matrices"]]
         pts = search_vdelta_rational(mats, args.bound)
         return {"count": len(pts), "points": [list(p) for p in pts]}
-    raise Genus2Error("model-ref bundle not recognized")
+    return {"count": len(pts), "points": [[field.fmt(v) for v in p] for p in pts]}
 
 
 # ---------------------------------------------------------------------------

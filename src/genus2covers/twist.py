@@ -39,7 +39,8 @@ from .fields import Field
 from .kummer import VDeltaModel
 from .linalg import Mat, block_diag, kernel_rows, rank_rows, rref_rows
 from .poly import _lift
-from .quadrics import MONOMIALS, ODD_MONOMIALS, QuadricForm, forms_vanish_at
+from .quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS, QuadricForm,
+                       forms_vanish_at)
 from .torsion import TorsionActionCtx
 
 
@@ -566,40 +567,43 @@ def projective_reps(F: Field, dim: int):
             yield prefix + tail
 
 
-def search_vdelta_points(vd: VDeltaModel, limit: int = None, threads: int = 1):
-    """All P^5(F_q) points on the three quadrics, exact enumeration.
+_SCAN_BLOCK = 4096
 
-    threads > 1 partitions the enumeration; the output order is identical
-    either way.
+
+def p5_zeros(F: Field, mats):
+    """Points of P^5(F) on every quadric x^T M x = 0, as tuples of ints in
+    the order of ``projective_reps``; F is a prime field, each M 6x6 ints.
+
+    The (p^6 - 1)/(p - 1) points are scanned as int64 blocks of _SCAN_BLOCK
+    rows, each block filtered by one quadric after another.  Entries of
+    X @ M reach 6 (p-1)^2 before reduction, which must stay below 2^63.
     """
-    W = vd.delta.field
-
-    def scan(chunk):
-        return [vec for vec in chunk if vd.is_solution(list(vec), W)]
-
+    p = F.p
+    if 6 * (p - 1) ** 2 >= 1 << 63:
+        raise Genus2Error(f"P^5 scan would overflow int64 at p={p}")
+    mats = [np.array(M, dtype=np.int64) % p for M in mats]
     found = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = _chunked(projective_reps(W, 6), 4096)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block in pool.map(scan, chunks):
-                found.extend(block)
-    else:
-        found = scan(projective_reps(W, 6))
-    if limit:
-        found = found[:limit]
+    for lead in range(6):
+        total = p ** (5 - lead)
+        for start in range(0, total, _SCAN_BLOCK):
+            idx = np.arange(start, min(start + _SCAN_BLOCK, total), dtype=np.int64)
+            X = np.zeros((len(idx), 6), dtype=np.int64)
+            X[:, lead] = 1
+            for c in range(5, lead, -1):
+                idx, X[:, c] = np.divmod(idx, p)
+            for M in mats:
+                X = X[(X @ M % p * X).sum(axis=1) % p == 0]
+            found.extend(map(tuple, X.tolist()))
     return found
 
 
-def _chunked(it, size):
-    buf = []
-    for item in it:
-        buf.append(item)
-        if len(buf) == size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+def search_vdelta_points(vd: VDeltaModel):
+    """All P^5(F_p) points on the three V_delta quadrics, exact, in the
+    order of ``projective_reps``.  Prime fields only; see ``p5_zeros``."""
+    W = vd.delta.field
+    if W.kind != "prime":
+        raise Genus2Error("V_delta search is implemented over prime fields")
+    return p5_zeros(W, [M.rows for M in vd.matrices])
 
 
 def search_vdelta_rational(matrices, bound: int):
@@ -645,62 +649,41 @@ def search_vdelta_rational(matrices, bound: int):
     return found
 
 
-def search_twist_points(model: TwistModel, descended=None, threads: int = 1):
-    """All F_p points of the descended twist, exact.
+def search_twist_points(model: TwistModel, descended=None):
+    """All F_p points of the descended twist, exact and sorted.
 
-    Strategy: enumerate the P^5 image (three odd-block quadrics), lift each
-    survivor through the 30 odd bilinear forms (linear in the even block),
-    resolve the relative scale from the remaining even forms, and add the
-    sixteen points with vanishing odd part, which are the pullbacks of the
-    Kummer nodes under the covering map.  threads > 1 partitions the P^5
-    enumeration; the result is sorted either way.
+    Strategy: scan P^5(F_p) for the zeros of the three odd-block quadrics
+    (``p5_zeros``), lift each survivor through the 30 odd bilinear forms
+    (linear in the even block), resolve the relative scale from the
+    remaining even forms, and add the sixteen points with vanishing odd
+    part, which are the pullbacks of the Kummer nodes under the covering
+    map.  Prime fields only.
     """
     k = model.datum.algebra.field
     if k.kind != "prime":
         raise Genus2Error("twist search is implemented over prime fields")
     forms = descended if descended is not None else model.descend_to_ground()
     vecs = [q.vector() for q in forms]
-    odd_blk = span_supported(k, vecs, ODD_MONOMIALS)
-    mixed_idx = [n for n, (i, j) in enumerate(MONOMIALS) if i < 10 <= j]
-    mixed_blk = span_supported(k, vecs, mixed_idx)
+    odd_mats = []
+    for row in span_supported(k, vecs, ODD_MONOMIALS):
+        M = np.zeros((6, 6), dtype=np.int64)
+        M[np.triu_indices(6)] = [row[n] for n in ODD_MONOMIALS]  # b_i b_j, i <= j
+        odd_mats.append(M)
+    mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)
 
-    def scan(chunk):
-        hits = []
-        for b in chunk:
-            ok = True
-            for row in odd_blk:
-                acc = k.zero()
-                for n in ODD_MONOMIALS:
-                    i, j = MONOMIALS[n]
-                    acc = k.add(acc, k.mul(row[n], k.mul(b[i - 10], b[j - 10])))
-                if not k.is_zero(acc):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rows = []
-            for row in mixed_blk:
-                lin = [k.zero()] * 10
-                for n in mixed_idx:
-                    i, j = MONOMIALS[n]
-                    if k.is_zero(row[n]):
-                        continue
-                    lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
-                rows.append(lin)
-            for u0 in _kernel_reps(k, rows):
-                hits.extend(_resolve_scale(k, forms, u0, b))
-        return hits
-
-    found = set()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block in pool.map(scan, _chunked(projective_reps(k, 6), 2048)):
-                found.update(block)
-    else:
-        found.update(scan(projective_reps(k, 6)))
-    for cand in _node_pullbacks(model, forms):
-        found.add(cand)
+    found = set(_node_pullbacks(model, forms))
+    for b in p5_zeros(k, odd_mats):
+        rows = []
+        for row in mixed_blk:
+            lin = [k.zero()] * 10
+            for n in MIXED_MONOMIALS:
+                i, j = MONOMIALS[n]
+                if k.is_zero(row[n]):
+                    continue
+                lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
+            rows.append(lin)
+        for u0 in _kernel_reps(k, rows):
+            found.update(_resolve_scale(k, forms, u0, b))
     return sorted(found)
 
 

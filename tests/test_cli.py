@@ -139,10 +139,27 @@ def test_search_vdelta_bundle(capsys, tmp_path):
     assert code == 0
     ref = tmp_path / "vd.json"
     ref.write_text(json.dumps(data))
+    mats = [[[int(v) for v in row] for row in M] for M in data["matrices"]]
     code, data = run(capsys, "search", "--field", "F11", "--curve", curve11,
                      "--model-ref", str(ref))
     assert code == 0
-    assert data["count"] > 0
+    assert data["count"] == len(data["points"]) > 0
+    for pt in data["points"]:
+        x = [int(v) for v in pt]
+        assert all(sum(M[i][j] * x[i] * x[j] for i in range(6) for j in range(6)) % 11 == 0
+                   for M in mats)
+
+
+@pytest.mark.parametrize("content", [None, '{"matrices": [', '{"matrices": []}'],
+                         ids=["missing-file", "malformed-json", "no-delta"])
+def test_search_bad_model_ref(capsys, tmp_path, content):
+    ref = tmp_path / "ref.json"
+    if content is not None:
+        ref.write_text(content)
+    code, data = run(capsys, "search", "--field", "F11", "--curve", "[4,8,1,5,3,0,1]",
+                     "--model-ref", str(ref))
+    assert code == 1
+    assert data["kind"] == "bad-model-ref"
 
 
 def test_search_rational_bound_zero(capsys, tmp_path):

@@ -2,17 +2,22 @@ import random
 
 import pytest
 
-from genus2covers.curve import random_point
-from genus2covers.errors import GammaViolation, NonUnitDelta, TIVanishes
-from genus2covers.etale import EtaleAlgebra
+from genus2covers.curve import CurveData, random_point
+from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
+                                 TIVanishes)
+from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
-from genus2covers.kummer import KummerModels
+from genus2covers.kummer import KummerModels, VDeltaModel
 from genus2covers.linalg import Mat, rank_rows
+from genus2covers.poly import Poly
+from genus2covers.quadrics import MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
-                                count_jacobian_points, search_twist_points,
+                                count_jacobian_points, p5_zeros,
+                                projective_reps, search_twist_points,
                                 search_vdelta_points, search_vdelta_rational,
-                                _equivariant_weights)
+                                span_supported, _equivariant_weights,
+                                _kernel_reps, _node_pullbacks, _resolve_scale)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +314,98 @@ def test_vdelta_search_contains_images(split_curve_f11, rng):
         lead = next(v for v in b if not F.is_zero(v))
         inv = F.inv(lead)
         assert tuple(F.mul(v, inv) for v in b) in pts
+
+
+# -- the scalar P^5 scans, kept as the reference for the numpy scan -----------
+
+
+def scalar_vdelta_search(vd):
+    W = vd.delta.field
+    return [vec for vec in projective_reps(W, 6) if vd.is_solution(list(vec), W)]
+
+
+def scalar_twist_search(model, forms):
+    """Every point of P^5(F_p) through the odd-block quadrics one Field
+    operation at a time, then the same lift and node pullbacks."""
+    k = model.datum.algebra.field
+    vecs = [q.vector() for q in forms]
+    odd_blk = span_supported(k, vecs, ODD_MONOMIALS)
+    mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)
+    found = set(_node_pullbacks(model, forms))
+    for b in projective_reps(k, 6):
+        ok = True
+        for row in odd_blk:
+            acc = k.zero()
+            for n in ODD_MONOMIALS:
+                i, j = MONOMIALS[n]
+                acc = k.add(acc, k.mul(row[n], k.mul(b[i - 10], b[j - 10])))
+            if not k.is_zero(acc):
+                ok = False
+                break
+        if not ok:
+            continue
+        rows = []
+        for row in mixed_blk:
+            lin = [k.zero()] * 10
+            for n in MIXED_MONOMIALS:
+                i, j = MONOMIALS[n]
+                lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
+            rows.append(lin)
+        for u0 in _kernel_reps(k, rows):
+            found.update(_resolve_scale(k, forms, u0, b))
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def curve_2211_f7():
+    """y^2 = (x^2 + 1)(x^2 + 2)(x - 1)(x - 2) over F_7: factor degrees [2,2,1,1]."""
+    F = Field.prime(7)
+    f = (Poly(F, [1, 0, 1]) * Poly(F, [2, 0, 1])
+         * Poly(F, [F.neg(1), 1]) * Poly(F, [F.neg(2), 1]))
+    return CurveData(F, [f.coeff(i) for i in range(7)])
+
+
+def test_vdelta_search_matches_scalar_scan(curve_2211_f7):
+    alg = EtaleAlgebra(curve_2211_f7)
+    vd = KummerModels(alg).v_delta(alg.elem([2, 0, 5, 1, 0, 0]))
+    pts = search_vdelta_points(vd)
+    assert pts
+    assert pts == scalar_vdelta_search(vd)
+
+
+def _cassels_twist(alg, rng):
+    for _ in range(50):
+        datum = TwistDatum.from_cassels(alg, random_point(alg.curve, alg.field, rng))
+        try:
+            return TwistModel(TorsionActionCtx(alg), datum)
+        except TIVanishes:
+            continue
+    pytest.fail("no Cassels datum with nonvanishing t_I")
+
+
+@pytest.mark.parametrize("case", ["trivial-2211-f7", "cassels-split-f11"])
+def test_twist_search_matches_scalar_scan(case, curve_2211_f7, split_curve_f11, rng):
+    if case == "trivial-2211-f7":
+        alg = EtaleAlgebra(curve_2211_f7)
+        tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
+    else:
+        alg = EtaleAlgebra(split_curve_f11)
+        tm = _cassels_twist(alg, rng)
+    forms = tm.descend_to_ground()
+    pts = search_twist_points(tm, descended=forms)
+    assert len(pts) == count_jacobian_points(alg.curve)
+    assert pts == scalar_twist_search(tm, forms)
+
+
+def test_searches_refuse_what_they_cannot_scan(split_curve_f11):
+    alg = EtaleAlgebra(split_curve_f11)
+    W = Field.extension(11, 2)
+    vd = VDeltaModel(alg, LVec(alg, W, [W.one()] + [W.zero()] * 5))
+    with pytest.raises(Genus2Error, match="prime fields"):
+        search_vdelta_points(vd)
+    # X @ M would leave int64 before its reduction mod p
+    with pytest.raises(Genus2Error, match="overflow"):
+        p5_zeros(Field.prime(2 ** 31 - 1), [])
 
 
 def test_rational_search_bound_zero_and_definite():
