@@ -12,7 +12,7 @@ import random
 from genus2covers import CurveData, Field, JacobianModel
 from genus2covers.curve import random_point
 from genus2covers.linalg import rank_rows
-from genus2covers.quadrics import sampling_field, vanishing_kernel_dimension
+from genus2covers.quadrics import sampling_field, vanishing_kernel_dimensions
 
 F = Field.prime(101)
 curve = CurveData(F, [5, 1, 2, 1, 1, 3, 1])
@@ -36,10 +36,9 @@ rng = random.Random(1)
 pts = [random_point(curve, K, rng) for _ in range(200)]
 print("vanish at 200 random points over", K, "->", jm.vanish_at(pts))
 
-print("kernel dimension from 150 sampled points:",
-      vanishing_kernel_dimension(curve, seed=1))
-print("even-only kernel dimension:",
-      vanishing_kernel_dimension(curve, seed=1, even_only=True))
+full, even = vanishing_kernel_dimensions(curve, seed=1)
+print("kernel dimension from 150 sampled points:", full)
+print("even-only kernel dimension:", even)
 
 print("\none generator, as stored (sparse symmetric table):")
 print(jm.forms[20].to_json())

@@ -45,7 +45,3 @@ des = tm.descend_to_ground()
 print("\ntrace descent: 72 ground-field forms, Frobenius-fixed:",
       all(q.frobenius_fixed() for q in des),
       " rank:", rank_rows(F, [q.vector() for q in des]))
-assembled = tm.descend_to_ground("assembled")
-print("independently assembled descent agrees in span:",
-      rank_rows(F, [q.vector() for q in des]
-                + [q.vector() for q in assembled]) == 72)

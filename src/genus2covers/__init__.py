@@ -14,7 +14,7 @@ All arithmetic is exact: prime fields, one extension F_{p^d}, or Q.
 from .fields import Field, FieldElem, parse_field_spec
 from .poly import Poly, resultant, splitting_field_and_roots
 from .linalg import Mat, solve_linear
-from .etale import EtaleAlgebra, LElem, TwoTorsionPoint
+from .etale import EtaleAlgebra, TwoTorsionPoint
 from .curve import CurveData, DivisorClass, Coords16
 from .quadrics import QuadricForm, JacobianModel
 from .kummer import KummerModels, VDeltaModel
@@ -27,7 +27,7 @@ __all__ = [
     "Field", "FieldElem", "parse_field_spec",
     "Poly", "resultant", "splitting_field_and_roots",
     "Mat", "solve_linear",
-    "EtaleAlgebra", "LElem", "TwoTorsionPoint",
+    "EtaleAlgebra", "TwoTorsionPoint",
     "CurveData", "DivisorClass", "Coords16",
     "QuadricForm", "JacobianModel",
     "KummerModels", "VDeltaModel",

@@ -3,9 +3,12 @@
 Subcommands: curve-info, model, twist, verify, search.  All output is JSON
 with sorted keys, so identical invocations (same seed) are byte-identical.
 
-Exit codes: 0 ok, 1 internal error or unreadable --model-ref, 2 invalid
-curve, 3 norm condition N(delta) != n^2, 4 vanishing scale factor t_I,
-5 verification failure.
+Exit codes: 0 ok, 1 internal error or bad input other than the curve,
+2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
+factor t_I, 5 verification failure.  Errors are JSON objects
+{"error": message, "kind": kind}; the input kinds are bad-field (exit 1),
+bad-curve (exit 2), bad-delta for --delta and --n (exit 1) and
+bad-model-ref (exit 1).
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from .curve import CurveData, random_point
 from .errors import GammaViolation, Genus2Error, TIVanishes
 from .etale import EtaleAlgebra, all_two_torsion, even_masks, weil_pairing
 from .fields import parse_field_spec
-from .kummer import KummerModels
+from .kummer import KummerModels, form_values
 from .linalg import Mat, rank_rows
 from .poly import Poly, _lift
-from .quadrics import JacobianModel, QuadricForm, vanishing_kernel_dimensions
+from .quadrics import (JacobianModel, QuadricForm, sampling_field,
+                       vanishing_kernel_dimensions)
 from .torsion import TorsionActionCtx
 from .twist import (TwistDatum, TwistModel, count_jacobian_points,
                     search_twist_points, search_vdelta_points,
@@ -48,12 +52,9 @@ def main(argv=None) -> int:
         emit({"error": str(exc), "kind": "t-vanishes",
               "partitions": exc.partitions}, args)
         return EXIT_TI
-    except _BadCurve as exc:
-        emit({"error": str(exc), "kind": "bad-curve"}, args)
-        return EXIT_BAD_CURVE
-    except _BadModelRef as exc:
-        emit({"error": str(exc), "kind": "bad-model-ref"}, args)
-        return EXIT_INTERNAL
+    except BadInput as exc:
+        emit({"error": str(exc), "kind": exc.kind}, args)
+        return exc.code
     except Genus2Error as exc:
         emit({"error": str(exc), "kind": "internal"}, args)
         return EXIT_INTERNAL
@@ -61,12 +62,17 @@ def main(argv=None) -> int:
     return code
 
 
-class _BadCurve(Exception):
-    pass
+class BadInput(Exception):
+    """A command-line input the program refuses, with its error kind and
+    exit code."""
 
+    CODES = {"bad-field": EXIT_INTERNAL, "bad-curve": EXIT_BAD_CURVE,
+             "bad-delta": EXIT_INTERNAL, "bad-model-ref": EXIT_INTERNAL}
 
-class _BadModelRef(Exception):
-    pass
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+        self.code = self.CODES[kind]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,27 +132,50 @@ def emit(payload, args):
         sys.stdout.write(text)
 
 
-def load_curve(args) -> CurveData:
-    field = parse_field_spec(args.field)
-    raw = args.curve
-    if not raw.strip().startswith("["):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    coeffs = json.loads(raw)
-    if not isinstance(coeffs, list) or len(coeffs) != 7:
-        raise _BadCurve("curve must be a JSON array of the 7 coefficients f0..f6")
+def load_field(spec: str):
     try:
-        return CurveData(field, [field.parse(str(c)) for c in coeffs])
+        return parse_field_spec(spec)
     except Genus2Error as exc:
-        raise _BadCurve(str(exc)) from exc
+        raise BadInput("bad-field", str(exc)) from exc
 
 
-def load_delta(algebra: EtaleAlgebra, raw: str):
-    coeffs = json.loads(raw)
-    if not isinstance(coeffs, list) or len(coeffs) != 6:
-        raise Genus2Error("delta must be a JSON array of 6 coefficients")
-    F = algebra.field
-    return [F.parse(str(c)) for c in coeffs]
+def parse_values(field, values, count: int, message: str):
+    """The parsed entries of a JSON array of `count` field elements.
+
+    Any other shape raises ValueError(message); a bad entry raises
+    ValueError, or ZeroDivisionError for "a/0" over Q."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(message)
+    return [field.parse(str(c)) for c in values]
+
+
+def load_curve(field, raw: str) -> CurveData:
+    """The curve given by --curve: a JSON array inline, or a path to one."""
+    try:
+        if not raw.strip().startswith("["):
+            with open(raw, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        shape = "curve must be a JSON array of the 7 coefficients f0..f6"
+        return CurveData(field, parse_values(field, json.loads(raw), 7, shape))
+    except (Genus2Error, OSError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput("bad-curve", str(exc)) from exc
+
+
+_DELTA_SHAPE = "delta must be a JSON array of 6 coefficients"
+
+
+def load_delta(field, raw: str):
+    try:
+        return parse_values(field, json.loads(raw), 6, _DELTA_SHAPE)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInput("bad-delta", str(exc)) from exc
+
+
+def load_n(field, raw: str):
+    try:
+        return field.parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInput("bad-delta", f"bad --n {raw!r}: {exc}") from exc
 
 
 def dispatch(args):
@@ -169,25 +198,9 @@ def dispatch(args):
 
 
 def cmd_curve_info(args):
-    field = parse_field_spec(args.field)
-    raw = args.curve
-    if not raw.strip().startswith("["):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    coeffs = [field.parse(str(c)) for c in json.loads(raw)]
-    f = Poly(field, coeffs)
-    info = {"field": field.spec_string(),
-            "f": [field.fmt(c) for c in coeffs]}
-    if f.degree != 6:
-        raise _BadCurve("f6 must be nonzero")
-    g = f.gcd(f.derivative())
-    if g.degree != 0:
-        raise _BadCurve(
-            "f is not separable; gcd(f, f') = "
-            + json.dumps([field.fmt(c) for c in g.c]))
-    if field.is_zero(coeffs[0]):
-        raise _BadCurve("f0 must be nonzero; shift x -> x + c first")
-    curve = CurveData(field, coeffs)
+    field = load_field(args.field)
+    curve = load_curve(field, args.curve)
+    info = {"field": field.spec_string(), "f": curve.to_json()}
     if field.is_finite():
         alg = EtaleAlgebra(curve, seed=args.seed)
         K = alg.splitting
@@ -203,7 +216,7 @@ def cmd_curve_info(args):
 
 
 def _context(args):
-    curve = load_curve(args)
+    curve = load_curve(load_field(args.field), args.curve)
     if not curve.field.is_finite():
         raise Genus2Error("this command needs a finite ground field")
     alg = EtaleAlgebra(curve, seed=args.seed)
@@ -218,7 +231,7 @@ def cmd_model(args):
     if which == "jacobian":
         jm = JacobianModel(curve, seed=args.seed)
         out["quadrics"] = [q.to_json() for q in jm.forms]
-        out["verification"] = _jacobian_verification(curve, jm, args.seed)
+        out["verification"] = _jacobian_certificates(jm, args.seed)
     elif which == "kummer-p3":
         km = KummerModels(alg)
         out["quartic"] = km.kummer_quartic().to_json()
@@ -237,7 +250,8 @@ def cmd_model(args):
         out["matrices"] = [[[field.fmt(v) for v in row] for row in M.rows]
                            for M in mats]
         out["verification"] = _sampled_check(
-            curve, args.seed, lambda D: _y_values(km, D), 100, "forms_vanish")
+            curve, args.seed,
+            lambda D: form_values(mats, D.coords().odd, D.field), 100, "forms_vanish")
     elif which == "weddle":
         km = KummerModels(alg)
         out["quartic"] = km.weddle_quartic().to_json()
@@ -247,9 +261,9 @@ def cmd_model(args):
             100, "quartic_vanishes")
     elif which == "vdelta":
         if args.delta is None:
-            raise Genus2Error("--delta is required for the vdelta model")
+            raise BadInput("bad-delta", "--delta is required for the vdelta model")
         km = KummerModels(alg)
-        delta = alg.elem(load_delta(alg, args.delta))
+        delta = alg.elem(load_delta(field, args.delta))
         vd = km.v_delta(delta)
         out["delta"] = delta.to_strings()
         out["matrices"] = vd.to_json()
@@ -263,22 +277,7 @@ def _kummer_quartic_value(km, D):
     return [km.kummer_quartic().evaluate(kv, D.field)]
 
 
-def _y_values(km, D):
-    K = D.field
-    b = D.coords().odd
-    vals = []
-    for M in km.y_matrices():
-        acc = K.zero()
-        for i in range(6):
-            for j in range(6):
-                acc = K.add(acc, K.mul(_lift(M.field, K, M.rows[i][j]),
-                                       K.mul(b[i], b[j])))
-        vals.append(acc)
-    return vals
-
-
 def _sampled_check(curve, seed, value_fn, count, label):
-    from .quadrics import sampling_field
     K = sampling_field(curve.field)
     rng = random.Random(seed * 31337 + 5)
     bad = 0
@@ -289,14 +288,16 @@ def _sampled_check(curve, seed, value_fn, count, label):
     return {"samples": count, label: bad == 0}
 
 
-def _jacobian_verification(curve, jm, seed):
-    from .quadrics import sampling_field
+def _jacobian_certificates(jm, seed):
+    """Rank of the 72 quadrics, vanishing at 200 sampled points, and the
+    dimensions of the quadrics vanishing at sampled points (72 and 21)."""
+    curve = jm.curve
     K = sampling_field(curve.field)
     rng = random.Random(seed * 8191 + 11)
     pts = [random_point(curve, K, rng) for _ in range(200)]
     kdim, edim = vanishing_kernel_dimensions(curve, seed=seed)
     return {
-        "rank": rank_rows(curve.field, [q.vector() for q in jm.forms]),
+        "rank": jm.rank,
         "samples": 200,
         "vanishes": jm.vanish_at(pts),
         "kernel_dimension": kdim,
@@ -306,16 +307,17 @@ def _jacobian_verification(curve, jm, seed):
 
 def cmd_twist(args):
     curve, alg = _context(args)
+    delta = load_delta(curve.field, args.delta)
+    n = load_n(curve.field, args.n)
     ctx = TorsionActionCtx(alg)
-    delta = load_delta(alg, args.delta)
-    n = curve.field.parse(args.n)
     datum = TwistDatum(alg, delta, n)
     model = TwistModel(ctx, datum, seed=args.seed)
     descended = model.descend_to_ground() if args.descend else None
     bundle = model.to_json(descended)
+    equivariant = model.eps.galois_t_equivariance()
     bundle["verification"] = {
-        "rank": rank_rows(model.field, [q.vector() for q in model.forms]),
-        "galois_t_equivariance": model.eps.galois_t_equivariance(),
+        "rank": model.rank,
+        "galois_t_equivariance": equivariant,
     }
     if descended is not None:
         bundle["verification"]["descended_rank"] = rank_rows(
@@ -328,17 +330,18 @@ def cmd_twist(args):
         divs = [random_point(curve, W, rng) for _ in range(30)]
         bundle["check"] = {
             "vanish_at_pullbacks": model.vanish_at_pullbacks(divs),
-            "galois_t_equivariance": model.eps.galois_t_equivariance(),
+            "galois_t_equivariance": equivariant,
             "cocycle_matches_action": model.cocycle_matches_action(),
             "odd_block_matches_vdelta": model.matches_vdelta(),
-            "rank": rank_rows(W, [q.vector() for q in model.forms]),
+            "rank": model.rank,
         }
     return bundle
 
 
-def load_model_ref(raw: str, finite: bool) -> dict:
-    """The JSON object given inline or as a path by --model-ref, checked for
-    the keys its search reads."""
+def load_model_ref(raw: str, field) -> dict:
+    """The bundle given inline or as a path by --model-ref, parsed into what
+    its search reads: "delta", "n" and the descended "forms" of a twist
+    bundle; "delta" of a V_delta bundle over F_p; the 6x6 "matrices" over Q."""
     try:
         if raw.strip().startswith("{"):
             bundle = json.loads(raw)
@@ -346,40 +349,51 @@ def load_model_ref(raw: str, finite: bool) -> dict:
             with open(raw, "r", encoding="utf-8") as fh:
                 bundle = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _BadModelRef(f"cannot read model-ref: {exc}") from exc
+        raise BadInput("bad-model-ref", f"cannot read model-ref: {exc}") from exc
     if not isinstance(bundle, dict):
-        raise _BadModelRef("model-ref must be a JSON object")
+        raise BadInput("bad-model-ref", "model-ref must be a JSON object")
     if "quadrics_ground" in bundle:
         need = ("delta", "n")
     else:
-        need = ("matrices", "delta") if finite else ("matrices",)
+        need = ("matrices", "delta") if field.is_finite() else ("matrices",)
     missing = [k for k in need if k not in bundle]
     if missing:
-        raise _BadModelRef(f"model-ref bundle lacks {', '.join(missing)}")
-    return bundle
+        raise BadInput("bad-model-ref", f"model-ref bundle lacks {', '.join(missing)}")
+    try:
+        if "quadrics_ground" in bundle:
+            return {"delta": parse_values(field, bundle["delta"], 6, _DELTA_SHAPE),
+                    "n": field.parse(str(bundle["n"])),
+                    "forms": [QuadricForm.from_json(field, q)
+                              for q in bundle["quadrics_ground"]]}
+        if field.is_finite():
+            return {"delta": parse_values(field, bundle["delta"], 6, _DELTA_SHAPE)}
+        shape = "matrices must be a JSON array of 6x6 arrays"
+        mats = bundle["matrices"]
+        if not isinstance(mats, list) or any(not isinstance(M, list) or len(M) != 6
+                                             for M in mats):
+            raise ValueError(shape)
+        return {"matrices": [Mat(field, [parse_values(field, row, 6, shape)
+                                         for row in M]) for M in mats]}
+    except (Genus2Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadInput("bad-model-ref",
+                       f"bad model-ref value ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_search(args):
-    field = parse_field_spec(args.field)
-    bundle = load_model_ref(args.model_ref, field.is_finite())
-    curve = load_curve(args)
-    if "quadrics_ground" in bundle:
+    field = load_field(args.field)
+    ref = load_model_ref(args.model_ref, field)
+    curve = load_curve(field, args.curve)
+    if "forms" in ref:
         alg = EtaleAlgebra(curve, seed=args.seed)
         ctx = TorsionActionCtx(alg)
-        datum = TwistDatum(alg, [field.parse(c) for c in bundle["delta"]],
-                           field.parse(bundle["n"]))
-        model = TwistModel(ctx, datum, seed=args.seed)
-        forms = [QuadricForm.from_json(field, q) for q in bundle["quadrics_ground"]]
-        pts = search_twist_points(model, descended=forms)
+        model = TwistModel(ctx, TwistDatum(alg, ref["delta"], ref["n"]), seed=args.seed)
+        pts = search_twist_points(model, descended=ref["forms"])
     elif field.is_finite():
         alg = EtaleAlgebra(curve, seed=args.seed)
-        vd = KummerModels(alg).v_delta(alg.elem([field.parse(c) for c in bundle["delta"]]))
-        pts = search_vdelta_points(vd)
+        pts = search_vdelta_points(KummerModels(alg).v_delta(alg.elem(ref["delta"])))
     else:
         # over Q: enumerate integer vectors up to the bound on the matrices
-        mats = [Mat(field, [[field.parse(v) for v in row] for row in M])
-                for M in bundle["matrices"]]
-        pts = search_vdelta_rational(mats, args.bound)
+        pts = search_vdelta_rational(ref["matrices"], args.bound)
         return {"count": len(pts), "points": [list(p) for p in pts]}
     return {"count": len(pts), "points": [[field.fmt(v) for v in p] for p in pts]}
 
@@ -392,14 +406,16 @@ def cmd_verify(args):
     curve, alg = _context(args)
     suite = args.suite
     checks = []
+    if suite in ("quadrics", "diagonal", "all"):
+        jm = JacobianModel(curve, seed=args.seed)
     if suite in ("quadrics", "all"):
-        checks.extend(_verify_quadrics(curve, args.seed))
+        checks.extend(_verify_quadrics(jm, args.seed))
     if suite in ("action", "diagonal", "twist", "all"):
         ctx = TorsionActionCtx(alg)
         if suite in ("action", "all"):
             checks.extend(_verify_action(alg, ctx))
         if suite in ("diagonal", "all"):
-            checks.extend(_verify_diagonal_suite(alg, ctx, curve, args.seed))
+            checks.extend(_verify_diagonal_suite(alg, ctx, jm))
         if suite in ("twist", "all"):
             checks.extend(_verify_twist(curve, alg, ctx, args.seed))
     ok = all(c["passed"] == c["total"] for c in checks)
@@ -411,20 +427,13 @@ def _check(name, passed, total):
     return {"name": name, "passed": passed, "total": total}
 
 
-def _verify_quadrics(curve, seed):
-    from .quadrics import sampling_field
-    jm = JacobianModel(curve, seed=seed)
-    K = sampling_field(curve.field)
-    rng = random.Random(seed * 6571 + 1)
-    pts = [random_point(curve, K, rng) for _ in range(200)]
-    vanish = jm.vanish_at(pts)
-    rank = rank_rows(curve.field, [q.vector() for q in jm.forms])
-    kdim, edim = vanishing_kernel_dimensions(curve, seed=seed)
+def _verify_quadrics(jm, seed):
+    cert = _jacobian_certificates(jm, seed)
     return [
-        _check("quadrics.vanish_200_points", 200 if vanish else 0, 200),
-        _check("quadrics.rank_72", 1 if rank == 72 else 0, 1),
-        _check("quadrics.kernel_dim_72", 1 if kdim == 72 else 0, 1),
-        _check("quadrics.even_dim_21", 1 if edim == 21 else 0, 1),
+        _check("quadrics.vanish_200_points", 200 if cert["vanishes"] else 0, 200),
+        _check("quadrics.rank_72", 1 if cert["rank"] == 72 else 0, 1),
+        _check("quadrics.kernel_dim_72", 1 if cert["kernel_dimension"] == 72 else 0, 1),
+        _check("quadrics.even_dim_21", 1 if cert["even_only_dimension"] == 21 else 0, 1),
     ]
 
 
@@ -468,7 +477,7 @@ def _verify_action(alg, ctx):
     ]
 
 
-def _verify_diagonal_suite(alg, ctx, curve, seed):
+def _verify_diagonal_suite(alg, ctx, jm):
     K = alg.splitting
     gg = (ctx.G * ctx.G_inv_kappa).rows == [[K.from_int(1 if i == j else 0)
                                              for j in range(10)] for i in range(10)]
@@ -505,9 +514,8 @@ def _verify_diagonal_suite(alg, ctx, curve, seed):
     dims_ok = (len(gens) == 72
                and sum(1 for l, _ in gens if l[0] == "O") == 12)
     rank = rank_rows(K, [q.vector() for _, q in gens])
-    jm = JacobianModel(curve, seed=seed)
     joint = rank_rows(K, [q.vector() for _, q in gens]
-                      + [[_lift(curve.field, K, v) for v in q.vector()]
+                      + [[_lift(jm.field, K, v) for v in q.vector()]
                          for q in jm.forms])
     return [
         _check("diagonal.G_times_Ginv", 1 if gg else 0, 1),
@@ -532,6 +540,7 @@ def _verify_twist(curve, alg, ctx, seed):
             continue
     built = vanished = equiv = cocycle = vblock = descended = 0
     reported = 0
+    trivial = None  # the model of data[0] and its descended forms
     for datum in data:
         try:
             tm = TwistModel(ctx, datum, seed=seed)
@@ -546,10 +555,12 @@ def _verify_twist(curve, alg, ctx, seed):
         cocycle += tm.cocycle_matches_action()
         vblock += tm.matches_vdelta()
         try:
-            tm.descend_to_ground()
+            forms = tm.descend_to_ground()
             descended += 1
         except Genus2Error:
-            pass
+            forms = None
+        if datum is data[0]:
+            trivial = (tm, forms)
     total = built + reported
     checks = [
         _check("twist.constructed_or_reported", total, len(data)),
@@ -560,9 +571,9 @@ def _verify_twist(curve, alg, ctx, seed):
         _check("twist.descent_rank72", descended, built),
     ]
     if F.p <= 13:
-        tm = TwistModel(ctx, TwistDatum.trivial(alg), seed=seed)
+        tm, forms = trivial
         expect = count_jacobian_points(curve)
-        got = len(search_twist_points(tm))
+        got = len(search_twist_points(tm, descended=forms))
         checks.append(_check("twist.trivial_point_count", 1 if got == expect else 0, 1))
     return checks
 

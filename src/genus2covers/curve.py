@@ -27,7 +27,7 @@ import random
 from .errors import (DegenerateDivisor, ExhaustedAttempts, Genus2Error,
                      NotGeneric)
 from .fields import Field, FieldElem
-from .poly import Poly, lagrange_interpolate
+from .poly import Poly, _lift, lagrange_interpolate
 
 COORD_NAMES = ("k11", "k12", "k13", "k14", "k22", "k23", "k24",
                "k33", "k34", "k44", "b1", "b2", "b3", "b4", "b5", "b6")
@@ -68,9 +68,6 @@ class CurveData:
     def shift(self, c) -> "CurveData":
         g = self.f.compose_shift(self.field.coerce(c))
         return CurveData(self.field, [g.coeff(i) for i in range(7)])
-
-    def fc(self, i: int) -> FieldElem:
-        return FieldElem(self.field, self.coeffs[i])
 
     def evaluate(self, x):
         return self.f.evaluate(x)
@@ -181,7 +178,7 @@ class DivisorClass:
         el = lambda v: FieldElem(F, v)
         x1, y1 = el(self.p1[0]), el(self.p1[1])
         x2, y2 = el(self.p2[0]), el(self.p2[1])
-        fs = [FieldElem(F, _lift_to(self.curve.field, F, c)) for c in self.curve.coeffs]
+        fs = [FieldElem(F, _lift(self.curve.field, F, c)) for c in self.curve.coeffs]
         return x1, y1, x2, y2, fs
 
     def coords(self) -> Coords16:
@@ -233,11 +230,6 @@ class DivisorClass:
             k[(2, 2)] - 4 * k[(1, 3)],
         ]
         return [v.v for v in a]
-
-
-def _lift_to(F: Field, G: Field, v):
-    from .poly import _lift
-    return _lift(F, G, v)
 
 
 def _gcorr(f, r, s):
@@ -390,6 +382,6 @@ def cassels_image(D: DivisorClass):
     x2, y2 = D.p2
     delta = [F.mul(x1, x2), F.neg(F.add(x1, x2)), F.one(),
              F.zero(), F.zero(), F.zero()]
-    f6 = _lift_to(D.curve.field, F, D.curve.coeffs[6])
+    f6 = _lift(D.curve.field, F, D.curve.coeffs[6])
     n = F.div(F.mul(y1, y2), f6)
     return delta, n

@@ -25,7 +25,8 @@ import random
 from .errors import Genus2Error, MissingRoots, OddMask
 from .fields import Field
 from .linalg import Mat
-from .poly import Poly, resultant, roots_in_field, splitting_field_and_roots
+from .poly import (Poly, _lift, resultant, roots_in_field,
+                   splitting_field_and_roots)
 
 FULL_MASK = 0b111111
 
@@ -225,9 +226,6 @@ class EtaleAlgebra:
             out |= 1 << self.frob_perm[i]
         return out
 
-    def frobenius_point(self, P: TwoTorsionPoint) -> TwoTorsionPoint:
-        return TwoTorsionPoint(self.frobenius_mask(P.mask))
-
     # -- basis changes -----------------------------------------------------------
 
     def basis_change(self, vec, frm: str, to: str, field=None):
@@ -293,7 +291,9 @@ class EtaleAlgebra:
 
 
 def _map_mat(M: Mat, F: Field) -> Mat:
-    from .poly import _lift
+    """M with its entries lifted into F (M itself when F is its field)."""
+    if M.field == F:
+        return M
     return Mat(F, [[_lift(M.field, F, v) for v in row] for row in M.rows])
 
 
@@ -363,14 +363,10 @@ class LVec:
         """Evaluation at the i-th root, in the splitting field."""
         K = self.algebra.splitting
         w = self.algebra.roots[i]
-        from .poly import _lift
         acc = K.zero()
         for coef in reversed(self.c):
             acc = K.add(K.mul(acc, w), _lift(self.field, K, coef))
         return acc
-
-    def phis(self):
-        return [self.phi(i) for i in range(6)]
 
     def inverse(self) -> "LVec":
         g, s, _ = self._poly().xgcd(self._modulus())
@@ -387,12 +383,7 @@ class LVec:
         K = self.algebra.splitting
         if self.field == K:
             return self
-        from .poly import _lift
         return LVec(self.algebra, K, [_lift(self.field, K, v) for v in self.c])
 
     def to_strings(self):
         return [self.field.fmt(v) for v in self.c]
-
-
-# public name for the element type
-LElem = LVec

@@ -18,6 +18,7 @@ order for Q) used for deterministic root labelling and square-root signs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import Genus2Error
@@ -60,32 +61,12 @@ def _poly_trim(a):
 
 
 def _poly_mulmod(a, b, m, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_remainder(res, m, p)
-
-
-def _poly_remainder(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and _poly_trim(a):
-        if not a:
-            break
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _poly_trim(a)
-    return a
+    return _poly_divmod_fp(_poly_mul_fp(a, b, p), m, p)[1]
 
 
 def _poly_powmod(a, e, m, p):
     result = [1]
-    base = _poly_remainder(a, m, p)
+    base = _poly_divmod_fp(a, m, p)[1]
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, m, p)
@@ -97,7 +78,7 @@ def _poly_powmod(a, e, m, p):
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a = _poly_remainder(a, b, p)
+        a = _poly_divmod_fp(a, b, p)[1]
         a, b = b, a
     return a
 
@@ -185,7 +166,6 @@ class Field:
             self.deg = len(modulus) - 1
             self.order = p ** self.deg
         self._red = None          # cached numpy reduction matrix
-        self._frob_mat = None     # cached Frobenius matrix over F_p
         self._nonres = None       # cached quadratic non-residue
 
     # -- constructors ------------------------------------------------------
@@ -509,20 +489,18 @@ def _fraction_sqrt(a: Fraction):
 
 
 def parse_field_spec(spec: str) -> Field:
-    """Parse "Q", "F<p>", or "F<p>^<d>"."""
+    """Parse "Q", "F<p>", or "F<p>^<d>" with d >= 1."""
     spec = spec.strip()
     if spec == "Q":
         return Field.rationals()
-    if spec.startswith("F"):
-        body = spec[1:]
-        if "^" in body:
-            ps, ds = body.split("^")
-            return Field.extension(int(ps), int(ds))
-        return Field.prime(int(body))
-    raise Genus2Error(f"bad field spec {spec!r}")
+    m = re.fullmatch(r"F([0-9]+)(?:\^([0-9]+))?", spec)
+    d = int(m[2] or 1) if m else 0
+    if d < 1:
+        raise Genus2Error(f"bad field spec {spec!r}: expected Q, F<p> or F<p>^<d>")
+    return Field.extension(int(m[1]), d)
 
 
-# -- helpers for the extended Euclid above (F_p coefficient lists) -----------
+# -- F_p coefficient-list helpers for Field.inv and the modulus tests above
 
 
 def _poly_divmod_fp(a, b, p):

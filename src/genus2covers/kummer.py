@@ -125,6 +125,20 @@ class MultiPoly:
         return [[list(e), self.field.fmt(c)] for e, c in sorted(self.terms.items())]
 
 
+def form_values(mats, vec6, K: Field):
+    """x^t M x for each 6x6 matrix M, at a 6-vector x over K (a field that
+    holds the entries of every M)."""
+    out = []
+    for M in mats:
+        acc = K.zero()
+        for i in range(6):
+            for j in range(6):
+                acc = K.add(acc, K.mul(_lift(M.field, K, M.rows[i][j]),
+                                       K.mul(vec6[i], vec6[j])))
+        out.append(acc)
+    return out
+
+
 def _mono(n, *pairs):
     e = [0] * n
     for var, power in pairs:
@@ -165,21 +179,9 @@ class VDeltaModel:
             mats.append(acc)
         self.matrices = mats
 
-    def evaluate(self, vec6, K: Field = None):
-        K = K or self.delta.field
-        out = []
-        for M in self.matrices:
-            acc = K.zero()
-            for i in range(6):
-                for j in range(6):
-                    acc = K.add(acc, K.mul(_lift(M.field, K, M.rows[i][j]),
-                                           K.mul(vec6[i], vec6[j])))
-            out.append(acc)
-        return out
-
     def is_solution(self, vec6, K: Field = None) -> bool:
         K = K or self.delta.field
-        return all(K.is_zero(v) for v in self.evaluate(vec6, K))
+        return all(K.is_zero(v) for v in form_values(self.matrices, vec6, K))
 
     def to_json(self):
         F = self.delta.field
@@ -231,17 +233,7 @@ class KummerModels:
     def y_quadrics(self):
         """The same three forms as QuadricForms in the odd coordinates."""
         from .quadrics import QuadricForm
-        out = []
-        for M in self.y_matrices():
-            q = QuadricForm(self.field)
-            F = self.field
-            for i in range(6):
-                for j in range(i, 6):
-                    c = M.rows[i][j] if i == j else F.mul(F.from_int(2), M.rows[i][j])
-                    if not F.is_zero(c):
-                        q.coeffs[(10 + i, 10 + j)] = c
-            out.append(q)
-        return out
+        return [QuadricForm.from_odd_matrix(M) for M in self.y_matrices()]
 
     def v_delta(self, delta: LVec) -> VDeltaModel:
         return VDeltaModel(self.algebra, delta)

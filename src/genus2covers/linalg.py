@@ -426,9 +426,6 @@ class Mat:
     def col(self, j):
         return [row[j] for row in self.rows]
 
-    def to_lists(self):
-        return [list(r) for r in self.rows]
-
 
 def _dot(F: Field, a, b):
     acc = F.zero()

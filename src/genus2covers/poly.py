@@ -8,6 +8,7 @@ polynomial has an empty coefficient list.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import (Genus2Error, NotSeparable, RationalBaseUnsupported,
@@ -333,17 +334,8 @@ def splitting_field_and_roots(f: Poly, seed: int = 0):
     if not f.is_separable():
         raise NotSeparable("gcd(f, f') is not constant")
     degs = distinct_degree_profile(f)
-    d = 1
-    for e in degs:
-        d = d * e // _gcd_int(d, e)
-    K = Field.extension(F.p, d)
+    K = Field.extension(F.p, math.lcm(*degs))
     return K, roots_in_field(f, K, seed=seed)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def lagrange_interpolate(F: Field, points) -> Poly:

@@ -37,10 +37,6 @@ MIXED_MONOMIALS = [n for n, (i, j) in enumerate(MONOMIALS) if i < 10 <= j]  # 60
 ODD_MONOMIALS = [n for n, (i, j) in enumerate(MONOMIALS) if i >= 10]   # 21
 
 
-def mono_index(i: int, j: int) -> int:
-    return MONO_INDEX[(i, j) if i <= j else (j, i)]
-
-
 class QuadricForm:
     """Sparse symmetric quadratic form in the 16 projective coordinates.
 
@@ -105,9 +101,6 @@ class QuadricForm:
                 q.coeffs[m] = v
         return q
 
-    def monomial_support(self):
-        return set(self.coeffs)
-
     def is_even_only(self) -> bool:
         return all(j < 10 for (_, j) in self.coeffs)
 
@@ -123,6 +116,18 @@ class QuadricForm:
                 A.rows[i][j] = F.mul(c, half)
                 A.rows[j][i] = A.rows[i][j]
         return A
+
+    @staticmethod
+    def from_odd_matrix(M: Mat) -> "QuadricForm":
+        """The form b^t M b in the odd coordinates b_1..b_6, for a symmetric
+        6x6 matrix M."""
+        F = M.field
+        q = QuadricForm(F)
+        for i in range(6):
+            for j in range(i, 6):
+                c = M.rows[i][j] if i == j else F.mul(F.from_int(2), M.rows[i][j])
+                q.add_term(10 + i, 10 + j, c)
+        return q
 
     @staticmethod
     def from_matrix(A: Mat) -> "QuadricForm":
@@ -160,7 +165,10 @@ class QuadricForm:
     def from_json(field: Field, data) -> "QuadricForm":
         q = QuadricForm(field)
         for i, j, c in data["entries"]:
-            q.add_term(int(i), int(j), field.parse(c))
+            i, j = int(i), int(j)
+            if not (0 <= i < 16 and 0 <= j < 16):
+                raise Genus2Error(f"coordinate index out of range in entry {[i, j, c]}")
+            q.add_term(i, j, field.parse(str(c)))
         return q
 
 
@@ -283,11 +291,11 @@ class JacobianModel:
     """The 72 quadrics through the Jacobian in P^15, over the ground field.
 
     Construction samples points over a small extension to interpolate the
-    fourteen unlisted products b_i b_j, then certifies the rank.  Immutable
-    afterwards.
+    fourteen unlisted products b_i b_j, then certifies the rank, kept as
+    ``rank`` (72).  Immutable afterwards.
     """
 
-    def __init__(self, curve: CurveData, seed: int = 0, certify: bool = True):
+    def __init__(self, curve: CurveData, seed: int = 0):
         if not curve.field.is_finite():
             raise Genus2Error("quadric interpolation needs a finite ground field")
         self.curve = curve
@@ -303,14 +311,12 @@ class JacobianModel:
                       + self.odd_shifted + self.listed_bb + self.interpolated_bb)
         if len(self.forms) != 72:
             raise Genus2Error(f"expected 72 generators, built {len(self.forms)}")
-        if certify and rank_rows(self.field, [f.vector() for f in self.forms]) != 72:
+        self.rank = rank_rows(self.field, [f.vector() for f in self.forms])
+        if self.rank != 72:
             raise Genus2Error("the 72 generators are not independent")
         self._bb_kk = None
 
     # -- public surface ---------------------------------------------------------
-
-    def all_quadrics(self):
-        return list(self.forms)
 
     def vanish_at(self, divisors) -> bool:
         pts = [(D.coords().v, D.field) for D in divisors]
@@ -477,10 +483,10 @@ def odd_quadrics(curve: CurveData, shifted: bool = False):
 # interpolation of the fourteen unlisted b_i b_j products
 
 
-def sampling_field(field: Field, minimum: int = 10_000) -> Field:
-    """Smallest extension of the prime field with at least `minimum` elements."""
+def sampling_field(field: Field) -> Field:
+    """Smallest extension of the prime field with at least 10,000 elements."""
     e = 1
-    while field.p ** e < minimum:
+    while field.p ** e < 10_000:
         e += 1
     return Field.extension(field.p, e) if e > 1 else field
 
@@ -510,14 +516,13 @@ def split_equations(K: Field, rows, rhs_cols):
     return new_rows, new_rhs
 
 
-def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, n_samples: int = 88,
-                            n_verify: int = 50, targets=None):
+def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, targets=None):
     """Reconstruct products b_i b_j as k-quadratics by exact interpolation.
 
     Solves, over the prime field, the linear system demanding that the
-    k-expression matches the product at >= 88 sampled generic classes, then
-    verifies each output at fresh points.  The solution space per product is
-    an affine space over the 21-dimensional even vanishing subspace; any
+    k-expression matches the product at 88 sampled generic classes, then
+    verifies each output at 50 fresh points.  The solution space per product
+    is an affine space over the 21-dimensional even vanishing subspace; any
     representative is valid.  By default the fourteen products without a
     hardcoded expression are reconstructed.
     """
@@ -525,7 +530,7 @@ def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, n_samples: int = 88
     K = sampling_field(F)
     rng = random.Random(seed * 7919 + 17)
     pairs = list(targets) if targets is not None else list(UNLISTED_BB_PAIRS)
-    divisors = sample_divisors(curve, K, n_samples, rng)
+    divisors = sample_divisors(curve, K, 88, rng)
     rows = []
     rhs = [[] for _ in pairs]
     for D in divisors:
@@ -550,7 +555,7 @@ def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, n_samples: int = 88
             if not F.is_zero(c):
                 q.add_term(*MONOMIALS[n], F.neg(c))
         forms.append(q)
-    fresh = sample_divisors(curve, K, n_verify, rng)
+    fresh = sample_divisors(curve, K, 50, rng)
     if not forms_vanish_at(forms, [(D.coords().v, K) for D in fresh]):
         raise InterpolationFailed("interpolated form fails at fresh points")
     return forms
@@ -560,10 +565,9 @@ def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, n_samples: int = 88
 # certificates
 
 
-def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0,
-                                n_points: int = 150):
+def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0):
     """(full, even-only) dimensions of the spaces of quadrics vanishing at
-    one batch of sampled points.
+    one batch of 150 sampled points.
 
     With enough generic points these are the degree-2 part of the ideal and
     its even-coordinate slice: 72 and 21.
@@ -572,7 +576,7 @@ def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0,
     K = sampling_field(F)
     rng = random.Random(seed * 104729 + 3)
     rows = []
-    for D in sample_divisors(curve, K, n_points, rng):
+    for D in sample_divisors(curve, K, 150, rng):
         v = D.coords().v
         rows.append([K.mul(v[MONOMIALS[n][0]], v[MONOMIALS[n][1]])
                      for n in range(len(MONOMIALS))])
@@ -581,9 +585,3 @@ def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0,
     even_rows = [[row[n] for n in EVEN_MONOMIALS] for row in rows_p]
     even = len(kernel_rows(F, even_rows))
     return full, even
-
-
-def vanishing_kernel_dimension(curve: CurveData, seed: int = 0,
-                               n_points: int = 150, even_only: bool = False) -> int:
-    full, even = vanishing_kernel_dimensions(curve, seed=seed, n_points=n_points)
-    return even if even_only else full

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .curve import EVEN_PAIRS, even_slot
 from .errors import Genus2Error, IdentityPoint, NotDiagonal, OddMask
-from .etale import (EtaleAlgebra, TwoTorsionPoint, alpha_sign, character_chi,
-                    mask_bits, mask_of, popcount)
+from .etale import (EtaleAlgebra, TwoTorsionPoint, _map_mat, alpha_sign,
+                    character_chi, mask_bits, mask_of, popcount)
 from .fields import Field, FieldElem
 from .linalg import Mat, block_diag
 from .poly import Poly, _lift, resultant
@@ -523,9 +523,3 @@ def _elementary_sym(K: Field, roots):
                K.mul(roots[1], roots[2]))
     e3 = K.mul(K.mul(roots[0], roots[1]), roots[2])
     return (e1, e2, e3)
-
-
-def _map_mat(M: Mat, F: Field) -> Mat:
-    if M.field == F:
-        return M
-    return Mat(F, [[_lift(M.field, F, v) for v in row] for row in M.rows])

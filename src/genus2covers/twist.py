@@ -20,21 +20,18 @@ g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block.
 
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
-generators by relabelling the pair, so traces stay inside the span); a
-second, independently assembled strategy sums the pair generators against
-equivariant weight functions h_r.
+generators by relabelling the pair, so traces stay inside the span).
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
 from .curve import CurveData, DivisorClass
 from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
                      TIVanishes)
-from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
+from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
+                    popcount)
 from .fields import Field
 from .kummer import VDeltaModel
 from .linalg import Mat, block_diag, kernel_rows, rank_rows, rref_rows
@@ -148,9 +145,6 @@ class EpsilonChoice:
     def field(self) -> Field:
         return self.ctx.K
 
-    def t_single(self, i: int):
-        return self.eps[i]
-
     def t_triple(self, mask3: int):
         return self.t3[mask3]
 
@@ -208,7 +202,8 @@ class EpsilonChoice:
 class TwistModel:
     """The two-covering attached to (delta, n): 72 twisted quadrics in the
     16 coordinates over the working field, the block-linear map down to the
-    Jacobian, and descent data."""
+    Jacobian, and descent data.  ``rank`` is the certified rank (72) of the
+    twisted forms."""
 
     def __init__(self, base_ctx: TorsionActionCtx, datum: TwistDatum, seed: int = 0):
         self.datum = datum
@@ -236,7 +231,8 @@ class TwistModel:
             sq_root_weight=lambda i: deltas[i],
             sq_part_weight=lambda rep: self.eps.t_squared_triple(rep))
         self.forms = [q for _, q in self.labelled]
-        if rank_rows(W, [q.vector() for q in self.forms]) != 72:
+        self.rank = rank_rows(W, [q.vector() for q in self.forms])
+        if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
@@ -261,7 +257,6 @@ class TwistModel:
             T1 = Mat.diagonal(W, [self.eps.t_triple(rep) for rep in self.ctx.reps])
             even = self.ctx.G_inv_kappa * T1 * self.ctx.G
             T2 = Mat.diagonal(W, self.eps.eps)
-            from .torsion import _map_mat
             S = _map_mat(self.ctx.algebra.S, W)
             S_inv = _map_mat(self.ctx.algebra.S_inv, W)
             odd = S * T2 * S_inv
@@ -310,14 +305,9 @@ class TwistModel:
 
     # -- descent ------------------------------------------------------------------
 
-    def descend_to_ground(self, strategy: str = "trace"):
+    def descend_to_ground(self):
         """72 forms with ground-field coefficients spanning the twisted ideal."""
-        if strategy == "trace":
-            forms = self._descend_trace()
-        elif strategy == "assembled":
-            forms = self._descend_assembled()
-        else:
-            raise Genus2Error(f"unknown descent strategy {strategy!r}")
+        forms = self._descend_trace()
         self._check_descent(forms)
         return forms
 
@@ -350,38 +340,6 @@ class TwistModel:
             raise RankLoss(f"trace descent produced rank {len(piv)}")
         return [QuadricForm.from_vector(k, row) for row in R[:72]]
 
-    def _descend_assembled(self):
-        """Sum the pair generators against equivariant weights h_r."""
-        W = self.ctx.K
-        k = self.datum.algebra.field
-        deltas = self.eps.deltas
-        _, hfuncs = _equivariant_weights(self.ctx)
-        by_label = dict(self.labelled)
-        out = []
-        for label, q in self.labelled:
-            if label[0] == "O":
-                out.append(q)
-        pairs = [lbl[0] for lbl, _ in self.labelled if lbl[0] != "O" and lbl[1] == "odd"
-                 and lbl[2] == 0]
-        for kind in (("odd", 0), ("odd", 1), ("even", 1), ("even", 2)):
-            for r in range(15):
-                acc = QuadricForm(W)
-                for pair in pairs:
-                    i, j = pair
-                    scale = W.mul(hfuncs[r](pair), W.mul(deltas[i], deltas[j]))
-                    form = by_label[(pair, kind[0], kind[1])]
-                    for mono, c in form.coeffs.items():
-                        acc.add_term(*mono, W.mul(c, scale))
-                out.append(acc)
-        ground = []
-        for q in out:
-            for c in q.coeffs.values():
-                if not W.eq(W.frobenius(c), c):
-                    raise RankLoss("assembled form is not Galois invariant")
-            vec = [(v[0] if W.kind == "ext" else v) for v in q.vector()]
-            ground.append(QuadricForm.from_vector(k, vec))
-        return ground
-
     def _check_descent(self, forms):
         W = self.ctx.K
         k = self.datum.algebra.field
@@ -412,14 +370,7 @@ class TwistModel:
         delta_w = LVec(alg, W, [_lift(self.datum.algebra.field, W, c)
                                 for c in self.datum.delta.c])
         vd = VDeltaModel(alg, delta_w)
-        vrows = []
-        for M in vd.matrices:
-            q = QuadricForm(W)
-            for i in range(6):
-                for j in range(i, 6):
-                    c = M.rows[i][j] if i == j else W.mul(W.from_int(2), M.rows[i][j])
-                    q.add_term(10 + i, 10 + j, c)
-            vrows.append(q.vector())
+        vrows = [QuadricForm.from_odd_matrix(M).vector() for M in vd.matrices]
         return (rank_rows(W, vrows) == 3
                 and rank_rows(W, vrows + blk) == 3)
 
@@ -479,46 +430,6 @@ def _frobenius_matrix(W: Field):
     for _ in range(d - 1):
         cols.append(W.mul(cols[-1], tp))
     return np.array([[col[i] for col in cols] for i in range(d)], dtype=np.int64)
-
-
-def _equivariant_weights(ctx: TorsionActionCtx):
-    """15 Galois-equivariant functions on root pairs with invertible value
-    matrix: symmetric monomials (w1 + w2)^a (w1 w2)^b, widened and then
-    randomized if a special configuration makes the canonical grid singular."""
-    W = ctx.K
-    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    roots = ctx.algebra.roots
-
-    def monomial(a, b):
-        def h(pair):
-            i, j = pair
-            s = W.add(roots[i], roots[j])
-            m = W.mul(roots[i], roots[j])
-            return W.mul(W.pw(s, a), W.pw(m, b))
-        return h
-
-    grid = [monomial(a, b) for a in range(5) for b in range(3)]
-    mat = Mat(W, [[h(p) for p in pairs] for h in grid])
-    if not W.is_zero(mat.det()):
-        return mat, grid
-    wide = [monomial(a, b) for a in range(8) for b in range(6)]
-    rng = random.Random(1729)
-    for _ in range(64):
-        combo = []
-        for _ in range(15):
-            coeffs = [W.from_int(rng.randrange(W.p)) for _ in wide]
-            combo.append(lambda pair, cs=coeffs: _lin_comb(W, cs, wide, pair))
-        mat = Mat(W, [[h(p) for p in pairs] for h in combo])
-        if not W.is_zero(mat.det()):
-            return mat, combo
-    raise Genus2Error("no invertible equivariant weight matrix found")
-
-
-def _lin_comb(W, coeffs, funcs, pair):
-    acc = W.zero()
-    for c, h in zip(coeffs, funcs):
-        acc = W.add(acc, W.mul(c, h(pair)))
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from genus2covers.cli import main
 
 CURVE = "[5,1,2,1,1,3,1]"
+CURVE11 = "[4,8,1,5,3,0,1]"
+DELTA1 = '["1","0","0","0","0","0"]'
 
 
 def run(capsys, *argv):
@@ -35,6 +37,36 @@ def test_curve_info_rejects_nonseparable(capsys):
                      "--curve", "[3,5,3,0,1,9,1]")
     assert code == 2
     assert "gcd" in data["error"]
+
+
+def test_curve_info_rejects_eight_coefficients(capsys):
+    code, data = run(capsys, "curve-info", "--field", "F11",
+                     "--curve", "[5,1,2,1,1,3,1,1]")
+    assert code == 2
+    assert data["kind"] == "bad-curve"
+    assert "7 coefficients" in data["error"]
+
+
+@pytest.mark.parametrize("argv, kind, code", [
+    (["curve-info", "--field", "Fabc", "--curve", CURVE11], "bad-field", 1),
+    (["curve-info", "--field", "F100", "--curve", CURVE11], "bad-field", 1),
+    (["curve-info", "--field", "F2", "--curve", CURVE11], "bad-field", 1),
+    (["curve-info", "--field", "F11", "--curve", "[5,1,2"], "bad-curve", 2),
+    (["curve-info", "--field", "F11", "--curve", "no/such/curve.json"], "bad-curve", 2),
+    (["curve-info", "--field", "F11", "--curve", '[4,8,1,5,3,0,"x"]'], "bad-curve", 2),
+    (["twist", "--field", "F11", "--curve", CURVE11, "--delta", "[1,2", "--n", "1"],
+     "bad-delta", 1),
+    (["twist", "--field", "F11", "--curve", CURVE11, "--delta", "[1,2,3]", "--n", "1"],
+     "bad-delta", 1),
+    (["twist", "--field", "F11", "--curve", CURVE11, "--delta", DELTA1, "--n", "abc"],
+     "bad-delta", 1),
+], ids=["field-not-a-number", "field-not-prime", "field-char-2", "curve-malformed-json",
+        "curve-missing-file", "curve-bad-coefficient", "delta-malformed-json",
+        "delta-three-entries", "n-not-a-number"])
+def test_input_errors(capsys, argv, kind, code):
+    got, data = run(capsys, *argv)
+    assert got == code
+    assert data["kind"] == kind
 
 
 def test_curve_info_irreducible_sextic(capsys):
@@ -150,14 +182,19 @@ def test_search_vdelta_bundle(capsys, tmp_path):
                    for M in mats)
 
 
-@pytest.mark.parametrize("content", [None, '{"matrices": [', '{"matrices": []}'],
-                         ids=["missing-file", "malformed-json", "no-delta"])
-def test_search_bad_model_ref(capsys, tmp_path, content):
+@pytest.mark.parametrize("field, content", [
+    ("F11", None), ("F11", '{"matrices": ['), ("F11", '{"matrices": []}'),
+    ("F11", '{"matrices": [], "delta": 5}'),
+    ("F11", '{"quadrics_ground": [{}], "delta": ' + DELTA1 + ', "n": "1"}'),
+    ("Q", '{"matrices": [[["1"]]]}'),
+], ids=["missing-file", "malformed-json", "no-delta", "delta-not-a-list",
+        "form-without-entries", "matrix-not-6x6"])
+def test_search_bad_model_ref(capsys, tmp_path, field, content):
     ref = tmp_path / "ref.json"
     if content is not None:
         ref.write_text(content)
-    code, data = run(capsys, "search", "--field", "F11", "--curve", "[4,8,1,5,3,0,1]",
-                     "--model-ref", str(ref))
+    code, data = run(capsys, "search", "--field", field, "--curve", CURVE11,
+                     "--model-ref", str(ref), "--bound", "1")
     assert code == 1
     assert data["kind"] == "bad-model-ref"
 

@@ -6,7 +6,7 @@ from genus2covers.linalg import in_row_span, rank_rows
 from genus2covers.quadrics import (ALL_BB_PAIRS, LISTED_BB_PAIRS,
                                    JacobianModel, QuadricForm,
                                    forms_vanish_at, interpolate_bb_quadrics,
-                                   sampling_field, vanishing_kernel_dimension,
+                                   sampling_field, vanishing_kernel_dimensions,
                                    veronese_quadrics)
 
 
@@ -32,8 +32,7 @@ def test_even_only_dimension_21(ref_jacobian, ref_field):
 
 
 def test_kernel_certificates(ref_curve):
-    assert vanishing_kernel_dimension(ref_curve, seed=3) == 72
-    assert vanishing_kernel_dimension(ref_curve, seed=3, even_only=True) == 21
+    assert vanishing_kernel_dimensions(ref_curve, seed=3) == (72, 21)
 
 
 def test_two_uple_holds_identically(ref_curve, ref_field, rng):

@@ -4,20 +4,21 @@ import pytest
 
 from genus2covers.curve import CurveData, random_point
 from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
-                                 TIVanishes)
+                                 RankLoss, TIVanishes)
 from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
 from genus2covers.linalg import Mat, rank_rows
 from genus2covers.poly import Poly
-from genus2covers.quadrics import MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS
+from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
+                                   QuadricForm)
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 projective_reps, search_twist_points,
                                 search_vdelta_points, search_vdelta_rational,
-                                span_supported, _equivariant_weights,
-                                _kernel_reps, _node_pullbacks, _resolve_scale)
+                                span_supported, _kernel_reps, _node_pullbacks,
+                                _resolve_scale)
 
 
 @pytest.fixture(scope="module")
@@ -160,10 +161,84 @@ def test_covering_roundtrip(trivial_model, ref_curve, rng):
     assert back == D.coords().v
 
 
+# Reference for the trace descent: an independently assembled descent that
+# sums the pair generators against Galois-equivariant weight functions h_r.
+
+
+def assembled_descent(model):
+    """72 ground-field forms: the identity piece as is, and for each of the
+    four pair kinds the 15 sums sum_pair h_r(pair) delta_i delta_j q_pair."""
+    W = model.ctx.K
+    k = model.datum.algebra.field
+    deltas = model.eps.deltas
+    _, hfuncs = equivariant_weights(model.ctx)
+    by_label = dict(model.labelled)
+    out = [q for label, q in model.labelled if label[0] == "O"]
+    pairs = [lbl[0] for lbl, _ in model.labelled
+             if lbl[0] != "O" and lbl[1] == "odd" and lbl[2] == 0]
+    for kind in (("odd", 0), ("odd", 1), ("even", 1), ("even", 2)):
+        for r in range(15):
+            acc = QuadricForm(W)
+            for pair in pairs:
+                i, j = pair
+                scale = W.mul(hfuncs[r](pair), W.mul(deltas[i], deltas[j]))
+                for mono, c in by_label[(pair, kind[0], kind[1])].coeffs.items():
+                    acc.add_term(*mono, W.mul(c, scale))
+            out.append(acc)
+    ground = []
+    for q in out:
+        if any(not W.eq(W.frobenius(c), c) for c in q.coeffs.values()):
+            raise RankLoss("assembled form is not Galois invariant")
+        vec = [(v[0] if W.kind == "ext" else v) for v in q.vector()]
+        ground.append(QuadricForm.from_vector(k, vec))
+    return ground
+
+
+def equivariant_weights(ctx):
+    """15 Galois-equivariant functions on root pairs with invertible value
+    matrix: symmetric monomials (w1 + w2)^a (w1 w2)^b, widened and then
+    randomized if a special configuration makes the canonical grid singular."""
+    W = ctx.K
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    roots = ctx.algebra.roots
+
+    def monomial(a, b):
+        def h(pair):
+            i, j = pair
+            s = W.add(roots[i], roots[j])
+            m = W.mul(roots[i], roots[j])
+            return W.mul(W.pw(s, a), W.pw(m, b))
+        return h
+
+    grid = [monomial(a, b) for a in range(5) for b in range(3)]
+    mat = Mat(W, [[h(p) for p in pairs] for h in grid])
+    if not W.is_zero(mat.det()):
+        return mat, grid
+    wide = [monomial(a, b) for a in range(8) for b in range(6)]
+    rng = random.Random(1729)
+    for _ in range(64):
+        combo = []
+        for _ in range(15):
+            coeffs = [W.from_int(rng.randrange(W.p)) for _ in wide]
+            combo.append(lambda pair, cs=coeffs: lin_comb(W, cs, wide, pair))
+        mat = Mat(W, [[h(p) for p in pairs] for h in combo])
+        if not W.is_zero(mat.det()):
+            return mat, combo
+    raise Genus2Error("no invertible equivariant weight matrix found")
+
+
+def lin_comb(W, coeffs, funcs, pair):
+    acc = W.zero()
+    for c, h in zip(coeffs, funcs):
+        acc = W.add(acc, W.mul(c, h(pair)))
+    return acc
+
+
 def test_descents_agree(trivial_model, ref_curve):
     F = ref_curve.field
-    a = trivial_model.descend_to_ground("trace")
-    b = trivial_model.descend_to_ground("assembled")
+    a = trivial_model.descend_to_ground()
+    b = assembled_descent(trivial_model)
+    trivial_model._check_descent(b)
     assert all(q.frobenius_fixed() for q in a + b)
     assert rank_rows(F, [q.vector() for q in a]) == 72
     assert rank_rows(F, [q.vector() for q in a] + [q.vector() for q in b]) == 72
@@ -286,7 +361,7 @@ def test_ti_vanishes_is_reported(split_curve_f11):
 
 
 def test_equivariant_weights_invertible(ref_torsion):
-    mat, funcs = _equivariant_weights(ref_torsion)
+    mat, funcs = equivariant_weights(ref_torsion)
     assert len(funcs) == 15
     assert not ref_torsion.K.is_zero(mat.det())
 
