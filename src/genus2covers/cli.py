@@ -6,9 +6,10 @@ with sorted keys, so identical invocations (same seed) are byte-identical.
 Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
 factor t_I, 5 verification failure.  Errors are JSON objects
-{"error": message, "kind": kind}; the input kinds are bad-field (exit 1),
-bad-curve (exit 2), bad-delta for --delta and --n (exit 1) and
-bad-model-ref (exit 1).
+{"error": message, "kind": kind}; the input kinds are bad-field (exit 1,
+also for F<p>^<d>: curves over extension fields are not supported yet),
+bad-curve (exit 2), bad-delta for --delta and --n, or a delta of norm zero
+(exit 1) and bad-model-ref (exit 1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import sys
 
 from .curve import CurveData, random_point
-from .errors import GammaViolation, Genus2Error, TIVanishes
+from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
 from .etale import EtaleAlgebra, all_two_torsion, even_masks, weil_pairing
 from .fields import parse_field_spec
 from .kummer import KummerModels, form_values
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, curve=True):
         sp.add_argument("--field", required=True,
-                        help='field spec: "Q", "F<p>", or "F<p>^<d>"')
+                        help='field spec: "Q" or "F<p>" with p an odd prime')
         if curve:
             sp.add_argument("--curve", required=True,
                             help="JSON array of f0..f6 (or a path to one)")
@@ -134,9 +135,13 @@ def emit(payload, args):
 
 def load_field(spec: str):
     try:
-        return parse_field_spec(spec)
+        field = parse_field_spec(spec)
     except Genus2Error as exc:
         raise BadInput("bad-field", str(exc)) from exc
+    if field.kind == "ext":
+        raise BadInput("bad-field", f"curves over F_{{p^d}} are not supported yet "
+                       f"({spec.strip()}); use a prime field F<p> or Q")
+    return field
 
 
 def parse_values(field, values, count: int, message: str):
@@ -310,7 +315,10 @@ def cmd_twist(args):
     delta = load_delta(curve.field, args.delta)
     n = load_n(curve.field, args.n)
     ctx = TorsionActionCtx(alg)
-    datum = TwistDatum(alg, delta, n)
+    try:
+        datum = TwistDatum(alg, delta, n)
+    except NonUnitDelta as exc:
+        raise BadInput("bad-delta", str(exc)) from exc
     model = TwistModel(ctx, datum, seed=args.seed)
     descended = model.descend_to_ground() if args.descend else None
     bundle = model.to_json(descended)

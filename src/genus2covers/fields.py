@@ -166,6 +166,7 @@ class Field:
             self.deg = len(modulus) - 1
             self.order = p ** self.deg
         self._red = None          # cached numpy reduction matrix
+        self._frob = {}           # cached Frobenius matrices, by power mod deg
         self._nonres = None       # cached quadratic non-residue
 
     # -- constructors ------------------------------------------------------
@@ -370,11 +371,27 @@ class Field:
 
     # -- powers of Frobenius -------------------------------------------------
 
+    def frobenius_matrix(self, times: int = 1):
+        """Rows of the F_p-linear map a -> a^(p^times) on coefficient tuples
+        of an extension field, as a d x d tuple of ints; built once per
+        power mod d.  Column i is the image of t^i, that is (t^(p^times))^i."""
+        times %= self.deg
+        if times not in self._frob:
+            tq = self.pw((0, 1) + (0,) * (self.deg - 2), self.p ** times)
+            cols = [self.one()]
+            for _ in range(self.deg - 1):
+                cols.append(self.mul(cols[-1], tq))
+            self._frob[times] = tuple(zip(*cols))
+        return self._frob[times]
+
     def frobenius(self, a, times: int = 1):
-        """a^(p^times); identity on prime fields and on Q."""
+        """a^(p^times), by the cached matrix in Python ints; identity on
+        prime fields and on Q."""
         if self.kind != "ext":
             return a
-        return self.pw(a, self.p ** (times % self.deg))
+        p = self.p
+        return tuple(sum(m * x for m, x in zip(row, a)) % p
+                     for row in self.frobenius_matrix(times))
 
     # -- square roots --------------------------------------------------------
 

@@ -5,8 +5,14 @@ Small matrices (torsion blocks, basis changes) go through the pure-Python
 matrices, rank certificates, Galois-descent row reductions -- are dispatched
 to numpy int64 kernels: prime-field matrices as 2-d arrays mod p, extension
 fields as (rows, cols, deg) coefficient arrays with a precomputed reduction
-matrix.  The numpy route is exact; all products stay far below 2**63 because
-it is only taken for p < 2**25.
+matrix.  Every kernel reduces mod p after each sum of products of residues
+in [0, p), so it is exact while s (p-1)^2 < 2**63 for its longest sum of s
+products (``int64_exact``).  With d the extension degree and k the inner
+dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d^2 for
+``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
+max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
+``frobenius_fixed_values``; max(136, d^2) for ``quadrics.forms_vanish_at``.
+Above its bound each job runs in Python ints (or Fractions over Q).
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
 are returned as lists of raw-value vectors.
@@ -20,11 +26,11 @@ from .errors import Inconsistent
 from .fields import Field
 from .poly import Poly
 
-_NP_LIMIT = 1 << 25
 
-
-def _np_ok(field: Field) -> bool:
-    return field.is_finite() and field.p < _NP_LIMIT
+def int64_exact(field: Field, terms: int) -> bool:
+    """True when a sum of `terms` products of residues in [0, p) stays below
+    2**63, so an int64 kernel forming such sums is exact over `field`."""
+    return field.is_finite() and terms * (field.p - 1) ** 2 < 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +67,19 @@ def _red_tables(field: Field):
 
 
 def to_np(field: Field, rows):
-    if field.kind == "prime":
-        return np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-    return np.array([[list(v) for v in row] for row in rows], dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
 
 
 def from_np(field: Field, arr):
+    arr = np.asarray(arr) % field.p
     if field.kind == "prime":
-        return [[int(v) % field.p for v in row] for row in arr]
-    return [[tuple(int(c) % field.p for c in v) for v in row] for row in arr]
+        return arr.tolist()
+    return [list(map(tuple, row.tolist())) for row in arr]
 
 
 def ext_mul_arrays(field: Field, a, b):
-    """Elementwise product of two broadcastable (..., d) coefficient arrays."""
+    """Elementwise product of two broadcastable (..., d) coefficient arrays;
+    exact while (2d-1) (p-1)^2 < 2**63."""
     p, d = field.p, field.deg
     red, _ = _red_tables(field)
     a = np.asarray(a, dtype=np.int64) % p
@@ -86,7 +92,8 @@ def ext_mul_arrays(field: Field, a, b):
 
 
 def ext_matmul_np(field: Field, A, B):
-    """(r, k, d) @ (k, c, d) -> (r, c, d), exact."""
+    """(r, k, d) @ (k, c, d) -> (r, c, d); exact while max(k, d^2) (p-1)^2
+    < 2**63 (k products summed, then the d^2-term ``redfold`` reduction)."""
     p, d = field.p, field.deg
     _, redfold = _red_tables(field)
     A = np.asarray(A, dtype=np.int64) % p
@@ -97,7 +104,10 @@ def ext_matmul_np(field: Field, A, B):
 
 
 def fp_rref(A, p):
-    """Reduced row echelon over F_p in place; returns (R, pivot columns)."""
+    """Reduced row echelon over F_p in place; returns (R, pivot columns).
+
+    Only single products are formed, each reduced at once, so it is exact
+    for every p < 2**31: (p-1)^2 < 2**62 leaves room for the subtraction."""
     A = np.array(A, dtype=np.int64) % p
     nrows, ncols = A.shape
     pivots = []
@@ -122,7 +132,8 @@ def fp_rref(A, p):
 
 
 def fq_rref(field: Field, A):
-    """Reduced row echelon of an (R, C, d) extension-field array."""
+    """Reduced row echelon of an (R, C, d) extension-field array; exact
+    while d^2 (p-1)^2 < 2**63 (the ``redfold`` reduction)."""
     p, d = field.p, field.deg
     A = np.array(A, dtype=np.int64) % p
     nrows, ncols = A.shape[0], A.shape[1]
@@ -152,6 +163,19 @@ def fq_rref(field: Field, A):
     return A, pivots
 
 
+def frobenius_fixed_values(field: Field, values, times: int = 1) -> bool:
+    """True when a^(p^times) == a for every raw value a of `field`.
+
+    Over an extension the values are stacked into one (N, d) array and
+    multiplied by the cached Frobenius matrix: exact in int64 while
+    d (p-1)^2 < 2**63, otherwise each value goes through Field.frobenius."""
+    if field.kind != "ext" or not int64_exact(field, field.deg):
+        return all(field.frobenius(a, times) == a for a in values)
+    A = np.array(values, dtype=np.int64).reshape(-1, field.deg)
+    frob = np.array(field.frobenius_matrix(times), dtype=np.int64)
+    return bool(np.array_equal(A @ frob.T % field.p, A))
+
+
 # ---------------------------------------------------------------------------
 # generic row-list interface
 
@@ -160,13 +184,13 @@ def rref_rows(field: Field, rows):
     """(reduced rows, pivot column list) over any field."""
     if not rows:
         return [], []
-    if _np_ok(field):
-        if field.kind == "prime":
-            R, piv = fp_rref(to_np(field, rows), field.p)
-        else:
-            R, piv = fq_rref(field, to_np(field, rows))
+    if field.kind == "prime" and field.p < 1 << 31:
+        R, piv = fp_rref(to_np(field, rows), field.p)
         return from_np(field, R), piv
-    # pure python fallback (rationals, or very large p)
+    if field.kind == "ext" and int64_exact(field, field.deg ** 2):
+        R, piv = fq_rref(field, to_np(field, rows))
+        return from_np(field, R), piv
+    # pure python fallback (rationals, or p beyond the kernel's bound)
     A = [list(row) for row in rows]
     nrows, ncols = len(A), len(A[0])
     pivots = []
@@ -310,7 +334,9 @@ class Mat:
     def __mul__(self, other):
         F = self.field
         if isinstance(other, Mat):
-            if _np_ok(F) and self.nrows * self.ncols * other.ncols > 512:
+            # sums of k = ncols products (prime path); see ext_matmul_np
+            if (self.nrows * self.ncols * other.ncols > 512
+                    and int64_exact(F, max(self.ncols, F.deg ** 2))):
                 if F.kind == "prime":
                     out = to_np(F, self.rows) @ to_np(F, other.rows) % F.p
                 else:
@@ -417,8 +443,7 @@ class Mat:
 
     def frobenius_fixed(self) -> bool:
         """Entrywise a^p == a: all entries lie in the prime subfield image."""
-        F = self.field
-        return all(F.eq(F.frobenius(v), v) for row in self.rows for v in row)
+        return frobenius_fixed_values(self.field, [v for row in self.rows for v in row])
 
     def map_entries(self, fn) -> "Mat":
         return Mat(self.field, [[fn(v) for v in row] for row in self.rows])

@@ -28,7 +28,9 @@ import numpy as np
 from .curve import COORD_NAMES, CurveData, even_slot, random_point
 from .errors import Genus2Error, InterpolationFailed, NotGeneric
 from .fields import Field
-from .linalg import Mat, _red_tables, kernel_rows, rank_rows, solve_rows, to_np
+from .linalg import (Mat, _red_tables, ext_mul_arrays,
+                     frobenius_fixed_values, from_np, int64_exact, kernel_rows,
+                     rank_rows, solve_rows, to_np)
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
 MONO_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
@@ -104,19 +106,6 @@ class QuadricForm:
     def is_even_only(self) -> bool:
         return all(j < 10 for (_, j) in self.coeffs)
 
-    def to_matrix(self) -> Mat:
-        """Symmetric 16x16 matrix A with value v^t A v."""
-        F = self.field
-        half = F.inv(F.from_int(2))
-        A = Mat.zeros(F, 16, 16)
-        for (i, j), c in self.coeffs.items():
-            if i == j:
-                A.rows[i][i] = c
-            else:
-                A.rows[i][j] = F.mul(c, half)
-                A.rows[j][i] = A.rows[i][j]
-        return A
-
     @staticmethod
     def from_odd_matrix(M: Mat) -> "QuadricForm":
         """The form b^t M b in the odd coordinates b_1..b_6, for a symmetric
@@ -129,21 +118,9 @@ class QuadricForm:
                 q.add_term(10 + i, 10 + j, c)
         return q
 
-    @staticmethod
-    def from_matrix(A: Mat) -> "QuadricForm":
-        F = A.field
-        q = QuadricForm(F)
-        for i in range(16):
-            for j in range(i, 16):
-                c = A.rows[i][j] if i == j else F.mul(F.from_int(2), A.rows[i][j])
-                if not F.is_zero(c):
-                    q.coeffs[(i, j)] = c
-        return q
-
     def compose(self, M: Mat) -> "QuadricForm":
         """The form v -> Q(M v)."""
-        A = self.to_matrix()
-        return QuadricForm.from_matrix(M.transpose() * A * M)
+        return compose_forms([self], M)[0]
 
     def map_field(self, G: Field) -> "QuadricForm":
         from .poly import _lift
@@ -153,8 +130,7 @@ class QuadricForm:
         return q
 
     def frobenius_fixed(self) -> bool:
-        F = self.field
-        return all(F.eq(F.frobenius(c), c) for c in self.coeffs.values())
+        return frobenius_fixed_values(self.field, list(self.coeffs.values()))
 
     def to_json(self):
         entries = [[i, j, self.field.fmt(c)]
@@ -192,7 +168,8 @@ def forms_vanish_at(forms, points_fields) -> bool:
     Fc = forms[0].field
     K = points_fields[0][1]
     rows = [monomial_values(K, vec) for vec, _ in points_fields]
-    if K.is_finite() and K.p < (1 << 25) and Fc.kind in ("prime", "ext"):
+    # sums of 136 products, then the d^2-term redfold reduction
+    if Fc.kind != "rational" and int64_exact(K, max(len(MONOMIALS), K.deg ** 2)):
         P = to_np(K, rows)
         if Fc.kind == "prime":
             C = to_np(Fc, [f.vector() for f in forms])
@@ -215,6 +192,63 @@ def forms_vanish_at(forms, points_fields) -> bool:
             if not K.is_zero(fk.evaluate(vec)):
                 return False
     return True
+
+
+_MONO_I = np.array([i for i, _ in MONOMIALS])
+_MONO_J = np.array([j for _, j in MONOMIALS])
+
+
+def compose_forms(forms, M: Mat):
+    """The forms v -> Q(M v) for forms Q over the field of the 16x16 M.
+
+    With x = M v, the coefficient of v_a v_b in x_i x_j is
+    T[(i,j),(a,b)] = M_ia M_jb + M_ib M_ja for a < b and M_ia M_ja for a = b,
+    so the composed coefficient vectors are the rows of C T, C being the
+    (N, 136) coefficient array.  Each row of C T is the sum of the rows of T
+    at the form's nonzero coefficients, times those coefficients.  In numpy
+    (single products, exact while (2d-1) (p-1)^2 < 2**63) T is filled one
+    block of rows (i, j >= i) at a time and each form is summed on its own,
+    which keeps the temporary arrays small; otherwise each form is summed
+    in field arithmetic.
+    """
+    F = M.field
+    if F.kind == "rational" or not int64_exact(F, 2 * F.deg - 1):
+        return [_compose_python(q, M) for q in forms]
+    p, d, I, J = F.p, F.deg, _MONO_I, _MONO_J
+    if F.kind == "prime":
+        mul = lambda a, b: a * b % p
+    else:
+        mul = lambda a, b: ext_mul_arrays(F, a, b)
+    # arrays carry a trailing coefficient axis of length d (1 over F_p)
+    Mn = to_np(F, M.rows).reshape(16, 16, d)
+    off = (I != J)[:, None]
+    T = np.empty((len(MONOMIALS), len(MONOMIALS), d), dtype=np.int64)
+    for i in range(16):   # the rows (i, j), j >= i
+        start = len(MONOMIALS) - (16 - i) * (17 - i) // 2
+        T[start:start + 16 - i] = (mul(Mn[i, I], Mn[i:, J])
+                                   + mul(Mn[i, J], Mn[i:, I]) * off) % p
+    C = to_np(F, [q.vector() for q in forms]).reshape(len(forms), len(MONOMIALS), d)
+    rows = C[..., 0] if F.kind == "prime" else C   # a view of C
+    out = []
+    for k, c in enumerate(C):
+        m = np.nonzero(c.any(axis=-1))[0]
+        c[:] = mul(c[m][:, None], T[m]).sum(axis=0) % p
+        out.append(QuadricForm.from_vector(F, from_np(F, rows[k:k + 1])[0]))
+    return out
+
+
+def _compose_python(q: QuadricForm, M: Mat) -> QuadricForm:
+    """One form of ``compose_forms`` in field arithmetic."""
+    F = M.field
+    vec = [F.zero()] * len(MONOMIALS)
+    for (i, j), c in q.coeffs.items():
+        Mi, Mj = M.rows[i], M.rows[j]
+        for n, (a, b) in enumerate(MONOMIALS):
+            t = F.mul(Mi[a], Mj[b])
+            if a != b:
+                t = F.add(t, F.mul(Mi[b], Mj[a]))
+            vec[n] = F.add(vec[n], F.mul(c, t))
+    return QuadricForm.from_vector(F, vec)
 
 
 def select_independent(field: Field, forms, target: int):

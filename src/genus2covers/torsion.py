@@ -29,7 +29,7 @@ from .etale import (EtaleAlgebra, TwoTorsionPoint, _map_mat, alpha_sign,
 from .fields import Field, FieldElem
 from .linalg import Mat, block_diag
 from .poly import Poly, _lift, resultant
-from .quadrics import QuadricForm
+from .quadrics import QuadricForm, compose_forms
 
 
 def partition_reps():
@@ -481,19 +481,17 @@ class TorsionActionCtx:
         weight callbacks produce the twisted ideal; defaults give the ideal
         of the Jacobian itself.
         """
-        out = []
         cands = self.o_plus_candidates(sq_root_weight, sq_part_weight)
-        for n, idx in enumerate(self._pick_o_plus()):
-            out.append((("O", n), cands[idx].compose(self.C)))
+        labelled = [(("O", n), cands[idx]) for n, idx in enumerate(self._pick_o_plus())]
         for P in _all_pairs():
             ow = None if odd_weight is None else (lambda th, P=P: odd_weight(P, th))
             ew = None if even_weight is None else (lambda part, P=P: even_weight(P, part))
             four = self.pair_generators(P, ow, ew)
-            out.append(((P, "odd", 0), four[0].compose(self.C)))
-            out.append(((P, "odd", 1), four[1].compose(self.C)))
-            out.append(((P, "even", 1), four[2].compose(self.C)))
-            out.append(((P, "even", 2), four[3].compose(self.C)))
-        return out
+            labelled += [((P, "odd", 0), four[0]), ((P, "odd", 1), four[1]),
+                         ((P, "even", 1), four[2]), ((P, "even", 2), four[3])]
+        # v -> Q(C v) for all 72 forms in one batched product
+        forms = compose_forms([q for _, q in labelled], self.C)
+        return [(label, q) for (label, _), q in zip(labelled, forms)]
 
     # -- field-of-definition tags ---------------------------------------------
 

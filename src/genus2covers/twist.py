@@ -34,7 +34,8 @@ from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
                     popcount)
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import Mat, block_diag, kernel_rows, rank_rows, rref_rows
+from .linalg import (Mat, block_diag, ext_mul_arrays, frobenius_fixed_values,
+                     kernel_rows, rank_rows, rref_rows)
 from .poly import _lift
 from .quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS, QuadricForm,
                        forms_vanish_at)
@@ -237,11 +238,9 @@ class TwistModel:
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
         base_deg = base_ctx.K.deg
-        if W.deg != base_deg:
-            for q in self.forms:
-                for c in q.coeffs.values():
-                    if not W.eq(W.pw(c, W.p ** base_deg), c):
-                        raise Genus2Error("twisted coefficient outside k(Omega)")
+        if W.deg != base_deg and not frobenius_fixed_values(
+                W, [c for q in self.forms for c in q.coeffs.values()], base_deg):
+            raise Genus2Error("twisted coefficient outside k(Omega)")
         self._gmat = None
 
     @property
@@ -317,8 +316,7 @@ class TwistModel:
         p, e = W.p, W.deg
         if e == 1:
             return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
-        from .linalg import ext_mul_arrays
-        frob = _frobenius_matrix(W)
+        frob = np.array(W.frobenius_matrix(), dtype=np.int64)
         vecs = np.array([[list(c) for c in q.vector()] for q in self.forms],
                         dtype=np.int64)  # (72, 136, e)
         collected = []
@@ -419,17 +417,6 @@ def span_supported(field: Field, vectors, keep_monomials):
 
 def _gen_elem(W: Field):
     return (0, 1) + (0,) * (W.deg - 2) if W.deg > 1 else W.one()
-
-
-def _frobenius_matrix(W: Field):
-    """d x d matrix over F_p of x -> x^p on coefficient columns."""
-    p, d = W.p, W.deg
-    t = _gen_elem(W)
-    tp = W.pw(t, p)
-    cols = [W.one()]
-    for _ in range(d - 1):
-        cols.append(W.mul(cols[-1], tp))
-    return np.array([[col[i] for col in cols] for i in range(d)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ def test_curve_info_rejects_eight_coefficients(capsys):
     (["curve-info", "--field", "Fabc", "--curve", CURVE11], "bad-field", 1),
     (["curve-info", "--field", "F100", "--curve", CURVE11], "bad-field", 1),
     (["curve-info", "--field", "F2", "--curve", CURVE11], "bad-field", 1),
+    (["curve-info", "--field", "F7^2", "--curve", "[3,1,0,0,0,0,1]"], "bad-field", 1),
     (["curve-info", "--field", "F11", "--curve", "[5,1,2"], "bad-curve", 2),
     (["curve-info", "--field", "F11", "--curve", "no/such/curve.json"], "bad-curve", 2),
     (["curve-info", "--field", "F11", "--curve", '[4,8,1,5,3,0,"x"]'], "bad-curve", 2),
@@ -60,9 +61,12 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-delta", 1),
     (["twist", "--field", "F11", "--curve", CURVE11, "--delta", DELTA1, "--n", "abc"],
      "bad-delta", 1),
-], ids=["field-not-a-number", "field-not-prime", "field-char-2", "curve-malformed-json",
-        "curve-missing-file", "curve-bad-coefficient", "delta-malformed-json",
-        "delta-three-entries", "n-not-a-number"])
+    (["twist", "--field", "F11", "--curve", CURVE11, "--delta", '["0","0","0","0","0","0"]',
+      "--n", "0"], "bad-delta", 1),
+], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
+        "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
+        "delta-malformed-json", "delta-three-entries", "n-not-a-number",
+        "delta-norm-zero"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code

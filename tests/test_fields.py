@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field, FieldElem, parse_field_spec
+from genus2covers.linalg import frobenius_fixed_values
 
 
 def test_prime_field_rejects_composite_and_char_two():
@@ -76,6 +79,31 @@ def test_frobenius_fixes_prime_subfield():
     for _ in range(20):
         a = K.rand(rng)
         assert K.frobenius(a, 3) == a
+
+
+# d = 2 at p = 2^31 - 1 is past the int64 bound d (p-1)^2 < 2^63 of the
+# batched check, which then runs in Python ints
+_FROB_FIELDS = {(p, d): Field.extension(p, d)
+                for p, d in [(101, 2), (2147483647, 2), (101, 6), (101, 8)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(_FROB_FIELDS)))
+def test_frobenius_matrix_matches_powering(data, key):
+    """a -> a^(p^k) through the cached matrix equals pw(a, p^k) for every
+    k < d, and the batched fixed-point check agrees on moved and fixed
+    values (the orbit sum of a under the k-th power is fixed by it)."""
+    p, d = key
+    K = _FROB_FIELDS[key]
+    a = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)))
+    for k in range(d):
+        image = K.pw(a, p ** k)
+        assert K.frobenius(a, k) == image
+        orbit_sum, term = K.zero(), a
+        for _ in range(d):
+            orbit_sum, term = K.add(orbit_sum, term), K.pw(term, p ** k)
+        assert frobenius_fixed_values(K, [orbit_sum, K.from_int(p - 1)], k)
+        assert frobenius_fixed_values(K, [orbit_sum, a], k) == (image == a)
 
 
 def test_elem_wrapper_arithmetic():

@@ -1,11 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus2covers.errors import Inconsistent
 from genus2covers.fields import Field
-from genus2covers.linalg import (Mat, block_diag, in_row_span, kernel_rows,
-                                 rank_rows, solve_linear, solve_rows)
+from genus2covers.linalg import (Mat, block_diag, fp_rref, fq_rref, from_np,
+                                 in_row_span, kernel_rows, rank_rows, rref_rows,
+                                 solve_linear, solve_rows)
 from genus2covers.poly import Poly
 
 
@@ -115,3 +119,69 @@ def test_solve_rows_rational():
     assert ker == []
     from fractions import Fraction
     assert sols[0] == [Fraction(1, 2), Fraction(1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the numpy rref kernels against a plain reference
+
+# primes just below and just above 2^25, and 2^31 - 1, the largest prime
+# fp_rref accepts
+BOUND_PRIMES = [33554393, 33554467, 2147483647]
+
+
+def plain_rref(F, rows):
+    """Reduced row echelon form and pivot columns in field arithmetic."""
+    A = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(len(A[0])):
+        pr = next((i for i in range(r, len(A)) if not F.is_zero(A[i][c])), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = F.inv(A[r][c])
+        A[r] = [F.mul(x, inv) for x in A[r]]
+        for i in range(len(A)):
+            if i != r and not F.is_zero(A[i][c]):
+                f = A[i][c]
+                A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(A):
+            break
+    return A, pivots
+
+
+@st.composite
+def residue_matrices(draw, p, d=None):
+    """Matrices of residues mod p (coefficient tuples of length d if given),
+    with zeros, extreme residues and repeated rows, so that pivots move and
+    the rank drops."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    residue = st.one_of(st.just(0), st.integers(1, 3), st.integers(p - 3, p - 1),
+                        st.integers(0, p - 1))
+    entry = residue if d is None else st.tuples(*[residue] * d)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from(BOUND_PRIMES))
+def test_fp_rref_matches_plain_rref(data, p):
+    F = Field.prime(p)
+    rows = data.draw(residue_matrices(p))
+    R, piv = fp_rref(np.array(rows, dtype=np.int64), p)
+    assert (from_np(F, R), piv) == plain_rref(F, rows)
+    assert rref_rows(F, rows) == plain_rref(F, rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), case=st.sampled_from([(101, 3), (33554467, 2)]))
+def test_fq_rref_matches_plain_rref(data, case):
+    p, d = case
+    F = Field.extension(p, d)
+    rows = data.draw(residue_matrices(p, d))
+    R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
+    assert (from_np(F, R), piv) == plain_rref(F, rows)

@@ -1,10 +1,13 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from genus2covers.curve import random_point
 from genus2covers.fields import Field
-from genus2covers.linalg import in_row_span, rank_rows
-from genus2covers.quadrics import (ALL_BB_PAIRS, LISTED_BB_PAIRS,
-                                   JacobianModel, QuadricForm,
+from genus2covers.linalg import Mat, in_row_span, rank_rows
+from genus2covers.quadrics import (ALL_BB_PAIRS, LISTED_BB_PAIRS, MONOMIALS,
+                                   JacobianModel, QuadricForm, compose_forms,
                                    forms_vanish_at, interpolate_bb_quadrics,
                                    sampling_field, vanishing_kernel_dimensions,
                                    veronese_quadrics)
@@ -80,10 +83,51 @@ def test_quadric_json_roundtrip(ref_jacobian, ref_field):
 
 
 def test_compose_with_identity(ref_jacobian, ref_field):
-    from genus2covers.linalg import Mat
     I = Mat.identity(ref_field, 16)
     q = ref_jacobian.forms[21]
     assert q.compose(I).coeffs == q.coeffs
+
+
+def reference_compose(q, M):
+    """v -> Q(M v) one form at a time: the symmetric matrix A of Q (halved
+    off-diagonal coefficients), then M^T A M read back as a form."""
+    F = q.field
+    half = F.inv(F.from_int(2))
+    A = Mat.zeros(F, 16, 16)
+    for (i, j), c in q.coeffs.items():
+        A.rows[i][j] = c if i == j else F.mul(c, half)
+        A.rows[j][i] = A.rows[i][j]
+    B = M.transpose() * A * M
+    out = QuadricForm(F)
+    for i, j in MONOMIALS:
+        c = B.rows[i][j] if i == j else F.mul(F.from_int(2), B.rows[i][j])
+        if not F.is_zero(c):
+            out.coeffs[(i, j)] = c
+    return out
+
+
+# numpy over F_101, F_{101^4} and F_p at p = 2^31 - 1; field arithmetic over
+# F_{p^2} at that p, past the (2d-1) (p-1)^2 < 2^63 bound, and over Q
+_COMPOSE_FIELDS = [Field.prime(101), Field.extension(101, 4), Field.prime(2147483647),
+                   Field.extension(2147483647, 2), Field.rationals()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(_COMPOSE_FIELDS), seed=st.integers(0, 2 ** 32),
+       nforms=st.integers(1, 4), nterms=st.integers(0, 12))
+def test_compose_forms_matches_matrix_conjugation(field, seed, nforms, nterms):
+    """The batched conjugation equals M^T A M per form."""
+    F = field
+    rng = random.Random(seed)
+    M = Mat(F, [[F.rand(rng) for _ in range(16)] for _ in range(16)])
+    forms = []
+    for _ in range(nforms):
+        q = QuadricForm(F)
+        for _ in range(nterms):
+            q.add_term(*rng.choice(MONOMIALS), F.rand(rng))
+        forms.append(q)
+    got = compose_forms(forms, M)
+    assert [g.coeffs for g in got] == [reference_compose(q, M).coeffs for q in forms]
 
 
 def test_second_curve_full_build():

@@ -264,6 +264,17 @@ def test_odd_block_matches_vdelta(trivial_model, ref_torsion, ref_algebra,
     assert tm.matches_vdelta()
 
 
+def _nonsquare_scalar_datum(alg, rng):
+    """(c xi^2, c^3 N(xi)) for a non-square ground scalar c."""
+    F = alg.field
+    c = next(x for x in range(2, F.p) if F.sqrt(x) is None)
+    xi = alg.rand_elem(rng)
+    while F.is_zero(xi.norm()):
+        xi = alg.rand_elem(rng)
+    delta = (xi * xi) * F.from_int(c)
+    return TwistDatum(alg, delta.c, F.mul(xi.norm(), F.pw(F.from_int(c), 3)))
+
+
 def test_quadratic_extension_path(split_curve_f31):
     """A non-square ground scalar over an odd-degree splitting field forces
     the rebuild in the quadratic extension."""
@@ -272,14 +283,8 @@ def test_quadratic_extension_path(split_curve_f31):
     alg = EtaleAlgebra(cur)
     assert alg.splitting.deg == 1
     ctx = TorsionActionCtx(alg)
-    c = next(x for x in range(2, F.p) if F.sqrt(x) is None)
     rng = random.Random(3)
-    xi = alg.rand_elem(rng)
-    while F.is_zero(xi.norm()):
-        xi = alg.rand_elem(rng)
-    delta = (xi * xi) * F.from_int(c)
-    n = F.mul(xi.norm(), F.pw(F.from_int(c), 3))
-    tm = TwistModel(ctx, TwistDatum(alg, delta.c, n))
+    tm = TwistModel(ctx, _nonsquare_scalar_datum(alg, rng))
     assert tm.field.deg == 2
     divs = [random_point(cur, tm.field, rng) for _ in range(10)]
     assert tm.vanish_at_pullbacks(divs)
@@ -288,6 +293,24 @@ def test_quadratic_extension_path(split_curve_f31):
     assert tm.matches_vdelta()
     des = tm.descend_to_ground()
     assert rank_rows(F, [q.vector() for q in des]) == 72
+
+
+def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch):
+    """The twisted forms over the quadratic extension must have coefficients
+    in k(Omega) = F_31; one coefficient equal to the generator t is caught."""
+    alg = EtaleAlgebra(split_curve_f31)
+    ctx = TorsionActionCtx(alg)
+    datum = _nonsquare_scalar_datum(alg, random.Random(3))
+    generators = TorsionActionCtx.invariant_generators
+
+    def planted(self, **weights):
+        out = generators(self, **weights)
+        out[-1][1].add_term(10, 15, (0, 1))  # t is in F_31^2 but not in F_31
+        return out
+
+    monkeypatch.setattr(TorsionActionCtx, "invariant_generators", planted)
+    with pytest.raises(Genus2Error, match="outside k\\(Omega\\)"):
+        TwistModel(ctx, datum)
 
 
 def test_maximal_degree_rebuild():
