@@ -29,9 +29,9 @@ from .poly import Poly, _lift
 from .quadrics import (JacobianModel, QuadricForm, sampling_field,
                        vanishing_kernel_dimensions)
 from .torsion import TorsionActionCtx
-from .twist import (TwistDatum, TwistModel, count_jacobian_points,
-                    search_twist_points, search_vdelta_points,
-                    search_vdelta_rational)
+from .twist import (EpsilonChoice, TwistDatum, TwistModel,
+                    count_jacobian_points, search_twist_points,
+                    search_vdelta_points, search_vdelta_rational)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -392,10 +392,11 @@ def cmd_search(args):
     ref = load_model_ref(args.model_ref, field)
     curve = load_curve(field, args.curve)
     if "forms" in ref:
+        # the search reads the covering matrix, so no TwistModel is built
         alg = EtaleAlgebra(curve, seed=args.seed)
-        ctx = TorsionActionCtx(alg)
-        model = TwistModel(ctx, TwistDatum(alg, ref["delta"], ref["n"]), seed=args.seed)
-        pts = search_twist_points(model, descended=ref["forms"])
+        datum = TwistDatum(alg, ref["delta"], ref["n"])
+        eps = EpsilonChoice(TorsionActionCtx(alg), datum, seed=args.seed)
+        pts = search_twist_points(eps, descended=ref["forms"])
     elif field.is_finite():
         alg = EtaleAlgebra(curve, seed=args.seed)
         pts = search_vdelta_points(KummerModels(alg).v_delta(alg.elem(ref["delta"])))

@@ -11,8 +11,10 @@ products (``int64_exact``).  With d the extension degree and k the inner
 dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d^2 for
 ``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
 max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
-``frobenius_fixed_values``; max(136, d^2) for ``quadrics.forms_vanish_at``.
-Above its bound each job runs in Python ints (or Fractions over Q).
+``frobenius_fixed_values``; max(136, d^2) for ``quadrics.forms_vanish_at``;
+6 for ``twist.p5_zeros`` and 136 for ``twist.search_twist_points``.
+Above its bound each job runs in Python ints (or Fractions over Q), except
+the two point searches, which refuse the field.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
 are returned as lists of raw-value vectors.

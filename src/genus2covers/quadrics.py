@@ -30,7 +30,7 @@ from .errors import Genus2Error, InterpolationFailed, NotGeneric
 from .fields import Field
 from .linalg import (Mat, _red_tables, ext_mul_arrays,
                      frobenius_fixed_values, from_np, int64_exact, kernel_rows,
-                     rank_rows, solve_rows, to_np)
+                     rank_rows, rref_rows, solve_rows, to_np)
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
 MONO_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
@@ -251,18 +251,18 @@ def _compose_python(q: QuadricForm, M: Mat) -> QuadricForm:
     return QuadricForm.from_vector(F, vec)
 
 
+def independent_picks(field: Field, vectors):
+    """Indices of the vectors a greedy pass in order keeps as independent:
+    the pivot columns of one rref with the vectors as columns."""
+    return rref_rows(field, [list(col) for col in zip(*vectors)])[1]
+
+
 def select_independent(field: Field, forms, target: int):
     """First `target` forms, in order, whose vectors are independent."""
-    kept = []
-    rows = []
-    for f in forms:
-        cand = rows + [f.vector()]
-        if rank_rows(field, cand) == len(cand):
-            rows = cand
-            kept.append(f)
-            if len(kept) == target:
-                return kept
-    raise Genus2Error(f"only {len(kept)} independent forms, wanted {target}")
+    picks = independent_picks(field, [f.vector() for f in forms])
+    if len(picks) < target:
+        raise Genus2Error(f"only {len(picks)} independent forms, wanted {target}")
+    return [forms[i] for i in picks[:target]]
 
 
 # ---------------------------------------------------------------------------

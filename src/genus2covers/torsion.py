@@ -29,7 +29,7 @@ from .etale import (EtaleAlgebra, TwoTorsionPoint, _map_mat, alpha_sign,
 from .fields import Field, FieldElem
 from .linalg import Mat, block_diag
 from .poly import Poly, _lift, resultant
-from .quadrics import QuadricForm, compose_forms
+from .quadrics import QuadricForm, compose_forms, independent_picks
 
 
 def partition_reps():
@@ -396,19 +396,11 @@ class TorsionActionCtx:
     def _pick_o_plus(self):
         """Indices of 12 independent identity-piece candidates (untwisted)."""
         if self._untwisted_o_plus_pick is None:
-            from .linalg import rank_rows
             cands = self.o_plus_candidates()
-            picked, rows = [], []
-            for idx, q in enumerate(cands):
-                trial = rows + [q.vector()]
-                if rank_rows(self.K, trial) == len(trial):
-                    rows = trial
-                    picked.append(idx)
-                    if len(picked) == 12:
-                        break
-            if len(picked) != 12:
+            picked = independent_picks(self.K, [q.vector() for q in cands])
+            if len(picked) < 12:
                 raise Genus2Error("identity piece has rank < 12")
-            self._untwisted_o_plus_pick = picked
+            self._untwisted_o_plus_pick = picked[:12]
         return self._untwisted_o_plus_pick
 
     def pair_generators(self, pair, odd_weight=None, even_weight=None):

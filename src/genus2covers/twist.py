@@ -16,11 +16,17 @@ the 72 diagonal-basis generators, with weights
 
 so its coefficients always lie in the splitting field's image.  The scale
 factors t_I themselves (needing epsilon) enter only the covering map
-g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block.
+g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block, which
+``EpsilonChoice`` builds on its own.
 
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
 generators by relabelling the pair, so traces stay inside the span).
+
+The point search over F_p reads the descended forms and the covering map
+only, so it runs from an ``EpsilonChoice`` without the twisted model: a
+numpy scan of P^5(F_p) for the odd block, then one numpy pass that lifts
+every survivor through the linear mixed forms and the scale c.
 """
 
 from __future__ import annotations
@@ -34,11 +40,11 @@ from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
                     popcount)
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, block_diag, ext_mul_arrays, frobenius_fixed_values,
-                     kernel_rows, rank_rows, rref_rows)
+from .linalg import (Mat, block_diag, ext_mul_arrays, fp_rref,
+                     frobenius_fixed_values, int64_exact, rank_rows, rref_rows)
 from .poly import _lift
-from .quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS, QuadricForm,
-                       forms_vanish_at)
+from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
+                       ODD_MONOMIALS, QuadricForm, forms_vanish_at)
 from .torsion import TorsionActionCtx
 
 
@@ -141,10 +147,23 @@ class EpsilonChoice:
         if vanish and require_nonzero_t:
             raise TIVanishes(vanish)
         self.vanishing_partitions = vanish
+        self._gmat = None
 
     @property
     def field(self) -> Field:
         return self.ctx.K
+
+    def covering_matrix(self) -> Mat:
+        """16x16 block matrix of g: twist coordinates -> Jacobian coordinates."""
+        if self._gmat is None:
+            W = self.ctx.K
+            T1 = Mat.diagonal(W, [self.t_triple(rep) for rep in self.ctx.reps])
+            even = self.ctx.G_inv_kappa * T1 * self.ctx.G
+            S = _map_mat(self.ctx.algebra.S, W)
+            S_inv = _map_mat(self.ctx.algebra.S_inv, W)
+            odd = S * Mat.diagonal(W, self.eps) * S_inv
+            self._gmat = block_diag(W, [even, odd])
+        return self._gmat
 
     def t_triple(self, mask3: int):
         return self.t3[mask3]
@@ -241,7 +260,6 @@ class TwistModel:
         if W.deg != base_deg and not frobenius_fixed_values(
                 W, [c for q in self.forms for c in q.coeffs.values()], base_deg):
             raise Genus2Error("twisted coefficient outside k(Omega)")
-        self._gmat = None
 
     @property
     def field(self) -> Field:
@@ -250,17 +268,7 @@ class TwistModel:
     # -- covering map -----------------------------------------------------------
 
     def covering_matrix(self) -> Mat:
-        """16x16 block matrix of g: twist coordinates -> Jacobian coordinates."""
-        if self._gmat is None:
-            W = self.ctx.K
-            T1 = Mat.diagonal(W, [self.eps.t_triple(rep) for rep in self.ctx.reps])
-            even = self.ctx.G_inv_kappa * T1 * self.ctx.G
-            T2 = Mat.diagonal(W, self.eps.eps)
-            S = _map_mat(self.ctx.algebra.S, W)
-            S_inv = _map_mat(self.ctx.algebra.S_inv, W)
-            odd = S * T2 * S_inv
-            self._gmat = block_diag(W, [even, odd])
-        return self._gmat
+        return self.eps.covering_matrix()
 
     def covering_blocks(self):
         g = self.covering_matrix()
@@ -547,115 +555,99 @@ def search_vdelta_rational(matrices, bound: int):
     return found
 
 
-def search_twist_points(model: TwistModel, descended=None):
+def search_twist_points(model, descended=None):
     """All F_p points of the descended twist, exact and sorted.
 
-    Strategy: scan P^5(F_p) for the zeros of the three odd-block quadrics
-    (``p5_zeros``), lift each survivor through the 30 odd bilinear forms
-    (linear in the even block), resolve the relative scale from the
-    remaining even forms, and add the sixteen points with vanishing odd
-    part, which are the pullbacks of the Kummer nodes under the covering
-    map.  Prime fields only.
+    ``model`` is a TwistModel, or just its EpsilonChoice when ``descended``
+    is given: the search reads only the datum, the working field and the
+    covering matrix.  The zeros b of the three odd-block quadrics in
+    P^5(F_p) (``p5_zeros``) are lifted together: one einsum builds every
+    b's linear system in the even block from the 30 odd bilinear forms,
+    whose kernel points u0 give the lines (c u0 : b), and ``_scale_points``
+    keeps the c in F_p^* on which all 72 forms vanish.  The sixteen points
+    with vanishing odd part, the pullbacks of the Kummer nodes under the
+    covering map, are added.  Prime fields only; the longest int64 sum is
+    the 136 products of a form at a node, so p must pass
+    ``int64_exact(field, 136)``.
     """
     k = model.datum.algebra.field
     if k.kind != "prime":
         raise Genus2Error("twist search is implemented over prime fields")
+    p = k.p
+    if not int64_exact(k, len(MONOMIALS)):
+        raise Genus2Error(f"twist search would overflow int64 at p={p}")
+    if descended is None and not isinstance(model, TwistModel):
+        raise Genus2Error("searching from an EpsilonChoice needs the descended forms")
     forms = descended if descended is not None else model.descend_to_ground()
     vecs = [q.vector() for q in forms]
-    odd_mats = []
-    for row in span_supported(k, vecs, ODD_MONOMIALS):
-        M = np.zeros((6, 6), dtype=np.int64)
-        M[np.triu_indices(6)] = [row[n] for n in ODD_MONOMIALS]  # b_i b_j, i <= j
-        odd_mats.append(M)
-    mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)
-
+    odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS))[:, 10:, 10:]
+    mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS))[:, :10, 10:]
     found = set(_node_pullbacks(model, forms))
-    for b in p5_zeros(k, odd_mats):
-        rows = []
-        for row in mixed_blk:
-            lin = [k.zero()] * 10
-            for n in MIXED_MONOMIALS:
-                i, j = MONOMIALS[n]
-                if k.is_zero(row[n]):
-                    continue
-                lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
-            rows.append(lin)
-        for u0 in _kernel_reps(k, rows):
-            found.update(_resolve_scale(k, forms, u0, b))
+    b = np.array(p5_zeros(k, odd), dtype=np.int64).reshape(-1, 6)
+    # row i of survivor r's system: sum_j mixed[:, i, j] b_j (6 products)
+    systems = np.einsum("mij,rj->rmi", mixed, b) % p
+    U, B = _kernel_pairs(k, systems, b)
+    found.update(_scale_points(p, _coefficient_stack(vecs), U, B))
     return sorted(found)
 
 
-def _kernel_reps(F: Field, rows):
-    basis = kernel_rows(F, rows)
-    if not basis:
-        return []
-    if len(basis) == 1:
-        return [_normalize(F, basis[0])]
-    reps = []
-    for coeffs in projective_reps(F, len(basis)):
-        vec = [F.zero()] * len(basis[0])
-        for c, bvec in zip(coeffs, basis):
-            for t, v in enumerate(bvec):
-                vec[t] = F.add(vec[t], F.mul(c, v))
-        if any(not F.is_zero(v) for v in vec):
-            reps.append(_normalize(F, vec))
-    return reps
+def _scale_points(p, Q, U, B):
+    """The points (c u0 : b), normalized, where every form of the (N, 16, 16)
+    stack Q vanishes, over c in F_p^* and the pairs (u0, b) in the rows of U
+    and B (u0 normalized); a pair on which every form is zero is skipped."""
+    def split(blk, x, y):
+        return np.einsum("fij,rij->rf", blk, x[:, :, None] * y[:, None, :] % p) % p
+    # per form: A from the 10x10 even block (100 products), M from the
+    # 10x6 mixed block (60), B from the 6x6 odd block (36)
+    cA = split(Q[:, :10, :10], U, U)
+    cM = split(Q[:, :10, 10:], U, B)
+    cB = split(Q[:, 10:, 10:], B, B)
+    live = (cA | cM | cB).any(axis=1)
+    found = []
+    for c in range(1, p):
+        hit = live & ~((c * c % p * cA + c * cM + cB) % p).any(axis=1)
+        # (c u0 : b) with u0 normalized is (u0 : b / c)
+        pts = np.concatenate([U[hit], B[hit] * pow(c, p - 2, p) % p], axis=1)
+        found.extend(map(tuple, pts.tolist()))
+    return found
 
 
-def _normalize(F: Field, vec):
-    lead = next((v for v in vec if not F.is_zero(v)), None)
-    if lead is None:
-        return tuple(vec)
-    inv = F.inv(lead)
-    return tuple(F.mul(v, inv) for v in vec)
+def _coefficient_stack(vectors):
+    """(N, 16, 16) int64 upper-triangular coefficient matrices of N
+    coefficient vectors over a prime field."""
+    stack = np.zeros((len(vectors), 16, 16), dtype=np.int64)
+    stack[:, _MONO_I, _MONO_J] = np.array(vectors, dtype=np.int64).reshape(
+        len(vectors), len(MONOMIALS))
+    return stack
 
 
-def _resolve_scale(F: Field, forms, u0, b):
-    """Candidate points (c u0 : b) satisfying every form, via the quadratic
-    constraints c^2 A + c M + B = 0 they impose."""
-    out = []
-    candidates = None
-    for q in forms:
-        A = F.zero()
-        M = F.zero()
-        B = F.zero()
-        for (i, j), cf in q.coeffs.items():
-            if j < 10:
-                A = F.add(A, F.mul(cf, F.mul(u0[i], u0[j])))
-            elif i >= 10:
-                B = F.add(B, F.mul(cf, F.mul(b[i - 10], b[j - 10])))
-            else:
-                M = F.add(M, F.mul(cf, F.mul(u0[i], b[j - 10])))
-        if F.is_zero(A) and F.is_zero(M) and F.is_zero(B):
+def _kernel_pairs(k: Field, systems, b):
+    """Pairs (u0, b): every kernel point u0 (first nonzero entry 1) of each
+    survivor's (m, 10) system, with its survivor b; an empty system has none."""
+    p, us, bs = k.p, [], []
+    for system, bvec in zip(systems, b):
+        if not len(system):
             continue
-        roots = _quadratic_roots(F, A, M, B)
-        roots = {r for r in roots if not F.is_zero(r)}
-        candidates = roots if candidates is None else candidates & roots
-        if not candidates:
-            return []
-    if candidates is None:
-        return []
-    for c in sorted(candidates, key=F.key):
-        vec = [F.mul(c, v) for v in u0] + list(b)
-        if all(F.is_zero(q.evaluate(vec)) for q in forms):
-            out.append(_normalize(F, vec))
-    return out
+        R, piv = fp_rref(system, p)
+        free = [j for j in range(10) if j not in piv]
+        if not free:
+            continue
+        basis = np.zeros((len(free), 10), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, piv] = -R[:len(piv), free].T % p
+        if len(free) > 1:   # every projective kernel point: sums of <= 10 products
+            combos = np.array(list(projective_reps(k, len(free))), dtype=np.int64)
+            basis = combos @ basis % p
+        lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
+        inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)
+        us.append(basis * inv[:, None] % p)
+        bs.append(np.broadcast_to(bvec, (len(basis), 6)))
+    if not us:
+        return np.zeros((0, 10), dtype=np.int64), np.zeros((0, 6), dtype=np.int64)
+    return np.concatenate(us), np.concatenate(bs)
 
 
-def _quadratic_roots(F: Field, a, m, b):
-    if F.is_zero(a):
-        if F.is_zero(m):
-            return set()
-        return {F.neg(F.div(b, m))}
-    disc = F.sub(F.mul(m, m), F.mul(F.from_int(4), F.mul(a, b)))
-    r = F.sqrt(disc)
-    if r is None:
-        return set()
-    inv2a = F.inv(F.mul(F.from_int(2), a))
-    return {F.mul(F.sub(r, m), inv2a), F.mul(F.sub(F.neg(r), m), inv2a)}
-
-
-def _node_pullbacks(model: TwistModel, forms):
+def _node_pullbacks(model, forms):
     """F_p-rational points of the twist with zero odd part."""
     W = model.field
     k = model.datum.algebra.field
@@ -674,19 +666,20 @@ def _node_pullbacks(model: TwistModel, forms):
             dx = W.sub(wi, wj)
             k4 = W.div(num, W.mul(dx, dx))
             kvectors.append([W.one(), k2, k3, k4])
-    out = []
-    for kv in kvectors:
-        even = [W.mul(kv[a - 1], kv[b - 1]) for (a, b) in EVEN_PAIRS]
-        vec = even + [W.zero()] * 6
-        pulled = ginv.matvec(vec)
-        lead = next((v for v in pulled if not W.is_zero(v)), None)
+    nodes = Mat(W, [[W.mul(kv[a - 1], kv[b - 1]) for (a, b) in EVEN_PAIRS]
+                    + [W.zero()] * 6 for kv in kvectors])
+    rational = []
+    for pulled in (ginv * nodes.transpose()).transpose().rows:
+        lead = next(v for v in pulled if not W.is_zero(v))
         inv = W.inv(lead)
         norm = [W.mul(v, inv) for v in pulled]
         if all(W.eq(W.frobenius(v), v) for v in norm):
-            down = [(v[0] if W.kind == "ext" else v) for v in norm]
-            if all(k.is_zero(q.evaluate(down)) for q in forms):
-                out.append(_normalize(k, down))
-    return out
+            rational.append(tuple(v[0] if W.kind == "ext" else v for v in norm))
+    # every form at every rational node at once: sums of 136 products
+    X = np.array(rational, dtype=np.int64).reshape(-1, 16)
+    C = np.array([q.vector() for q in forms], dtype=np.int64).reshape(-1, len(MONOMIALS))
+    values = C @ (X[:, _MONO_I] * X[:, _MONO_J] % k.p).T % k.p
+    return [pt for pt, col in zip(rational, values.T) if not col.any()]
 
 
 def _node_k4_numerator(W, f, k2, k3):

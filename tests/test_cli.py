@@ -168,6 +168,27 @@ def test_search_twist_bundle_counts_jacobian(capsys, tmp_path):
     assert data["count"] == count_jacobian_points(cur)
 
 
+def test_search_builds_no_twisted_model(capsys, tmp_path, monkeypatch):
+    """search on a twist bundle reads the covering map from the EpsilonChoice:
+    with TwistModel refused, its output is the same byte for byte.  delta = 2
+    is a non-square in F_11, so the working field is F_121."""
+    from genus2covers.twist import TwistModel
+    ref = tmp_path / "tw.json"
+    assert main(["twist", "--field", "F11", "--curve", CURVE11, "--delta",
+                 '["2","0","0","0","0","0"]', "--n", "8", "--descend", "--out", str(ref)]) == 0
+    argv = ["search", "--field", "F11", "--curve", CURVE11, "--model-ref", str(ref)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("search built a TwistModel")
+
+    monkeypatch.setattr(TwistModel, "__init__", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["count"] > 0
+
+
 def test_search_vdelta_bundle(capsys, tmp_path):
     curve11 = "[4,8,1,5,3,0,1]"  # prod (x-a), a in {1,2,3,4,5,7} over F11
     code, data = run(capsys, "model", "--field", "F11", "--curve", curve11,

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from genus2covers.errors import Inconsistent
 from genus2covers.fields import Field
-from genus2covers.linalg import (Mat, block_diag, fp_rref, fq_rref, from_np,
-                                 in_row_span, kernel_rows, rank_rows, rref_rows,
+from genus2covers.linalg import (Mat, block_diag, ext_matmul_np, fp_rref,
+                                 fq_rref, from_np, in_row_span, int64_exact,
+                                 kernel_rows, rank_rows, rref_rows,
                                  solve_linear, solve_rows)
 from genus2covers.poly import Poly
+from genus2covers.quadrics import MONOMIALS, QuadricForm, forms_vanish_at
 
 
 def _rand_mat(F, rng, r, c):
@@ -185,3 +187,125 @@ def test_fq_rref_matches_plain_rref(data, case):
     rows = data.draw(residue_matrices(p, d))
     R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
     assert (from_np(F, R), piv) == plain_rref(F, rows)
+
+
+def plain_ext_mul(F, a, b):
+    """Product of two coefficient tuples of F_{p^d} in Python ints, reduced
+    by the monic modulus t^d + m_{d-1} t^{d-1} + ... + m_0."""
+    p, d, m = F.p, F.deg, F.modulus
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(2 * d - 2, d - 1, -1):
+        for i in range(d):
+            prod[top - d + i] -= prod[top] * m[i]
+    return tuple(v % p for v in prod[:d])
+
+
+def plain_ext_matmul(F, A, B):
+    out = []
+    for row in A:
+        out.append([])
+        for col in zip(*B):
+            acc = [0] * F.deg
+            for a, b in zip(row, col):
+                acc = [(x + y) % F.p for x, y in zip(acc, plain_ext_mul(F, a, b))]
+            out[-1].append(tuple(acc))
+    return out
+
+
+def residues(p):
+    return st.one_of(st.just(0), st.integers(1, 3), st.integers(p - 3, p - 1),
+                     st.integers(0, p - 1))
+
+
+# (inner dimension k, degree d, p): ext_matmul_np sums max(k, d^2) products,
+# so it is exact while max(k, d^2) (p-1)^2 < 2^63; each bound with the prime
+# just below it and the prime just above it
+EXT_MATMUL_CASES = [(8, 2, 1073741789), (8, 2, 1073741827),
+                    (3, 2, 1518500213), (3, 2, 1518500279)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), case=st.sampled_from(EXT_MATMUL_CASES))
+def test_ext_matmul_np_matches_plain_product(data, case):
+    """Below its bound the kernel is exact, also with every residue near p;
+    above it, Mat products leave the kernel for field arithmetic.  The
+    shapes make r k c > 512, where Mat.__mul__ tries the kernel."""
+    k, d, p = case
+    F = Field.extension(p, d)
+    rc = 9 if k == 8 else 14
+    # all entries p - 1 (the largest sums), or residues biased to the ends
+    entry = st.tuples(*[residues(p)] * d) | st.just((p - 1,) * d)
+    if data.draw(st.booleans()):
+        entry = st.just((p - 1,) * d)
+    A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rc, max_size=rc))
+    B = data.draw(st.lists(st.lists(entry, min_size=rc, max_size=rc), min_size=k, max_size=k))
+    want = plain_ext_matmul(F, A, B)
+    if int64_exact(F, max(k, d * d)):
+        got = ext_matmul_np(F, np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+        assert from_np(F, got) == [list(row) for row in want]
+    else:
+        assert p in (1073741827, 1518500279)
+    assert (Mat(F, A) * Mat(F, B)).rows == want
+
+
+# forms_vanish_at sums 136 products (the monomials): the primes just below
+# and just above 136 (p-1)^2 < 2^63
+FORMS_VANISH_PRIMES = [260420627, 260420681]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), p=st.sampled_from(FORMS_VANISH_PRIMES),
+       degrees=st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+def test_forms_vanish_at_matches_plain_evaluation(data, p, degrees):
+    """Forms over F_{p^e} at points over F_{p^d}, (e, d) = degrees, against
+    an evaluation in Python ints; the coordinates lie in F_{p^e}.  When
+    planted, each form is made to vanish at the first point, so that both
+    answers occur."""
+    e, d = degrees
+    Fc, K = (Field.prime(p) if n == 1 else Field.extension(p, n) for n in degrees)
+    # every value as a coefficient tuple of length d
+    elem = st.tuples(*[residues(p)] * e).map(lambda t: t + (0,) * (d - e))
+
+    def mul(a, b):
+        return plain_ext_mul(K, a, b) if d > 1 else (a[0] * b[0] % p,)
+
+    def value(coeffs, vec):
+        acc = (0,) * d
+        for (i, j), c in coeffs.items():
+            acc = tuple((x + y) % p for x, y in zip(acc, mul(c, mul(vec[i], vec[j]))))
+        return acc
+
+    extreme = data.draw(st.booleans())
+    if extreme:
+        # the largest sums: every coefficient p - 1 and every monomial x^2 = r,
+        # the largest square below p
+        r = next(r for r in range(p - 1, 0, -1) if pow(r, (p - 1) // 2, p) == 1)
+        pts = [[(Field.prime(p).sqrt(r),) + (0,) * (d - 1)] * 16]
+    else:
+        pts = data.draw(st.lists(st.lists(elem, min_size=16, max_size=16),
+                                 min_size=1, max_size=3))
+    plant, a = data.draw(st.booleans()), data.draw(st.integers(0, 15))
+    if plant:
+        pts[0][a] = (1,) + (0,) * (d - 1)
+    forms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = {m: (p - 1,) + (0,) * (d - 1) for m in MONOMIALS} if extreme else {}
+        for _ in range(0 if extreme else data.draw(st.integers(1, 40))):
+            i = data.draw(st.integers(0, 15))
+            coeffs[(i, data.draw(st.integers(i, 15)))] = data.draw(elem)
+        if plant:   # x_a = 1 at the first point: c_aa = -(the rest there)
+            coeffs[(a, a)] = (0,) * d
+            coeffs[(a, a)] = tuple(-x % p for x in value(coeffs, pts[0]))
+        forms.append(coeffs)
+    want = all(value(c, vec) == (0,) * d for c in forms for vec in pts)
+    qforms = []
+    for coeffs in forms:
+        q = QuadricForm(Fc)
+        for (i, j), c in coeffs.items():
+            q.add_term(i, j, c[0] if e == 1 else c)
+        qforms.append(q)
+    raw = [[v[0] if d == 1 else v for v in vec] for vec in pts]
+    assert forms_vanish_at(qforms, [(vec, K) for vec in raw]) == want

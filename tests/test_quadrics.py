@@ -1,15 +1,19 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus2covers.curve import random_point
+from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field
 from genus2covers.linalg import Mat, in_row_span, rank_rows
 from genus2covers.quadrics import (ALL_BB_PAIRS, LISTED_BB_PAIRS, MONOMIALS,
                                    JacobianModel, QuadricForm, compose_forms,
-                                   forms_vanish_at, interpolate_bb_quadrics,
-                                   sampling_field, vanishing_kernel_dimensions,
+                                   forms_vanish_at, independent_picks,
+                                   interpolate_bb_quadrics, sampling_field,
+                                   select_independent,
+                                   vanishing_kernel_dimensions,
                                    veronese_quadrics)
 
 
@@ -149,3 +153,49 @@ def test_second_curve_full_build():
     pts = [random_point(cur, K, rng) for _ in range(60)]
     assert jm.vanish_at(pts)
     assert rank_rows(F, [q.vector() for q in jm.forms]) == 72
+
+
+def greedy_picks(field, vectors):
+    """The reference for ``independent_picks``: keep each vector, in order,
+    that raises the rank of the ones kept so far."""
+    kept, rows = [], []
+    for idx, vec in enumerate(vectors):
+        if rank_rows(field, rows + [vec]) == len(rows) + 1:
+            rows.append(vec)
+            kept.append(idx)
+    return kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       field=st.sampled_from([Field.prime(7), Field.prime(101), Field.extension(7, 2),
+                              Field.extension(101, 3), Field.rationals()]),
+       rng=st.randoms(use_true_random=False))
+def test_independent_picks_match_greedy_loop(data, field, rng):
+    """One rref of the vectors as columns picks what the greedy loop picks;
+    zero vectors and combinations of earlier vectors are planted."""
+    F, dim = field, data.draw(st.integers(1, 10))
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        kind = rng.random()
+        if vectors and kind < 0.35:
+            vec = [F.zero()] * dim
+            for other in rng.sample(vectors, rng.randint(1, len(vectors))):
+                c = F.rand(rng)
+                vec = [F.add(v, F.mul(c, w)) for v, w in zip(vec, other)]
+        elif kind < 0.45:
+            vec = [F.zero()] * dim
+        else:
+            vec = [F.rand(rng) if rng.random() < 0.7 else F.zero() for _ in range(dim)]
+        vectors.append(vec)
+    want = greedy_picks(F, vectors)
+    assert independent_picks(F, vectors) == want
+    # select_independent keeps the first `target` picks, or raises
+    forms = [QuadricForm.from_vector(F, vec + [F.zero()] * (len(MONOMIALS) - dim))
+             for vec in vectors]
+    target = data.draw(st.integers(1, 6))
+    if len(want) >= target:
+        assert select_independent(F, forms, target) == [forms[i] for i in want[:target]]
+    else:
+        with pytest.raises(Genus2Error, match=f"only {len(want)} independent"):
+            select_independent(F, forms, target)

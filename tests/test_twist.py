@@ -1,6 +1,10 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus2covers.curve import CurveData, random_point
 from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
@@ -8,7 +12,7 @@ from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
 from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
-from genus2covers.linalg import Mat, rank_rows
+from genus2covers.linalg import Mat, kernel_rows, rank_rows
 from genus2covers.poly import Poly
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
                                    QuadricForm)
@@ -17,8 +21,8 @@ from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 projective_reps, search_twist_points,
                                 search_vdelta_points, search_vdelta_rational,
-                                span_supported, _kernel_reps, _node_pullbacks,
-                                _resolve_scale)
+                                span_supported, _coefficient_stack,
+                                _kernel_pairs, _node_pullbacks, _scale_points)
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +418,7 @@ def test_vdelta_search_contains_images(split_curve_f11, rng):
         assert tuple(F.mul(v, inv) for v in b) in pts
 
 
-# -- the scalar P^5 scans, kept as the reference for the numpy scan -----------
+# -- the scalar P^5 scans and lift, kept as the reference for the numpy ones ---
 
 
 def scalar_vdelta_search(vd):
@@ -424,7 +428,8 @@ def scalar_vdelta_search(vd):
 
 def scalar_twist_search(model, forms):
     """Every point of P^5(F_p) through the odd-block quadrics one Field
-    operation at a time, then the same lift and node pullbacks."""
+    operation at a time, then the lift of each survivor on its own
+    (``kernel_reps``, ``resolve_scale``) and the node pullbacks."""
     k = model.datum.algebra.field
     vecs = [q.vector() for q in forms]
     odd_blk = span_supported(k, vecs, ODD_MONOMIALS)
@@ -442,16 +447,92 @@ def scalar_twist_search(model, forms):
                 break
         if not ok:
             continue
-        rows = []
-        for row in mixed_blk:
-            lin = [k.zero()] * 10
-            for n in MIXED_MONOMIALS:
-                i, j = MONOMIALS[n]
-                lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
-            rows.append(lin)
-        for u0 in _kernel_reps(k, rows):
-            found.update(_resolve_scale(k, forms, u0, b))
+        for u0 in kernel_reps(k, mixed_rows(k, mixed_blk, b)):
+            found.update(resolve_scale(k, forms, u0, b))
     return sorted(found)
+
+
+def mixed_rows(k, mixed_blk, b):
+    """The linear system in the even block that the mixed forms put on b."""
+    rows = []
+    for row in mixed_blk:
+        lin = [k.zero()] * 10
+        for n in MIXED_MONOMIALS:
+            i, j = MONOMIALS[n]
+            lin[i] = k.add(lin[i], k.mul(row[n], b[j - 10]))
+        rows.append(lin)
+    return rows
+
+
+def kernel_reps(F, rows):
+    """Every point of the projective kernel of rows, normalized."""
+    basis = kernel_rows(F, rows)
+    if not basis:
+        return []
+    if len(basis) == 1:
+        return [normalize(F, basis[0])]
+    reps = []
+    for coeffs in projective_reps(F, len(basis)):
+        vec = [F.zero()] * len(basis[0])
+        for c, bvec in zip(coeffs, basis):
+            for t, v in enumerate(bvec):
+                vec[t] = F.add(vec[t], F.mul(c, v))
+        if any(not F.is_zero(v) for v in vec):
+            reps.append(normalize(F, vec))
+    return reps
+
+
+def resolve_scale(F, forms, u0, b):
+    """Candidate points (c u0 : b) satisfying every form, via the quadratic
+    constraints c^2 A + c M + B = 0 they impose."""
+    out = []
+    candidates = None
+    for q in forms:
+        A = F.zero()
+        M = F.zero()
+        B = F.zero()
+        for (i, j), cf in q.coeffs.items():
+            if j < 10:
+                A = F.add(A, F.mul(cf, F.mul(u0[i], u0[j])))
+            elif i >= 10:
+                B = F.add(B, F.mul(cf, F.mul(b[i - 10], b[j - 10])))
+            else:
+                M = F.add(M, F.mul(cf, F.mul(u0[i], b[j - 10])))
+        if F.is_zero(A) and F.is_zero(M) and F.is_zero(B):
+            continue
+        roots = quadratic_roots(F, A, M, B)
+        roots = {r for r in roots if not F.is_zero(r)}
+        candidates = roots if candidates is None else candidates & roots
+        if not candidates:
+            return []
+    if candidates is None:
+        return []
+    for c in sorted(candidates, key=F.key):
+        vec = [F.mul(c, v) for v in u0] + list(b)
+        if all(F.is_zero(q.evaluate(vec)) for q in forms):
+            out.append(normalize(F, vec))
+    return out
+
+
+def normalize(F, vec):
+    lead = next((v for v in vec if not F.is_zero(v)), None)
+    if lead is None:
+        return tuple(vec)
+    inv = F.inv(lead)
+    return tuple(F.mul(v, inv) for v in vec)
+
+
+def quadratic_roots(F, a, m, b):
+    if F.is_zero(a):
+        if F.is_zero(m):
+            return set()
+        return {F.neg(F.div(b, m))}
+    disc = F.sub(F.mul(m, m), F.mul(F.from_int(4), F.mul(a, b)))
+    r = F.sqrt(disc)
+    if r is None:
+        return set()
+    inv2a = F.inv(F.mul(F.from_int(2), a))
+    return {F.mul(F.sub(r, m), inv2a), F.mul(F.sub(F.neg(r), m), inv2a)}
 
 
 @pytest.fixture(scope="module")
@@ -481,18 +562,94 @@ def _cassels_twist(alg, rng):
     pytest.fail("no Cassels datum with nonvanishing t_I")
 
 
-@pytest.mark.parametrize("case", ["trivial-2211-f7", "cassels-split-f11"])
+@pytest.mark.parametrize("case", ["trivial-2211-f7", "cassels-2211-f7",
+                                  "cassels-split-f11", "epsilon-choice-split-f11"])
 def test_twist_search_matches_scalar_scan(case, curve_2211_f7, split_curve_f11, rng):
-    if case == "trivial-2211-f7":
-        alg = EtaleAlgebra(curve_2211_f7)
+    curve = curve_2211_f7 if case.endswith("f7") else split_curve_f11
+    alg = EtaleAlgebra(curve)
+    if case.startswith("trivial"):
         tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
     else:
-        alg = EtaleAlgebra(split_curve_f11)
         tm = _cassels_twist(alg, rng)
     forms = tm.descend_to_ground()
-    pts = search_twist_points(tm, descended=forms)
+    # the search needs only the EpsilonChoice when the forms are given
+    pts = search_twist_points(tm.eps if case.startswith("epsilon") else tm,
+                              descended=forms)
     assert len(pts) == count_jacobian_points(alg.curve)
     assert pts == scalar_twist_search(tm, forms)
+
+
+def test_node_pullbacks_keep_the_nodes_on_the_forms(curve_2211_f7, rng):
+    """Rational node pullbacks are kept exactly where every form vanishes, in
+    plain ints: with no forms all are kept, and the trivial twist's nodes lie
+    on its own forms but not on those of a Cassels twist."""
+    alg = EtaleAlgebra(curve_2211_f7)
+    tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
+    nodes = _node_pullbacks(tm, [])
+    assert nodes
+    for forms in (tm.descend_to_ground(), _cassels_twist(alg, rng).descend_to_ground()):
+        want = [pt for pt in nodes if all(
+            sum(c * pt[i] * pt[j] for (i, j), c in q.coeffs.items()) % 7 == 0 for q in forms)]
+        assert _node_pullbacks(tm, forms) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 7, 11]))
+def test_kernel_pairs_match_scalar_kernel(data, p):
+    """The kernel points of every survivor's system against ``kernel_reps``;
+    systems of rank r <= 10 (a product through F_p^r) have projective
+    kernels of dimension 10 - r or more; an empty system has none."""
+    k = Field.prime(p)
+    nsys, m = data.draw(st.integers(1, 4)), data.draw(st.integers(7, 12))
+    residue = st.integers(0, p - 1)
+    matrix = lambda r, c: st.lists(st.lists(residue, min_size=c, max_size=c),
+                                   min_size=r, max_size=r)
+    systems, survivors = [], []
+    for _ in range(nsys):
+        r = data.draw(st.integers(7, 10))
+        left, right = data.draw(matrix(m, r)), data.draw(matrix(r, 10))
+        systems.append([[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                        for row in left])
+        survivors.append(normalize(k, data.draw(st.lists(residue, min_size=6, max_size=6)
+                                                 .filter(any))))
+    b = np.array(survivors, dtype=np.int64)
+    U, B = _kernel_pairs(k, np.array(systems, dtype=np.int64), b)
+    want = [(u0, bvec) for rows, bvec in zip(systems, survivors)
+            for u0 in kernel_reps(k, rows)]
+    assert sorted(zip(map(tuple, U.tolist()), map(tuple, B.tolist()))) == sorted(want)
+    U, B = _kernel_pairs(k, np.zeros((nsys, 0, 10), dtype=np.int64), b)
+    assert U.shape == (0, 10) and B.shape == (0, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 7, 11]))
+def test_scale_points_match_resolve_scale(data, p):
+    """The batched lift against ``resolve_scale``, pair by pair: sparse forms
+    and vectors, so that some pairs kill every form and are skipped, and a
+    planted common scale c0 on some pairs, so that points are found."""
+    k = Field.prime(p)
+    sparse = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
+    vec = lambda n: st.lists(sparse, min_size=n, max_size=n).filter(any)
+    pairs = data.draw(st.lists(st.tuples(vec(10), vec(6)), min_size=1, max_size=6))
+    pairs = [(normalize(k, u0), list(normalize(k, b))) for u0, b in pairs]
+    forms = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        q = QuadricForm(k)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = data.draw(st.integers(0, 15))
+            q.add_term(i, data.draw(st.integers(i, 15)), data.draw(st.integers(1, p - 1)))
+        if data.draw(st.booleans()):  # plant a root c0 on the first pair
+            u0, b = pairs[0]
+            c0 = data.draw(st.integers(1, p - 1))
+            t = next(t for t, v in enumerate(b) if v)
+            val = q.evaluate([c0 * v % p for v in u0] + b)
+            q.add_term(10 + t, 10 + t, -val * pow(b[t] * b[t], p - 2, p) % p)
+        forms.append(q)
+    U = np.array([u0 for u0, _ in pairs], dtype=np.int64)
+    B = np.array([b for _, b in pairs], dtype=np.int64)
+    got = _scale_points(p, _coefficient_stack([q.vector() for q in forms]), U, B)
+    want = [pt for u0, b in pairs for pt in resolve_scale(k, forms, u0, b)]
+    assert sorted(got) == sorted(want)
 
 
 def test_searches_refuse_what_they_cannot_scan(split_curve_f11):
@@ -504,6 +661,14 @@ def test_searches_refuse_what_they_cannot_scan(split_curve_f11):
     # X @ M would leave int64 before its reduction mod p
     with pytest.raises(Genus2Error, match="overflow"):
         p5_zeros(Field.prime(2 ** 31 - 1), [])
+    # the search sums up to 136 products: refused where the P^5 scan would pass
+    big = SimpleNamespace(algebra=SimpleNamespace(field=Field.prime(1_000_000_007)))
+    with pytest.raises(Genus2Error, match="twist search would overflow"):
+        search_twist_points(SimpleNamespace(datum=big), descended=[])
+    # an EpsilonChoice has no twisted model to descend
+    eps = EpsilonChoice(TorsionActionCtx(alg), TwistDatum.trivial(alg))
+    with pytest.raises(Genus2Error, match="descended forms"):
+        search_twist_points(eps)
 
 
 def test_rational_search_bound_zero_and_definite():
