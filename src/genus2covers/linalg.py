@@ -8,11 +8,13 @@ fields as (rows, cols, deg) coefficient arrays with a precomputed reduction
 matrix.  Every kernel reduces mod p after each sum of products of residues
 in [0, p), so it is exact while s (p-1)^2 < 2**63 for its longest sum of s
 products (``int64_exact``).  With d the extension degree and k the inner
-dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d^2 for
+dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for
 ``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
 max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
-``frobenius_fixed_values``; max(136, d^2) for ``quadrics.forms_vanish_at``;
-6 for ``twist.p5_zeros`` and 136 for ``twist.search_twist_points``.
+``frobenius_fixed_values`` and the trace descent
+(``twist.TwistModel._descend_trace``); max(136, d^2) for
+``quadrics.forms_vanish_at``; 6 for ``twist.p5_zeros`` and 136 for
+``twist.search_twist_points``.
 Above its bound each job runs in Python ints (or Fractions over Q), except
 the two point searches, which refuse the field.
 
@@ -135,11 +137,18 @@ def fp_rref(A, p):
 
 def fq_rref(field: Field, A):
     """Reduced row echelon of an (R, C, d) extension-field array; exact
-    while d^2 (p-1)^2 < 2**63 (the ``redfold`` reduction)."""
+    while d (p-1)^2 < 2**63.
+
+    Each pivot row becomes, column by column, the d x d matrix of
+    multiplication by its entry (sums of d products against the tensor
+    T[a, b] = t^(a+b) of ``RED`` rows), and one matmul against those
+    matrices updates every other row; the pivot row is normalized by the
+    matrix of its pivot's inverse."""
     p, d = field.p, field.deg
     A = np.array(A, dtype=np.int64) % p
     nrows, ncols = A.shape[0], A.shape[1]
-    _, rf = _red_tables(field)
+    red, _ = _red_tables(field)
+    T = red[np.add.outer(np.arange(d), np.arange(d))].reshape(d, d * d)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -152,14 +161,14 @@ def fq_rref(field: Field, A):
         if i != r:
             A[[r, i]] = A[[i, r]]
         inv = np.array(field.inv(tuple(int(x) for x in A[r, c])), dtype=np.int64)
-        A[r] = ext_mul_arrays(field, A[r], inv)
+        A[r, c:] = A[r, c:] @ (inv @ T % p).reshape(d, d) % p
         rows = np.nonzero(np.any(A[:, c, :] != 0, axis=-1))[0]
         rows = rows[rows != r]
         if rows.size:
-            factors = A[rows, c, :]
-            full = np.einsum("ra,cb->rcab", factors, A[r]) % p
-            prod = full.reshape(len(rows), ncols, d * d) @ rf % p
-            A[rows] = (A[rows] - prod) % p
+            # M[j, b] is row b of the matrix of multiplication by A[r, c + j]
+            M = (A[r, c:] @ T % p).reshape(-1, d, d)
+            prod = A[rows, c, :] @ M.transpose(1, 0, 2).reshape(d, -1) % p
+            A[rows, c:] = (A[rows, c:] - prod.reshape(rows.size, -1, d)) % p
         pivots.append(c)
         r += 1
     return A, pivots
@@ -189,7 +198,7 @@ def rref_rows(field: Field, rows):
     if field.kind == "prime" and field.p < 1 << 31:
         R, piv = fp_rref(to_np(field, rows), field.p)
         return from_np(field, R), piv
-    if field.kind == "ext" and int64_exact(field, field.deg ** 2):
+    if field.kind == "ext" and int64_exact(field, field.deg):
         R, piv = fq_rref(field, to_np(field, rows))
         return from_np(field, R), piv
     # pure python fallback (rationals, or p beyond the kernel's bound)

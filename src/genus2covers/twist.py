@@ -319,29 +319,39 @@ class TwistModel:
         return forms
 
     def _descend_trace(self):
+        """Traces Tr(t^i q), i < e, of the twisted forms q over the working
+        field F_{p^e}, row-reduced to 72 ground-field forms.
+
+        Multiplying by the power-basis element t^i is a monomial shift, so
+        ``ext_mul_arrays`` sums at most e products here, as does each step
+        through the Frobenius matrix: the int64 path is exact while
+        e (p-1)^2 < 2**63.  Above that bound the traces are taken with
+        ``Field.mul`` and ``Field.frobenius`` in Python ints."""
         W = self.ctx.K
         k = self.datum.algebra.field
         p, e = W.p, W.deg
         if e == 1:
             return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
-        frob = np.array(W.frobenius_matrix(), dtype=np.int64)
-        vecs = np.array([[list(c) for c in q.vector()] for q in self.forms],
-                        dtype=np.int64)  # (72, 136, e)
-        collected = []
-        power = W.one()  # gamma^i for the power basis gamma = t
-        for _ in range(e):
-            parr = np.array(power, dtype=np.int64)
-            term = ext_mul_arrays(W, vecs, parr[None, None, :])
-            trace = np.zeros_like(term)
-            for _ in range(e):
-                trace = (trace + term) % p
-                term = term @ frob.T % p
-            if np.any(trace[..., 1:]):
-                raise RankLoss("trace landed outside the prime field")
-            collected.append(trace[..., 0])
-            power = W.mul(power, _gen_elem(W))
-        stacked = np.concatenate(collected, axis=0) % p  # (72e, 136)
-        R, piv = rref_rows(k, [[int(x) for x in row] for row in stacked])
+        vectors = [q.vector() for q in self.forms]
+        powers = [tuple(int(j == i) for j in range(e)) for i in range(e)]  # t^i
+        if int64_exact(W, e):
+            frob = np.array(W.frobenius_matrix(), dtype=np.int64)
+            vecs = np.array(vectors, dtype=np.int64)  # (72, 136, e)
+            traces = []
+            for power in powers:
+                term = ext_mul_arrays(W, vecs, power)
+                trace = np.zeros_like(term)
+                for _ in range(e):
+                    trace = (trace + term) % p
+                    term = term @ frob.T % p
+                traces.append(trace)
+        else:
+            traces = [np.array([[_trace(W, W.mul(c, power)) for c in vec] for vec in vectors],
+                               dtype=np.int64) for power in powers]
+        if any(np.any(trace[..., 1:]) for trace in traces):
+            raise RankLoss("trace landed outside the prime field")
+        stacked = np.concatenate([trace[..., 0] for trace in traces], axis=0)  # (72e, 136)
+        R, piv = rref_rows(k, stacked.tolist())
         if len(piv) != 72:
             raise RankLoss(f"trace descent produced rank {len(piv)}")
         return [QuadricForm.from_vector(k, row) for row in R[:72]]
@@ -423,8 +433,13 @@ def span_supported(field: Field, vectors, keep_monomials):
     return out
 
 
-def _gen_elem(W: Field):
-    return (0, 1) + (0,) * (W.deg - 2) if W.deg > 1 else W.one()
+def _trace(W: Field, a):
+    """a + a^p + ... + a^(p^(e-1)) over W = F_{p^e}, in Python ints."""
+    acc = W.zero()
+    for _ in range(W.deg):
+        acc = W.add(acc, a)
+        a = W.frobenius(a)
+    return acc
 
 
 # ---------------------------------------------------------------------------

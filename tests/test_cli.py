@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -251,3 +252,15 @@ def test_byte_identical_reruns(tmp_path):
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "--field", "F101", "--curve", CURVE, "--bogus"])
+
+
+def test_degree8_twist_output_is_pinned(capsys):
+    """The stdout of a Cassels twist rebuilt at working degree 8 (p = 101),
+    pinned by its SHA-256: any change to the linear-algebra kernels that
+    moves a pivot or a digit of the descent shows here."""
+    code = main(["twist", "--field", "F101", "--curve", '["1","14","94","98","2","5","21"]',
+                 "--delta", '["37","24","1","0","0","0"]', "--n", "16", "--seed", "1",
+                 "--descend"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "204fb7a693c412b5828d5695a9b6d9f2d78fe7a83d85ebb1305bd5081f3424f4"

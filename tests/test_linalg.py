@@ -179,14 +179,41 @@ def test_fp_rref_matches_plain_rref(data, p):
     assert rref_rows(F, rows) == plain_rref(F, rows)
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), case=st.sampled_from([(101, 3), (33554467, 2)]))
+# (p, d): fq_rref sums d products, so it is exact while d (p-1)^2 < 2^63.
+# (101, 8) is the working degree of a Cassels twist rebuilt over the
+# quadratic extension; 2^31 - 1 is inside the bound at d = 2 and just
+# outside it at d = 3, where rref_rows takes the field-arithmetic path.
+FQ_RREF_CASES = [(101, 3), (33554467, 2), (101, 8), (2147483647, 2), (2147483647, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), case=st.sampled_from(FQ_RREF_CASES))
 def test_fq_rref_matches_plain_rref(data, case):
     p, d = case
     F = Field.extension(p, d)
     rows = data.draw(residue_matrices(p, d))
-    R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
-    assert (from_np(F, R), piv) == plain_rref(F, rows)
+    want = plain_rref(F, rows)
+    if int64_exact(F, d):
+        R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
+        assert (from_np(F, R), piv) == want
+    else:
+        assert case == (2147483647, 3)
+    assert rref_rows(F, rows) == want
+
+
+@pytest.mark.parametrize("p, d", [(101, 8), (2147483647, 2)])
+def test_fq_rref_matches_plain_rref_on_dense_matrices(p, d):
+    """Seeded matrices of uniform residues with one dependent row, so every
+    pivot update meets full-size entries; at 2^31 - 1 a product left
+    unreduced overflows int64."""
+    F = Field.extension(p, d)
+    rng = random.Random(p * d)
+    for nrows, ncols in [(6, 9), (9, 6), (8, 8)]:
+        rows = [[tuple(rng.randrange(p) for _ in range(d)) for _ in range(ncols)]
+                for _ in range(nrows - 1)]
+        rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
+        R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
+        assert (from_np(F, R), piv) == plain_rref(F, rows)
 
 
 def plain_ext_mul(F, a, b):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -258,6 +259,34 @@ def test_descended_forms_vanish_on_twist_points(trivial_model, ref_curve, rng):
         for q in des:
             qc = q.map_field(W)
             assert W.is_zero(qc.evaluate(x))
+
+
+def cubic_pair_curve(p):
+    """y^2 = (x^3 - a)(x^3 - b), a and b the two smallest non-cubes mod p
+    (p = 1 mod 3): a [3,3] curve with splitting degree 3."""
+    a, b = itertools.islice((c for c in range(2, p) if pow(c, (p - 1) // 3, p) != 1), 2)
+    return CurveData(Field.prime(p), [a * b % p, 0, 0, -(a + b) % p, 0, 0, 1])
+
+
+@pytest.mark.parametrize("p", [103, 2147483647])
+def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
+    """The trace descent at working degree 3 sums 3 products of residues:
+    in int64 at p = 103, in Python ints at p = 2^31 - 1, where
+    3 (p-1)^2 > 2^63.  Below the bound both paths give the same forms;
+    above it the int64 path is not taken and the result is certified."""
+    import genus2covers.twist as twist
+    alg = EtaleAlgebra(cubic_pair_curve(p))
+    tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
+    assert tm.field.deg == 3
+    below = twist.int64_exact(tm.field, 3)
+    assert below == (p == 103)
+    fast = tm._descend_trace() if below else None
+    monkeypatch.setattr(twist, "int64_exact", lambda field, terms: False)
+    monkeypatch.setattr(twist, "ext_mul_arrays", None)
+    slow = tm._descend_trace()
+    if below:
+        assert [q.vector() for q in slow] == [q.vector() for q in fast]
+    tm._check_descent(slow)
 
 
 def test_odd_block_matches_vdelta(trivial_model, ref_torsion, ref_algebra,
