@@ -144,21 +144,18 @@ class Field:
         self.kind = kind
         self.p = p
         self.modulus = modulus  # tuple, constant first, monic, for "ext"
+        if kind != "rational":
+            if not is_prime(p):
+                raise Genus2Error(f"{p} is not prime")
+            if p == 2:
+                raise Genus2Error("characteristic 2 is not supported")
         if kind == "rational":
             self.deg = 1
             self.order = None
         elif kind == "prime":
-            if not is_prime(p):
-                raise Genus2Error(f"{p} is not prime")
-            if p == 2:
-                raise Genus2Error("characteristic 2 is not supported")
             self.deg = 1
             self.order = p
         else:
-            if not is_prime(p):
-                raise Genus2Error(f"{p} is not prime")
-            if p == 2:
-                raise Genus2Error("characteristic 2 is not supported")
             if modulus is None or len(modulus) < 3 or modulus[-1] != 1:
                 raise Genus2Error("extension modulus must be monic of degree >= 2")
             if not _is_irreducible(list(modulus), p):
@@ -241,8 +238,6 @@ class Field:
             return self.from_int(v)
         if self.kind == "rational" and isinstance(v, Fraction):
             return v
-        if self.kind == "prime" and isinstance(v, int):
-            return v % self.p
         if self.kind == "ext" and isinstance(v, tuple) and len(v) == self.deg:
             return v
         raise Genus2Error(f"cannot coerce {v!r} into {self}")

@@ -2,21 +2,22 @@
 
 Small matrices (torsion blocks, basis changes) go through the pure-Python
 :class:`Mat` class.  The heavy computations -- kernels of point-evaluation
-matrices, rank certificates, Galois-descent row reductions -- are dispatched
-to numpy int64 kernels: prime-field matrices as 2-d arrays mod p, extension
-fields as (rows, cols, deg) coefficient arrays with a precomputed reduction
+matrices, rank certificates, Galois-descent row reductions -- run as numpy
+kernels: prime-field and rational matrices as 2-d arrays, extension fields
+as (rows, cols, deg) coefficient arrays with a precomputed reduction
 matrix.  Every kernel reduces mod p after each sum of products of residues
-in [0, p), so it is exact while s (p-1)^2 < 2**63 for its longest sum of s
-products (``int64_exact``).  With d the extension degree and k the inner
-dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for
-``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
-max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
-``frobenius_fixed_values`` and the trace descent
-(``twist.TwistModel._descend_trace``); max(136, d^2) for
-``quadrics.forms_vanish_at``; 6 for ``twist.p5_zeros`` and 136 for
+in [0, p) and keeps the dtype it is given, so one code path serves every
+field.  ``to_np`` chooses that dtype: int64 while s (p-1)^2 < 2**63 for the
+kernel's longest sum of s products (``int64_exact``), otherwise object
+arrays of Python ints, or of Fractions over Q, where nothing overflows.
+With d the extension degree and k the inner dimension of a product, s is:
+2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``; 2d-1 for
+``ext_mul_arrays`` and ``quadrics.compose_forms``; max(k, d^2) for
+``ext_matmul_np`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
+and the trace descent (``twist.TwistModel._descend_trace``); max(136, d^2)
+for ``quadrics.forms_vanish_at``.  The two point searches stay in int64
+and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and 136 for
 ``twist.search_twist_points``.
-Above its bound each job runs in Python ints (or Fractions over Q), except
-the two point searches, which refuse the field.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
 are returned as lists of raw-value vectors.
@@ -50,19 +51,14 @@ def _red_tables(field: Field):
     if field._red is None:
         p, d = field.p, field.deg
         m = field.modulus
-        red = np.zeros((2 * d - 1, d), dtype=np.int64)
-        cur = [0] * d
-        cur[0] = 1
-        red[0] = cur
-        for k in range(1, 2 * d - 1):
+        red = [[1] + [0] * (d - 1)]
+        for _ in range(1, 2 * d - 1):
+            cur = red[-1]
             nxt = [0] + cur[: d - 1]
             lead = cur[d - 1]
-            if lead:
-                for i in range(d):
-                    nxt[i] = (nxt[i] - lead * m[i]) % p
-            cur = [x % p for x in nxt]
-            red[k] = cur
-        fold = np.zeros((d * d, 2 * d - 1), dtype=np.int64)
+            red.append([(x - lead * mi) % p for x, mi in zip(nxt, m)])
+        red = to_np(field, red, 1)
+        fold = np.zeros((d * d, 2 * d - 1), dtype=red.dtype)
         for i in range(d):
             for j in range(d):
                 fold[i * d + j, i + j] = 1
@@ -70,49 +66,59 @@ def _red_tables(field: Field):
     return field._red
 
 
-def to_np(field: Field, rows):
-    return np.array(rows, dtype=np.int64)
+def to_np(field: Field, rows, s: int):
+    """Raw values as a numpy array for a kernel summing s products: int64
+    when that is exact (``int64_exact``), otherwise Python ints, or
+    Fractions over Q, in an object array."""
+    return np.array(rows, dtype=np.int64 if int64_exact(field, s) else object)
+
+
+def mod_p(field: Field, arr):
+    """arr reduced mod p over a finite field; unchanged over Q."""
+    return arr % field.p if field.is_finite() else arr
 
 
 def from_np(field: Field, arr):
-    arr = np.asarray(arr) % field.p
-    if field.kind == "prime":
+    arr = mod_p(field, np.asarray(arr))
+    if field.kind != "ext":
         return arr.tolist()
     return [list(map(tuple, row.tolist())) for row in arr]
 
 
 def ext_mul_arrays(field: Field, a, b):
     """Elementwise product of two broadcastable (..., d) coefficient arrays;
-    exact while (2d-1) (p-1)^2 < 2**63."""
+    sums of 2d-1 products."""
     p, d = field.p, field.deg
     red, _ = _red_tables(field)
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    a = np.asarray(a) % p
+    b = np.asarray(b) % p
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    full = np.zeros(shape + (2 * d - 1,), dtype=np.int64)
+    full = np.zeros(shape + (2 * d - 1,), dtype=np.result_type(a, b))
     for i in range(d):
         full[..., i : i + d] += a[..., i : i + 1] * b
     return (full % p) @ red % p
 
 
 def ext_matmul_np(field: Field, A, B):
-    """(r, k, d) @ (k, c, d) -> (r, c, d); exact while max(k, d^2) (p-1)^2
-    < 2**63 (k products summed, then the d^2-term ``redfold`` reduction)."""
+    """(r, k, d) @ (k, c, d) -> (r, c, d); sums of max(k, d^2) products
+    (k products summed, then the d^2-term ``redfold`` reduction)."""
     p, d = field.p, field.deg
     _, redfold = _red_tables(field)
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
+    A = np.asarray(A) % p
+    B = np.asarray(B) % p
     full = np.einsum("rka,kcb->rcab", A, B)
     r, c = full.shape[0], full.shape[1]
     return (full.reshape(r, c, d * d) % p) @ redfold % p
 
 
-def fp_rref(A, p):
-    """Reduced row echelon over F_p in place; returns (R, pivot columns).
+def fp_rref(field: Field, A):
+    """Reduced row echelon over F_p or Q, on a copy; returns (R, pivot
+    columns).
 
-    Only single products are formed, each reduced at once, so it is exact
-    for every p < 2**31: (p-1)^2 < 2**62 leaves room for the subtraction."""
-    A = np.array(A, dtype=np.int64) % p
+    Only single products are formed, each reduced at once, so over F_p the
+    int64 dtype is exact for every p < 2**31: (p-1)^2 < 2**62 leaves room
+    for the subtraction."""
+    A = mod_p(field, np.array(A))
     nrows, ncols = A.shape
     pivots = []
     r = 0
@@ -125,19 +131,19 @@ def fp_rref(A, p):
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        A[r] = mod_p(field, A[r] * field.inv(A[r, c:c + 1].tolist()[0]))
         rows = np.nonzero(A[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            A[rows] = (A[rows] - np.outer(A[rows, c], A[r])) % p
+            A[rows] = mod_p(field, A[rows] - np.outer(A[rows, c], A[r]))
         pivots.append(c)
         r += 1
     return A, pivots
 
 
 def fq_rref(field: Field, A):
-    """Reduced row echelon of an (R, C, d) extension-field array; exact
-    while d (p-1)^2 < 2**63.
+    """Reduced row echelon of an (R, C, d) extension-field array, on a
+    copy; sums of d products.
 
     Each pivot row becomes, column by column, the d x d matrix of
     multiplication by its entry (sums of d products against the tensor
@@ -145,7 +151,7 @@ def fq_rref(field: Field, A):
     matrices updates every other row; the pivot row is normalized by the
     matrix of its pivot's inverse."""
     p, d = field.p, field.deg
-    A = np.array(A, dtype=np.int64) % p
+    A = np.array(A) % p
     nrows, ncols = A.shape[0], A.shape[1]
     red, _ = _red_tables(field)
     T = red[np.add.outer(np.arange(d), np.arange(d))].reshape(d, d * d)
@@ -160,7 +166,7 @@ def fq_rref(field: Field, A):
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        inv = np.array(field.inv(tuple(int(x) for x in A[r, c])), dtype=np.int64)
+        inv = np.array(field.inv(tuple(A[r, c].tolist())), dtype=A.dtype)
         A[r, c:] = A[r, c:] @ (inv @ T % p).reshape(d, d) % p
         rows = np.nonzero(np.any(A[:, c, :] != 0, axis=-1))[0]
         rows = rows[rows != r]
@@ -178,12 +184,12 @@ def frobenius_fixed_values(field: Field, values, times: int = 1) -> bool:
     """True when a^(p^times) == a for every raw value a of `field`.
 
     Over an extension the values are stacked into one (N, d) array and
-    multiplied by the cached Frobenius matrix: exact in int64 while
-    d (p-1)^2 < 2**63, otherwise each value goes through Field.frobenius."""
-    if field.kind != "ext" or not int64_exact(field, field.deg):
-        return all(field.frobenius(a, times) == a for a in values)
-    A = np.array(values, dtype=np.int64).reshape(-1, field.deg)
-    frob = np.array(field.frobenius_matrix(times), dtype=np.int64)
+    multiplied by the cached Frobenius matrix (sums of d products); over
+    F_p and Q the Frobenius is the identity."""
+    if field.kind != "ext":
+        return True
+    A = to_np(field, values, field.deg).reshape(-1, field.deg)
+    frob = to_np(field, field.frobenius_matrix(times), field.deg)
     return bool(np.array_equal(A @ frob.T % field.p, A))
 
 
@@ -195,33 +201,11 @@ def rref_rows(field: Field, rows):
     """(reduced rows, pivot column list) over any field."""
     if not rows:
         return [], []
-    if field.kind == "prime" and field.p < 1 << 31:
-        R, piv = fp_rref(to_np(field, rows), field.p)
-        return from_np(field, R), piv
-    if field.kind == "ext" and int64_exact(field, field.deg):
-        R, piv = fq_rref(field, to_np(field, rows))
-        return from_np(field, R), piv
-    # pure python fallback (rationals, or p beyond the kernel's bound)
-    A = [list(row) for row in rows]
-    nrows, ncols = len(A), len(A[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not field.is_zero(A[i][c])), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(x, inv) for x in A[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(A[i][c]):
-                f = A[i][c]
-                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    return A, pivots
+    if field.kind == "ext":
+        R, piv = fq_rref(field, to_np(field, rows, field.deg))
+    else:
+        R, piv = fp_rref(field, to_np(field, rows, 2))
+    return from_np(field, R), piv
 
 
 def rank_rows(field: Field, rows) -> int:
@@ -345,13 +329,11 @@ class Mat:
     def __mul__(self, other):
         F = self.field
         if isinstance(other, Mat):
-            # sums of k = ncols products (prime path); see ext_matmul_np
-            if (self.nrows * self.ncols * other.ncols > 512
-                    and int64_exact(F, max(self.ncols, F.deg ** 2))):
-                if F.kind == "prime":
-                    out = to_np(F, self.rows) @ to_np(F, other.rows) % F.p
-                else:
-                    out = ext_matmul_np(F, to_np(F, self.rows), to_np(F, other.rows))
+            if self.nrows * self.ncols * other.ncols > 512:
+                # sums of k = ncols products (degree 1); see ext_matmul_np
+                s = max(self.ncols, F.deg ** 2)
+                A, B = to_np(F, self.rows, s), to_np(F, other.rows, s)
+                out = ext_matmul_np(F, A, B) if F.kind == "ext" else A @ B
                 return Mat(F, from_np(F, out))
             out = []
             bt = list(zip(*other.rows))

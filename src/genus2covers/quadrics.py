@@ -28,9 +28,9 @@ import numpy as np
 from .curve import COORD_NAMES, CurveData, even_slot, random_point
 from .errors import Genus2Error, InterpolationFailed, NotGeneric
 from .fields import Field
-from .linalg import (Mat, _red_tables, ext_mul_arrays,
-                     frobenius_fixed_values, from_np, int64_exact, kernel_rows,
-                     rank_rows, rref_rows, solve_rows, to_np)
+from .linalg import (Mat, ext_matmul_np, ext_mul_arrays, frobenius_fixed_values,
+                     from_np, kernel_rows, mod_p, rank_rows, rref_rows,
+                     solve_rows, to_np)
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
 MONO_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
@@ -161,37 +161,21 @@ def forms_vanish_at(forms, points_fields) -> bool:
 
     ``forms`` share one coefficient field; ``points_fields`` is a list of
     (vec16, field) with a common point field that contains the coefficient
-    field's image (F_p inside F_p^d, or equal fields).
+    field's image (F_p inside F_p^d, or equal fields).  The values are one
+    product of the coefficient and monomial arrays: sums of 136 products,
+    then over an extension the d^2-term ``redfold`` reduction of
+    ``ext_matmul_np``.
     """
     if not forms or not points_fields:
         return True
     Fc = forms[0].field
     K = points_fields[0][1]
-    rows = [monomial_values(K, vec) for vec, _ in points_fields]
-    # sums of 136 products, then the d^2-term redfold reduction
-    if Fc.kind != "rational" and int64_exact(K, max(len(MONOMIALS), K.deg ** 2)):
-        P = to_np(K, rows)
-        if Fc.kind == "prime":
-            C = to_np(Fc, [f.vector() for f in forms])
-            if K.kind == "prime":
-                return not np.any(C @ P.T % K.p)
-            vals = np.tensordot(C, P, axes=([1], [1])) % K.p
-            return not np.any(vals)
-        if Fc == K:
-            C = to_np(K, [f.vector() for f in forms])
-            _, redfold = _red_tables(K)
-            full = np.einsum("mja,njb->mnab", C % K.p, P % K.p)
-            m, n = full.shape[0], full.shape[1]
-            d = K.deg
-            vals = full.reshape(m, n, d * d) % K.p @ redfold % K.p
-            return not np.any(vals)
-    # pure python fallback
-    for f in forms:
-        fk = f if f.field == K else f.map_field(K)
-        for vec, _ in points_fields:
-            if not K.is_zero(fk.evaluate(vec)):
-                return False
-    return True
+    s = max(len(MONOMIALS), K.deg ** 2)
+    P = to_np(K, [monomial_values(K, vec) for vec, _ in points_fields], s)
+    C = to_np(Fc, [f.vector() for f in forms], s)
+    if Fc.kind == "ext":
+        return not np.any(ext_matmul_np(K, C, P.transpose(1, 0, 2)))
+    return not np.any(mod_p(K, np.tensordot(C, P, axes=([1], [1]))))
 
 
 _MONO_I = np.array([i for i, _ in MONOMIALS])
@@ -205,50 +189,35 @@ def compose_forms(forms, M: Mat):
     T[(i,j),(a,b)] = M_ia M_jb + M_ib M_ja for a < b and M_ia M_ja for a = b,
     so the composed coefficient vectors are the rows of C T, C being the
     (N, 136) coefficient array.  Each row of C T is the sum of the rows of T
-    at the form's nonzero coefficients, times those coefficients.  In numpy
-    (single products, exact while (2d-1) (p-1)^2 < 2**63) T is filled one
-    block of rows (i, j >= i) at a time and each form is summed on its own,
-    which keeps the temporary arrays small; otherwise each form is summed
-    in field arithmetic.
+    at the form's nonzero coefficients, times those coefficients.  T is
+    filled one block of rows (i, j >= i) at a time and each form is summed
+    on its own, which keeps the temporary arrays small.  Each entry of T is
+    a sum of single products (``ext_mul_arrays`` over F_{p^d}, 2d-1 terms),
+    so the arrays are int64 while (2d-1) (p-1)^2 < 2**63 and hold Python
+    ints above that, or Fractions over Q (``to_np``).
     """
     F = M.field
-    if F.kind == "rational" or not int64_exact(F, 2 * F.deg - 1):
-        return [_compose_python(q, M) for q in forms]
-    p, d, I, J = F.p, F.deg, _MONO_I, _MONO_J
-    if F.kind == "prime":
-        mul = lambda a, b: a * b % p
-    else:
+    d, I, J = F.deg, _MONO_I, _MONO_J
+    if F.kind == "ext":
         mul = lambda a, b: ext_mul_arrays(F, a, b)
-    # arrays carry a trailing coefficient axis of length d (1 over F_p)
-    Mn = to_np(F, M.rows).reshape(16, 16, d)
+    else:
+        mul = lambda a, b: mod_p(F, a * b)
+    # arrays carry a trailing coefficient axis of length d (1 over F_p and Q)
+    Mn = to_np(F, M.rows, 2 * d - 1).reshape(16, 16, d)
     off = (I != J)[:, None]
-    T = np.empty((len(MONOMIALS), len(MONOMIALS), d), dtype=np.int64)
+    T = np.empty((len(MONOMIALS), len(MONOMIALS), d), dtype=Mn.dtype)
     for i in range(16):   # the rows (i, j), j >= i
         start = len(MONOMIALS) - (16 - i) * (17 - i) // 2
-        T[start:start + 16 - i] = (mul(Mn[i, I], Mn[i:, J])
-                                   + mul(Mn[i, J], Mn[i:, I]) * off) % p
-    C = to_np(F, [q.vector() for q in forms]).reshape(len(forms), len(MONOMIALS), d)
-    rows = C[..., 0] if F.kind == "prime" else C   # a view of C
+        T[start:start + 16 - i] = mod_p(F, mul(Mn[i, I], Mn[i:, J])
+                                        + mul(Mn[i, J], Mn[i:, I]) * off)
+    C = to_np(F, [q.vector() for q in forms], 2 * d - 1).reshape(len(forms), len(MONOMIALS), d)
+    rows = C if F.kind == "ext" else C[..., 0]   # a view of C
     out = []
     for k, c in enumerate(C):
         m = np.nonzero(c.any(axis=-1))[0]
-        c[:] = mul(c[m][:, None], T[m]).sum(axis=0) % p
+        c[:] = mul(c[m][:, None], T[m]).sum(axis=0)   # from_np reduces
         out.append(QuadricForm.from_vector(F, from_np(F, rows[k:k + 1])[0]))
     return out
-
-
-def _compose_python(q: QuadricForm, M: Mat) -> QuadricForm:
-    """One form of ``compose_forms`` in field arithmetic."""
-    F = M.field
-    vec = [F.zero()] * len(MONOMIALS)
-    for (i, j), c in q.coeffs.items():
-        Mi, Mj = M.rows[i], M.rows[j]
-        for n, (a, b) in enumerate(MONOMIALS):
-            t = F.mul(Mi[a], Mj[b])
-            if a != b:
-                t = F.add(t, F.mul(Mi[b], Mj[a]))
-            vec[n] = F.add(vec[n], F.mul(c, t))
-    return QuadricForm.from_vector(F, vec)
 
 
 def independent_picks(field: Field, vectors):

@@ -41,7 +41,8 @@ from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
 from .fields import Field
 from .kummer import VDeltaModel
 from .linalg import (Mat, block_diag, ext_mul_arrays, fp_rref,
-                     frobenius_fixed_values, int64_exact, rank_rows, rref_rows)
+                     frobenius_fixed_values, int64_exact, rank_rows, rref_rows,
+                     to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
                        ODD_MONOMIALS, QuadricForm, forms_vanish_at)
@@ -148,6 +149,7 @@ class EpsilonChoice:
             raise TIVanishes(vanish)
         self.vanishing_partitions = vanish
         self._gmat = None
+        self._ginv = None
 
     @property
     def field(self) -> Field:
@@ -164,6 +166,12 @@ class EpsilonChoice:
             odd = S * Mat.diagonal(W, self.eps) * S_inv
             self._gmat = block_diag(W, [even, odd])
         return self._gmat
+
+    def covering_inverse(self) -> Mat:
+        """g^{-1}: Jacobian coordinates -> twist coordinates, inverted once."""
+        if self._ginv is None:
+            self._ginv = self.covering_matrix().inv()
+        return self._ginv
 
     def t_triple(self, mask3: int):
         return self.t3[mask3]
@@ -270,30 +278,37 @@ class TwistModel:
     def covering_matrix(self) -> Mat:
         return self.eps.covering_matrix()
 
+    def covering_inverse(self) -> Mat:
+        return self.eps.covering_inverse()
+
     def covering_blocks(self):
         g = self.covering_matrix()
         even = Mat(g.field, [row[:10] for row in g.rows[:10]])
         odd = Mat(g.field, [row[10:] for row in g.rows[10:]])
         return even, odd
 
+    def _lift_coords(self, coords):
+        W = self.ctx.K
+        return [_lift(coords.field, W, v) if coords.field != W else v
+                for v in coords.v]
+
     def pull_back(self, coords):
         """g^{-1} of a point of the Jacobian, as a 16-vector over the field."""
-        W = self.ctx.K
-        vec = [_lift(coords.field, W, v) if coords.field != W else v
-               for v in coords.v]
-        return self.covering_matrix().inv().matvec(vec)
+        return self.covering_inverse().matvec(self._lift_coords(coords))
 
     def vanish_at_pullbacks(self, divisors) -> bool:
+        """Every twisted form vanishes at g^{-1} of each divisor's point; the
+        points are pulled back as the columns of one 16 x N matrix."""
         W = self.ctx.K
-        pts = [(self.pull_back(D.coords()), W) for D in divisors]
-        return forms_vanish_at(self.forms, pts)
+        X = Mat(W, [self._lift_coords(D.coords()) for D in divisors]).transpose()
+        pulled = (self.covering_inverse() * X).transpose().rows
+        return forms_vanish_at(self.forms, [(vec, W) for vec in pulled])
 
     def cocycle_matches_action(self) -> bool:
         """sigma(g) g^{-1} is projectively the mask action of sigma(eps)/eps."""
         W = self.ctx.K
-        g = self.covering_matrix()
-        sg = g.map_entries(W.frobenius)
-        A = sg * g.inv()
+        sg = self.covering_matrix().map_entries(W.frobenius)
+        A = sg * self.covering_inverse()
         R = self.ctx.rho_matrix(self.eps.cocycle_mask())
         scale = None
         for i in range(16):
@@ -324,9 +339,8 @@ class TwistModel:
 
         Multiplying by the power-basis element t^i is a monomial shift, so
         ``ext_mul_arrays`` sums at most e products here, as does each step
-        through the Frobenius matrix: the int64 path is exact while
-        e (p-1)^2 < 2**63.  Above that bound the traces are taken with
-        ``Field.mul`` and ``Field.frobenius`` in Python ints."""
+        through the Frobenius matrix: the arrays are int64 while
+        e (p-1)^2 < 2**63 and hold Python ints above that (``to_np``)."""
         W = self.ctx.K
         k = self.datum.algebra.field
         p, e = W.p, W.deg
@@ -334,20 +348,16 @@ class TwistModel:
             return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
         vectors = [q.vector() for q in self.forms]
         powers = [tuple(int(j == i) for j in range(e)) for i in range(e)]  # t^i
-        if int64_exact(W, e):
-            frob = np.array(W.frobenius_matrix(), dtype=np.int64)
-            vecs = np.array(vectors, dtype=np.int64)  # (72, 136, e)
-            traces = []
-            for power in powers:
-                term = ext_mul_arrays(W, vecs, power)
-                trace = np.zeros_like(term)
-                for _ in range(e):
-                    trace = (trace + term) % p
-                    term = term @ frob.T % p
-                traces.append(trace)
-        else:
-            traces = [np.array([[_trace(W, W.mul(c, power)) for c in vec] for vec in vectors],
-                               dtype=np.int64) for power in powers]
+        frob = to_np(W, W.frobenius_matrix(), e)
+        vecs = to_np(W, vectors, e)  # (72, 136, e)
+        traces = []
+        for power in powers:
+            term = ext_mul_arrays(W, vecs, power)
+            trace = np.zeros_like(term)
+            for _ in range(e):
+                trace = (trace + term) % p
+                term = term @ frob.T % p
+            traces.append(trace)
         if any(np.any(trace[..., 1:]) for trace in traces):
             raise RankLoss("trace landed outside the prime field")
         stacked = np.concatenate([trace[..., 0] for trace in traces], axis=0)  # (72e, 136)
@@ -433,15 +443,6 @@ def span_supported(field: Field, vectors, keep_monomials):
     return out
 
 
-def _trace(W: Field, a):
-    """a + a^p + ... + a^(p^(e-1)) over W = F_{p^e}, in Python ints."""
-    acc = W.zero()
-    for _ in range(W.deg):
-        acc = W.add(acc, a)
-        a = W.frobenius(a)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # point search and counting
 
@@ -500,7 +501,7 @@ def p5_zeros(F: Field, mats):
     X @ M reach 6 (p-1)^2 before reduction, which must stay below 2^63.
     """
     p = F.p
-    if 6 * (p - 1) ** 2 >= 1 << 63:
+    if not int64_exact(F, 6):
         raise Genus2Error(f"P^5 scan would overflow int64 at p={p}")
     mats = [np.array(M, dtype=np.int64) % p for M in mats]
     found = []
@@ -643,7 +644,7 @@ def _kernel_pairs(k: Field, systems, b):
     for system, bvec in zip(systems, b):
         if not len(system):
             continue
-        R, piv = fp_rref(system, p)
+        R, piv = fp_rref(k, system)
         free = [j for j in range(10) if j not in piv]
         if not free:
             continue
@@ -668,7 +669,7 @@ def _node_pullbacks(model, forms):
     k = model.datum.algebra.field
     alg = model.ctx.algebra
     curve = alg.curve
-    ginv = model.covering_matrix().inv()
+    ginv = model.covering_inverse()
     from .curve import EVEN_PAIRS
     f = [_lift(k, W, c) for c in curve.coeffs]
     kvectors = [[W.zero(), W.zero(), W.zero(), W.one()]]

@@ -264,3 +264,18 @@ def test_degree8_twist_output_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "204fb7a693c412b5828d5695a9b6d9f2d78fe7a83d85ebb1305bd5081f3424f4"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["model", "--which", "jacobian", "--field", "F4294967311", "--curve", CURVE, "--seed", "1"],
+     "99bd05fb1ce55d5f6565a03ed8a866be7c74bf9496409d5dbf5deaf709187ce9"),
+    (["twist", "--field", "F2147483647", "--curve", '["35","0","0","2147483635","0","0","1"]',
+      "--delta", '["1","0","0","0","0","0"]', "--n", "1", "--descend", "--check"],
+     "7e7c21cd9377c00883e5fc538b305294578dd68cf0e955c6ef88b114bf974192"),
+], ids=["jacobian-p-above-2^32", "twist-degree3-p-2^31-1"])
+def test_above_bound_outputs_are_pinned(argv, digest, capsys):
+    """Commands whose kernels run on Python-int arrays, past the int64
+    bound: row reduction over F_p at p > 2^32, and every kernel of a twist
+    over F_{(2^31-1)^3}.  Pinned by the SHA-256 of their stdout."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -81,10 +81,14 @@ def test_frobenius_fixes_prime_subfield():
         assert K.frobenius(a, 3) == a
 
 
-# d = 2 at p = 2^31 - 1 is past the int64 bound d (p-1)^2 < 2^63 of the
-# batched check, which then runs in Python ints
+# At p = 2^31 - 1, d = 2 and d = 4 are past the int64 bound d (p-1)^2 < 2^63
+# of the batched check, which then runs on an object array of Python ints.
+# The d = 4 modulus t^4 + t + 1 gives a Frobenius matrix that is not
+# diagonal, so a value fixed by its square (in F_{p^2}) is mapped to itself
+# only after reduction mod p.
 _FROB_FIELDS = {(p, d): Field.extension(p, d)
                 for p, d in [(101, 2), (2147483647, 2), (101, 6), (101, 8)]}
+_FROB_FIELDS[2147483647, 4] = Field.extension(2147483647, 4, modulus=(1, 1, 0, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from genus2covers.errors import Inconsistent
 from genus2covers.fields import Field
 from genus2covers.linalg import (Mat, block_diag, ext_matmul_np, fp_rref,
-                                 fq_rref, from_np, in_row_span, int64_exact,
+                                 fq_rref, in_row_span, int64_exact,
                                  kernel_rows, rank_rows, rref_rows,
-                                 solve_linear, solve_rows)
+                                 solve_linear, solve_rows, to_np)
 from genus2covers.poly import Poly
 from genus2covers.quadrics import MONOMIALS, QuadricForm, forms_vanish_at
 
@@ -124,11 +124,17 @@ def test_solve_rows_rational():
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the numpy rref kernels against a plain reference
+# differential tests: the numpy rref kernels against a plain reference, on
+# int64 arrays and, past each kernel's bound and over Q, on object arrays
 
-# primes just below and just above 2^25, and 2^31 - 1, the largest prime
-# fp_rref accepts
-BOUND_PRIMES = [33554393, 33554467, 2147483647]
+# primes just below and just above 2^25; 2^31 - 1, the largest prime whose
+# fp_rref runs in int64; and 2^32 + 15, where it runs on Python ints
+BOUND_PRIMES = [33554393, 33554467, 2147483647, 4294967311]
+
+
+def ext_rows(arr):
+    """Rows of coefficient tuples, read from an (R, C, d) array as it is."""
+    return [list(map(tuple, row)) for row in arr.tolist()]
 
 
 def plain_rref(F, rows):
@@ -158,10 +164,16 @@ def residue_matrices(draw, p, d=None):
     """Matrices of residues mod p (coefficient tuples of length d if given),
     with zeros, extreme residues and repeated rows, so that pivots move and
     the rank drops."""
-    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     residue = st.one_of(st.just(0), st.integers(1, 3), st.integers(p - 3, p - 1),
                         st.integers(0, p - 1))
-    entry = residue if d is None else st.tuples(*[residue] * d)
+    return draw(matrices(residue if d is None else st.tuples(*[residue] * d)))
+
+
+@st.composite
+def matrices(draw, entry):
+    """Matrices of 1 to 9 rows and columns of `entry`; half of them repeat
+    the first row in the last."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     if nrows > 1 and draw(st.booleans()):
@@ -174,15 +186,33 @@ def residue_matrices(draw, p, d=None):
 def test_fp_rref_matches_plain_rref(data, p):
     F = Field.prime(p)
     rows = data.draw(residue_matrices(p))
-    R, piv = fp_rref(np.array(rows, dtype=np.int64), p)
-    assert (from_np(F, R), piv) == plain_rref(F, rows)
+    A = to_np(F, rows, 2)
+    assert (A.dtype == object) == (p > 2 ** 31)
+    R, piv = fp_rref(F, A)
+    assert (R.tolist(), piv) == plain_rref(F, rows)
     assert rref_rows(F, rows) == plain_rref(F, rows)
 
 
-# (p, d): fq_rref sums d products, so it is exact while d (p-1)^2 < 2^63.
-# (101, 8) is the working degree of a Cassels twist rebuilt over the
-# quadratic extension; 2^31 - 1 is inside the bound at d = 2 and just
-# outside it at d = 3, where rref_rows takes the field-arithmetic path.
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fp_rref_matches_plain_rref_over_q(data):
+    """Over Q the same kernel runs on an object array of Fractions, with
+    pivots inverted by ``Field.inv`` and nothing reduced."""
+    Q = Field.rationals()
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)),
+                      st.fractions(-20, 20, max_denominator=12))
+    rows = data.draw(matrices(entry))
+    A = to_np(Q, rows, 2)
+    assert A.dtype == object
+    R, piv = fp_rref(Q, A)
+    assert (R.tolist(), piv) == plain_rref(Q, rows)
+    assert rref_rows(Q, rows) == plain_rref(Q, rows)
+
+
+# (p, d): fq_rref sums d products, so it runs in int64 while
+# d (p-1)^2 < 2^63.  (101, 8) is the working degree of a Cassels twist
+# rebuilt over the quadratic extension; 2^31 - 1 is inside the bound at
+# d = 2 and just outside it at d = 3, where the arrays hold Python ints.
 FQ_RREF_CASES = [(101, 3), (33554467, 2), (101, 8), (2147483647, 2), (2147483647, 3)]
 
 
@@ -193,27 +223,27 @@ def test_fq_rref_matches_plain_rref(data, case):
     F = Field.extension(p, d)
     rows = data.draw(residue_matrices(p, d))
     want = plain_rref(F, rows)
-    if int64_exact(F, d):
-        R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
-        assert (from_np(F, R), piv) == want
-    else:
-        assert case == (2147483647, 3)
+    A = to_np(F, rows, d)
+    assert (A.dtype == object) == (case == (2147483647, 3))
+    R, piv = fq_rref(F, A)
+    assert (ext_rows(R), piv) == want
     assert rref_rows(F, rows) == want
 
 
-@pytest.mark.parametrize("p, d", [(101, 8), (2147483647, 2)])
+@pytest.mark.parametrize("p, d", [(101, 8), (2147483647, 2), (2147483647, 3)])
 def test_fq_rref_matches_plain_rref_on_dense_matrices(p, d):
     """Seeded matrices of uniform residues with one dependent row, so every
     pivot update meets full-size entries; at 2^31 - 1 a product left
-    unreduced overflows int64."""
+    unreduced overflows int64 at d = 2, and at d = 3, on Python ints, leaves
+    the dependent row a nonzero multiple of p."""
     F = Field.extension(p, d)
     rng = random.Random(p * d)
     for nrows, ncols in [(6, 9), (9, 6), (8, 8)]:
         rows = [[tuple(rng.randrange(p) for _ in range(d)) for _ in range(ncols)]
                 for _ in range(nrows - 1)]
         rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
-        R, piv = fq_rref(F, np.array(rows, dtype=np.int64))
-        assert (from_np(F, R), piv) == plain_rref(F, rows)
+        R, piv = fq_rref(F, to_np(F, rows, d))
+        assert (ext_rows(R), piv) == plain_rref(F, rows)
 
 
 def plain_ext_mul(F, a, b):
@@ -257,9 +287,9 @@ EXT_MATMUL_CASES = [(8, 2, 1073741789), (8, 2, 1073741827),
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), case=st.sampled_from(EXT_MATMUL_CASES))
 def test_ext_matmul_np_matches_plain_product(data, case):
-    """Below its bound the kernel is exact, also with every residue near p;
-    above it, Mat products leave the kernel for field arithmetic.  The
-    shapes make r k c > 512, where Mat.__mul__ tries the kernel."""
+    """The kernel is exact in int64 below its bound, also with every residue
+    near p, and on Python ints above it.  The shapes make r k c > 512, where
+    Mat.__mul__ calls the kernel."""
     k, d, p = case
     F = Field.extension(p, d)
     rc = 9 if k == 8 else 14
@@ -270,11 +300,10 @@ def test_ext_matmul_np_matches_plain_product(data, case):
     A = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rc, max_size=rc))
     B = data.draw(st.lists(st.lists(entry, min_size=rc, max_size=rc), min_size=k, max_size=k))
     want = plain_ext_matmul(F, A, B)
-    if int64_exact(F, max(k, d * d)):
-        got = ext_matmul_np(F, np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
-        assert from_np(F, got) == [list(row) for row in want]
-    else:
-        assert p in (1073741827, 1518500279)
+    s = max(k, d * d)
+    assert int64_exact(F, s) == (p not in (1073741827, 1518500279))
+    got = ext_matmul_np(F, to_np(F, A, s), to_np(F, B, s))
+    assert ext_rows(got) == [list(row) for row in want]
     assert (Mat(F, A) * Mat(F, B)).rows == want
 
 

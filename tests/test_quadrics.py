@@ -110,8 +110,9 @@ def reference_compose(q, M):
     return out
 
 
-# numpy over F_101, F_{101^4} and F_p at p = 2^31 - 1; field arithmetic over
-# F_{p^2} at that p, past the (2d-1) (p-1)^2 < 2^63 bound, and over Q
+# int64 arrays over F_101, F_{101^4} and F_p at p = 2^31 - 1; object arrays
+# of Python ints over F_{p^2} at that p, past the (2d-1) (p-1)^2 < 2^63
+# bound, and of Fractions over Q
 _COMPOSE_FIELDS = [Field.prime(101), Field.extension(101, 4), Field.prime(2147483647),
                    Field.extension(2147483647, 2), Field.rationals()]
 

@@ -271,22 +271,29 @@ def cubic_pair_curve(p):
 @pytest.mark.parametrize("p", [103, 2147483647])
 def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
     """The trace descent at working degree 3 sums 3 products of residues:
-    in int64 at p = 103, in Python ints at p = 2^31 - 1, where
-    3 (p-1)^2 > 2^63.  Below the bound both paths give the same forms;
-    above it the int64 path is not taken and the result is certified."""
+    in int64 at p = 103, on Python ints at p = 2^31 - 1, where
+    3 (p-1)^2 > 2^63.  Below the bound an object array gives the same forms
+    as int64; above it the object dtype is taken and the result is
+    certified."""
     import genus2covers.twist as twist
+    from genus2covers.linalg import to_np
     alg = EtaleAlgebra(cubic_pair_curve(p))
     tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
     assert tm.field.deg == 3
-    below = twist.int64_exact(tm.field, 3)
-    assert below == (p == 103)
-    fast = tm._descend_trace() if below else None
-    monkeypatch.setattr(twist, "int64_exact", lambda field, terms: False)
-    monkeypatch.setattr(twist, "ext_mul_arrays", None)
-    slow = tm._descend_trace()
-    if below:
-        assert [q.vector() for q in slow] == [q.vector() for q in fast]
-    tm._check_descent(slow)
+    dtypes = []
+
+    def recorded(field, rows, s):
+        arr = to_np(field, rows, s)
+        dtypes.append(arr.dtype)
+        return arr
+
+    monkeypatch.setattr(twist, "to_np", recorded)
+    forms = tm._descend_trace()
+    assert set(dtypes) == {np.dtype(np.int64 if p == 103 else object)}
+    if p == 103:
+        monkeypatch.setattr(twist, "to_np", lambda field, rows, s: np.array(rows, dtype=object))
+        assert [q.vector() for q in tm._descend_trace()] == [q.vector() for q in forms]
+    tm._check_descent(forms)
 
 
 def test_odd_block_matches_vdelta(trivial_model, ref_torsion, ref_algebra,
