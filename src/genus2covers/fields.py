@@ -10,6 +10,12 @@ A :class:`Field` owns the arithmetic on *raw* representations:
 the usual operators; ints coerce automatically.  All values are immutable,
 so fields and elements can be shared freely between threads.
 
+The four ring operations ``add``, ``sub``, ``neg`` and ``mul`` are bound
+once, when a field is constructed.  For F_p and Q they are plain closures;
+for F_p[t]/(m) they are straight-line functions generated from (p, m), with
+the rows t^k mod m baked in as integer constants and one reduction mod p per
+output coefficient.  Python ints keep them exact for every p.
+
 The characteristic is never 2 and extension moduli are verified irreducible
 at construction time.  Elements carry a canonical total order (residue value
 for prime fields, lexicographic coefficient order for extensions, numeric
@@ -18,6 +24,7 @@ order for Q) used for deterministic root labelling and square-root signs.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -106,17 +113,26 @@ def _is_irreducible(m, p):
     return True
 
 
+def _has_irreducible_binomial(p: int, d: int) -> bool:
+    """Whether some x^d + c is irreducible over F_p: iff every prime l | d
+    divides p - 1, and p = 1 (mod 4) when 4 | d (Capelli; Lidl-Niederreiter,
+    Finite Fields, Thm 3.75)."""
+    return (all((p - 1) % q == 0 for q in range(2, d + 1) if d % q == 0 and is_prime(q))
+            and (d % 4 != 0 or p % 4 == 1))
+
+
 def find_irreducible(p: int, d: int):
     """Smallest monic irreducible of degree d over F_p in lexicographic order.
 
     Coefficients (c_0, ..., c_{d-1}) of the non-leading part are enumerated
     in lexicographic order with c_{d-1} varying slowest, so the choice is
-    deterministic for a given (p, d).
+    deterministic for a given (p, d).  The p binomials x^d + c_0 come first;
+    they are skipped when none of them can be irreducible.
     """
     if d == 1:
         return (0, 1)
     # counter encodes the lower coefficients base p, least significant = c_0
-    for counter in range(p ** d):
+    for counter in range(0 if _has_irreducible_binomial(p, d) else p, p ** d):
         coeffs = []
         c = counter
         for _ in range(d):
@@ -128,6 +144,45 @@ def find_irreducible(p: int, d: int):
     raise Genus2Error(f"no irreducible polynomial of degree {d} over F_{p}")  # unreachable
 
 
+def _ext_source(p, modulus) -> str:
+    """Python source of add, sub, neg and mul on F_p[t]/(m), unrolled over
+    the d coefficients.  Product coefficient k is h_k = sum a_i b_(k-i); for
+    k >= d it is folded back through the row t^k mod m, whose entries are
+    constants in (-p/2, p/2], and each output coefficient gets one reduction
+    mod p.  Only the int() values of p and m reach the source."""
+    p = int(p)
+    m = [int(c) % p for c in modulus]
+    d = len(m) - 1
+    rows, row = [], [-c % p for c in m[:d]]         # row = t^d mod m
+    for _ in range(d - 1):
+        rows.append([c - p if 2 * c > p else c for c in row])
+        row = [((row[i - 1] if i else 0) - row[-1] * m[i]) % p for i in range(d)]
+    lin = lambda terms: " + ".join(x if c == 1 else f"{c}*{x}" for c, x in terms if c)
+    prod = lambda k: lin((1, f"a{i}*b{k - i}") for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+    each = lambda f: "(" + ", ".join(f"({f(i)}) % {p}" for i in range(d)) + ")"
+    fold = lambda j: lin([(1, prod(j))] + [(r[j], f"h{k + d}") for k, r in enumerate(rows)])
+    a, b = (", ".join(f"{x}{i}" for i in range(d)) + f" = {x}" for x in "ab")
+    return "\n".join([
+        f"def add(a, b):\n    {a}\n    {b}\n    return {each(lambda i: f'a{i} + b{i}')}",
+        f"def sub(a, b):\n    {a}\n    {b}\n    return {each(lambda i: f'a{i} - b{i}')}",
+        f"def neg(a):\n    {a}\n    return {each(lambda i: f'-a{i}')}",
+        f"def mul(a, b):\n    {a}\n    {b}",
+        *(f"    h{k} = {prod(k)}" for k in range(d, 2 * d - 1)),
+        f"    return {each(fold)}\n"])
+
+
+def _ring_ops(kind, p, modulus):
+    """(add, sub, neg, mul) on raw values of one field."""
+    if kind == "rational":
+        return operator.add, operator.sub, operator.neg, operator.mul
+    if kind == "prime":
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                lambda a: -a % p, lambda a, b: a * b % p)
+    ops = {}
+    exec(_ext_source(p, modulus), ops)
+    return ops["add"], ops["sub"], ops["neg"], ops["mul"]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -135,7 +190,10 @@ class Field:
     """A concrete exact field: F_p, F_p[t]/(m(t)), or Q.
 
     Construct through :meth:`prime`, :meth:`extension`, or :meth:`rationals`.
-    Instances are immutable and hashable by construction data.
+    Instances are immutable and hashable by construction data.  The ring
+    operations ``add``, ``sub``, ``neg`` and ``mul`` are attributes bound at
+    construction: generated straight-line code over F_p[t]/(m), exact for
+    every p.
     """
 
     def __init__(self, kind, p=0, modulus=None):
@@ -162,6 +220,7 @@ class Field:
                 raise Genus2Error("extension modulus is reducible")
             self.deg = len(modulus) - 1
             self.order = p ** self.deg
+        self.add, self.sub, self.neg, self.mul = _ring_ops(kind, p, modulus)
         self._red = None          # cached numpy reduction matrix
         self._frob = {}           # cached Frobenius matrices, by power mod deg
         self._nonres = None       # cached quadratic non-residue
@@ -241,47 +300,6 @@ class Field:
         if self.kind == "ext" and isinstance(v, tuple) and len(v) == self.deg:
             return v
         raise Genus2Error(f"cannot coerce {v!r} into {self}")
-
-    def add(self, a, b):
-        if self.kind == "prime":
-            return (a + b) % self.p
-        if self.kind == "ext":
-            return tuple((x + y) % self.p for x, y in zip(a, b))
-        return a + b
-
-    def sub(self, a, b):
-        if self.kind == "prime":
-            return (a - b) % self.p
-        if self.kind == "ext":
-            return tuple((x - y) % self.p for x, y in zip(a, b))
-        return a - b
-
-    def neg(self, a):
-        if self.kind == "prime":
-            return (-a) % self.p
-        if self.kind == "ext":
-            return tuple((-x) % self.p for x in a)
-        return -a
-
-    def mul(self, a, b):
-        if self.kind == "prime":
-            return a * b % self.p
-        if self.kind == "rational":
-            return a * b
-        p, d, m = self.p, self.deg, self.modulus
-        full = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    full[i + j] += ai * bj
-        # reduce degree >= d terms using t^k = -(m_0 + ... + m_{d-1} t^{d-1}) t^(k-d)
-        for k in range(2 * d - 2, d - 1, -1):
-            c = full[k] % p
-            if c:
-                full[k] = 0
-                for i in range(d):
-                    full[k - d + i] -= c * m[i]
-        return tuple(x % p for x in full[:d])
 
     def is_zero(self, a):
         if self.kind == "ext":

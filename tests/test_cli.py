@@ -23,6 +23,14 @@ def test_curve_info(capsys):
     assert len(data["roots"]) == 6
 
 
+def test_curve_info_degree4_at_large_p(capsys):
+    # p = 40000003 = 3 (mod 4): the degree-4 modulus search skips the binomials
+    code, data = run(capsys, "curve-info", "--field", "F40000003", "--curve", CURVE)
+    assert code == 0
+    assert data["splitting_degree"] == 4
+    assert len(set(data["roots"])) == 6
+
+
 def test_curve_info_splitting_degrees(capsys):
     # x^6 - 1 over F7 splits completely
     code, data = run(capsys, "curve-info", "--field", "F7",

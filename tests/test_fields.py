@@ -1,4 +1,7 @@
+import functools
+import io
 import random
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus2covers.errors import Genus2Error
-from genus2covers.fields import Field, FieldElem, parse_field_spec
+from genus2covers.fields import (Field, FieldElem, _ext_source, _has_irreducible_binomial,
+                                  _is_irreducible, find_irreducible, is_prime,
+                                  parse_field_spec)
 from genus2covers.linalg import frobenius_fixed_values
 
 
@@ -140,3 +145,160 @@ def test_rational_sqrt():
     assert Q.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert Q.sqrt(Fraction(2)) is None
     assert Q.sqrt(Fraction(-1)) is None
+
+
+# -- generated ring operations against the schoolbook reference -----------------
+
+
+def schoolbook_mul(p, m, a, b):
+    """Product in F_p[t]/(m): the full product, then the terms of degree
+    >= d folded back from the top through t^d = -(m_0 + ... + m_{d-1} t^{d-1})."""
+    d = len(m) - 1
+    full = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                full[i + j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        c = full[k] % p
+        if c:
+            full[k] = 0
+            for i in range(d):
+                full[k - d + i] -= c * m[i]
+    return tuple(x % p for x in full[:d])
+
+
+_OPS_PRIMES = (3, 101, 1999, 2 ** 31 - 1, 4294967311)
+_OPS_DEGREES = (2, 3, 4, 6, 8, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _ops_field(p, d):
+    return Field.extension(p, d)
+
+
+def _check_ops(K, a, b):
+    p, m = K.p, K.modulus
+    assert K.mul(a, b) == schoolbook_mul(p, m, a, b)
+    assert K.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+    assert K.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+    assert K.neg(a) == tuple(-x % p for x in a)
+
+
+@st.composite
+def _ops_case(draw):
+    p = draw(st.sampled_from(_OPS_PRIMES))
+    d = draw(st.sampled_from(_OPS_DEGREES))
+    corners = st.sampled_from([(0,) * d, (1,) + (0,) * (d - 1), (p - 1,) * d])
+    element = st.one_of(corners, st.lists(st.integers(0, p - 1), min_size=d,
+                                          max_size=d).map(tuple))
+    return p, d, draw(element), draw(element)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ops_case())
+def test_generated_ext_ops_match_schoolbook(case):
+    """mul/add/sub/neg of F_{p^d}, generated per field, against the plain
+    schoolbook product and coefficientwise sums, for p from 3 to above 2^32."""
+    p, d, a, b = case
+    _check_ops(_ops_field(p, d), a, b)
+
+
+@pytest.mark.parametrize("p", _OPS_PRIMES)
+@pytest.mark.parametrize("d", _OPS_DEGREES)
+def test_generated_ext_ops_on_corner_operands(p, d):
+    """Zero, one and the all-(p-1) element, in every pair."""
+    K = _ops_field(p, d)
+    corners = [(0,) * d, (1,) + (0,) * (d - 1), (p - 1,) * d]
+    for a in corners:
+        for b in corners:
+            _check_ops(K, a, b)
+    assert K.mul(corners[2], corners[1]) == corners[2]
+    assert K.add(corners[2], corners[1])[0] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(_OPS_PRIMES), data=st.data())
+def test_prime_field_ops(p, data):
+    F = Field.prime(p)
+    a, b = (data.draw(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)) for _ in "ab")
+    assert (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b)) == (
+        (a + b) % p, (a - b) % p, (p - a) % p, (a * b) % p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.fractions(), b=st.fractions())
+def test_rational_ops(a, b):
+    Q = Field.rationals()
+    assert (Q.add(a, b), Q.sub(a, b), Q.neg(a), Q.mul(a, b)) == (a + b, a - b, -a, a * b)
+
+
+class _Loud(int):
+    """An int whose text forms are Python code."""
+
+    def __repr__(self):
+        return "__import__('os')"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return repr(self)
+
+
+def test_generated_source_holds_only_int_constants():
+    """The source is built from int() of p and of the modulus: an int
+    subclass with hostile text forms gives the same source, and every token
+    is an operator, a decimal literal, a keyword of the four functions, or
+    one of their local names."""
+    for p, d in [(101, 4), (4294967311, 8), (3, 12)]:
+        m = _ops_field(p, d).modulus
+        src = _ext_source(p, m)
+        assert _ext_source(_Loud(p), [_Loud(c) for c in m]) == src
+        names = set()
+        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+            if tok.type == tokenize.NAME:
+                names.add(tok.string)
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit()
+            elif tok.type == tokenize.OP:
+                assert tok.string in {"(", ")", ",", ":", "=", "+", "-", "*", "%"}
+            else:
+                assert tok.type in {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                    tokenize.DEDENT, tokenize.ENDMARKER}
+        local = {f"{x}{i}" for x in "ab" for i in range(d)} | {f"h{k}" for k in range(d, 2 * d)}
+        assert names <= {"def", "return", "add", "sub", "neg", "mul", "a", "b"} | local
+
+
+# -- modulus search ---------------------------------------------------------------
+
+
+def plain_find_irreducible(p, d):
+    """The lexicographic scan with no skip: c_0 fastest, from x^d."""
+    for counter in range(p ** d):
+        coeffs, c = [], counter
+        for _ in range(d):
+            coeffs.append(c % p)
+            c //= p
+        if _is_irreducible(coeffs + [1], p):
+            return tuple(coeffs + [1])
+
+
+def test_find_irreducible_matches_plain_scan():
+    grid = [(p, d) for p in range(3, 120) if is_prime(p)
+            for d in range(2, 9 if p < 40 else 6)]
+    for p, d in grid:
+        assert find_irreducible(p, d) == plain_find_irreducible(p, d), (p, d)
+
+
+def test_binomial_criterion_matches_brute_force():
+    for p in (q for q in range(3, 30) if is_prime(q)):
+        for d in range(2, 7):
+            brute = any(_is_irreducible([c] + [0] * (d - 1) + [1], p) for c in range(p))
+            assert _has_irreducible_binomial(p, d) == brute, (p, d)
+
+
+@pytest.mark.parametrize("p", [40000003, 2 ** 31 - 1])
+def test_degree4_modulus_for_p_3_mod_4_is_found_at_once(p):
+    # p = 3 (mod 4): no x^4 + c is irreducible, and the scan starts at x^4 + x
+    assert not _has_irreducible_binomial(p, 4)
+    assert Field.extension(p, 4).modulus == (1, 1, 0, 0, 1)
