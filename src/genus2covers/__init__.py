@@ -19,7 +19,7 @@ from .curve import CurveData, DivisorClass, Coords16
 from .quadrics import QuadricForm, JacobianModel
 from .kummer import KummerModels, VDeltaModel
 from .torsion import TorsionActionCtx, DiagonalCoords
-from .twist import (TwistDatum, EpsilonChoice, TwistModel,
+from .twist import (TwistDatum, EpsilonChoice, TorsionContexts, TwistModel,
                     count_jacobian_points, search_twist_points,
                     search_vdelta_points, search_vdelta_rational)
 
@@ -32,7 +32,7 @@ __all__ = [
     "QuadricForm", "JacobianModel",
     "KummerModels", "VDeltaModel",
     "TorsionActionCtx", "DiagonalCoords",
-    "TwistDatum", "EpsilonChoice", "TwistModel",
+    "TwistDatum", "EpsilonChoice", "TorsionContexts", "TwistModel",
     "count_jacobian_points", "search_twist_points",
     "search_vdelta_points", "search_vdelta_rational",
 ]

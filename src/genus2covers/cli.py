@@ -29,7 +29,7 @@ from .poly import Poly, _lift
 from .quadrics import (JacobianModel, QuadricForm, sampling_field,
                        vanishing_kernel_dimensions)
 from .torsion import TorsionActionCtx
-from .twist import (EpsilonChoice, TwistDatum, TwistModel,
+from .twist import (EpsilonChoice, TorsionContexts, TwistDatum, TwistModel,
                     count_jacobian_points, search_twist_points,
                     search_vdelta_points, search_vdelta_rational)
 
@@ -314,12 +314,11 @@ def cmd_twist(args):
     curve, alg = _context(args)
     delta = load_delta(curve.field, args.delta)
     n = load_n(curve.field, args.n)
-    ctx = TorsionActionCtx(alg)
     try:
         datum = TwistDatum(alg, delta, n)
     except NonUnitDelta as exc:
         raise BadInput("bad-delta", str(exc)) from exc
-    model = TwistModel(ctx, datum, seed=args.seed)
+    model = TwistModel(TorsionContexts(alg), datum, seed=args.seed)
     descended = model.descend_to_ground() if args.descend else None
     bundle = model.to_json(descended)
     equivariant = model.eps.galois_t_equivariance()
@@ -395,7 +394,7 @@ def cmd_search(args):
         # the search reads the covering matrix, so no TwistModel is built
         alg = EtaleAlgebra(curve, seed=args.seed)
         datum = TwistDatum(alg, ref["delta"], ref["n"])
-        eps = EpsilonChoice(TorsionActionCtx(alg), datum, seed=args.seed)
+        eps = EpsilonChoice(TorsionContexts(alg), datum, seed=args.seed)
         pts = search_twist_points(eps, descended=ref["forms"])
     elif field.is_finite():
         alg = EtaleAlgebra(curve, seed=args.seed)
@@ -550,9 +549,10 @@ def _verify_twist(curve, alg, ctx, seed):
     built = vanished = equiv = cocycle = vblock = descended = 0
     reported = 0
     trivial = None  # the model of data[0] and its descended forms
+    contexts = TorsionContexts(alg, base=ctx)
     for datum in data:
         try:
-            tm = TwistModel(ctx, datum, seed=seed)
+            tm = TwistModel(contexts, datum, seed=seed)
         except TIVanishes:
             reported += 1
             continue

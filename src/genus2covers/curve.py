@@ -64,6 +64,7 @@ class CurveData:
         if not self.f.is_separable():
             g = self.f.gcd(self.f.derivative())
             raise Genus2Error(f"f is not separable: gcd(f, f') = {g!r}")
+        self.inv_4f6 = field.inv(field.mul(field.from_int(4), self.coeffs[6]))
 
     def shift(self, c) -> "CurveData":
         g = self.f.compose_shift(self.field.coerce(c))
@@ -188,16 +189,17 @@ class DivisorClass:
         k1 = FieldElem(F, 1)
         k2 = x1 + x2
         k3 = x1 * x2
-        dx = x1 - x2
+        r = 1 / (x1 - x2)  # the one inversion per class
+        q = FieldElem(F, _lift(self.curve.field, F, self.curve.inv_4f6))  # 1 / (4 f6)
         k4 = (2 * f0 + f1 * k2 + 2 * f2 * k3 + f3 * k2 * k3 + 2 * f4 * k3 ** 2
-              + f5 * k2 * k3 ** 2 + 2 * f6 * k3 ** 3 - 2 * y1 * y2) / dx ** 2
+              + f5 * k2 * k3 ** 2 + 2 * f6 * k3 ** 3 - 2 * y1 * y2) * r ** 2
         ks = [k1, k2, k3, k4]
         even = [ks[i - 1] * ks[j - 1] for (i, j) in EVEN_PAIRS]
-        b = [(x2 ** (i - 1) * y1 - x1 ** (i - 1) * y2) / dx for i in range(1, 5)]
-        b5 = (_gcorr(f, x1, x2) * y1 - _gcorr(f, x2, x1) * y2) / (2 * f6 * dx ** 3)
+        b = [(x2 ** (i - 1) * y1 - x1 ** (i - 1) * y2) * r for i in range(1, 5)]
+        b5 = (_gcorr(f, x1, x2) * y1 - _gcorr(f, x2, x1) * y2) * r ** 3 * (2 * q)
         b6 = -(f1 * b[0] + 2 * f2 * b[1] + 3 * f3 * b[2] + 4 * f4 * b[3]
                + 4 * f5 * b5 - f5 * k3 * b[2] + f5 * k2 * b[3]
-               - 2 * f6 * k3 * b[3] + 2 * f6 * k2 * b5) / (4 * f6)
+               - 2 * f6 * k3 * b[3] + 2 * f6 * k2 * b5) * q
         odd = b + [b5, b6]
         return Coords16(F, [e.v for e in even] + [o.v for o in odd])
 

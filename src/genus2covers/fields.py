@@ -221,6 +221,7 @@ class Field:
             self.deg = len(modulus) - 1
             self.order = p ** self.deg
         self.add, self.sub, self.neg, self.mul = _ring_ops(kind, p, modulus)
+        self.coerce = self._coercer()
         self._red = None          # cached numpy reduction matrix
         self._frob = {}           # cached Frobenius matrices, by power mod deg
         self._nonres = None       # cached quadratic non-residue
@@ -285,10 +286,23 @@ class Field:
             return (n % self.p,) + (0,) * (self.deg - 1)
         return Fraction(n)
 
-    def coerce(self, v):
+    def _coercer(self):
+        """The bound ``coerce``: the field's own raw type passes at once (an
+        int reduced mod p over F_p, a d-tuple over F_{p^d}, a Fraction over
+        Q); anything else goes through :meth:`_coerce`."""
+        slow = self._coerce
+        if self.kind == "prime":
+            p = self.p
+            return lambda v: v % p if type(v) is int else slow(v)
+        if self.kind == "ext":
+            d = self.deg
+            return lambda v: v if type(v) is tuple and len(v) == d else slow(v)
+        return lambda v: v if type(v) is Fraction else slow(v)
+
+    def _coerce(self, v):
         """Raw value from int, Fraction, FieldElem, or raw representation."""
         if isinstance(v, FieldElem):
-            if v.field != self:
+            if v.field is not self and v.field != self:
                 raise Genus2Error(f"element of {v.field} used in {self}")
             return v.v
         if isinstance(v, bool):
@@ -574,40 +588,48 @@ class FieldElem:
         self.field = field
         self.v = field.coerce(v)
 
+    def _new(self, v):
+        """An element of the same field from a raw result of its own
+        arithmetic, which needs no coercion."""
+        out = object.__new__(FieldElem)
+        out.field = self.field
+        out.v = v
+        return out
+
     def _rhs(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise Genus2Error("mixed fields")
             return other.v
         return self.field.coerce(other)
 
     def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.v, self._rhs(other)))
+        return self._new(self.field.add(self.v, self._rhs(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.v, self._rhs(other)))
+        return self._new(self.field.sub(self.v, self._rhs(other)))
 
     def __rsub__(self, other):
-        return FieldElem(self.field, self.field.sub(self._rhs(other), self.v))
+        return self._new(self.field.sub(self._rhs(other), self.v))
 
     def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.v, self._rhs(other)))
+        return self._new(self.field.mul(self.v, self._rhs(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return FieldElem(self.field, self.field.div(self.v, self._rhs(other)))
+        return self._new(self.field.div(self.v, self._rhs(other)))
 
     def __rtruediv__(self, other):
-        return FieldElem(self.field, self.field.div(self._rhs(other), self.v))
+        return self._new(self.field.div(self._rhs(other), self.v))
 
     def __pow__(self, e):
-        return FieldElem(self.field, self.field.pw(self.v, e))
+        return self._new(self.field.pw(self.v, e))
 
     def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.v))
+        return self._new(self.field.neg(self.v))
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElem, Fraction)):

@@ -14,6 +14,8 @@ the products b_r b_i written as quadratics in the k_{ij}.
 
 from __future__ import annotations
 
+import operator
+
 from .curve import DivisorClass, EVEN_PAIRS
 from .errors import BadGauge, BasePoint, Genus2Error, NonUnitDelta
 from .etale import EtaleAlgebra, LVec
@@ -36,40 +38,47 @@ class MultiPoly:
                 self.add_term(e, c)
 
     def add_term(self, expts, c):
+        self._add(tuple(expts), self.field.coerce(c))
+
+    def _add(self, e, c):
+        """Add the raw coefficient c at the exponent tuple e."""
         F = self.field
-        e = tuple(expts)
-        cur = self.terms.get(e, F.zero())
-        new = F.add(cur, F.coerce(c))
+        cur = self.terms.get(e)
+        new = c if cur is None else F.add(cur, c)
         if F.is_zero(new):
             self.terms.pop(e, None)
         else:
             self.terms[e] = new
 
+    def _copy(self):
+        out = MultiPoly(self.field, self.nvars)
+        out.terms = dict(self.terms)
+        return out
+
     def __add__(self, other):
-        out = MultiPoly(self.field, self.nvars, dict(self.terms))
+        out = self._copy()
         for e, c in other.terms.items():
-            out.add_term(e, c)
+            out._add(e, c)
         return out
 
     def __sub__(self, other):
-        out = MultiPoly(self.field, self.nvars, dict(self.terms))
+        out = self._copy()
         F = self.field
         for e, c in other.terms.items():
-            out.add_term(e, F.neg(c))
+            out._add(e, F.neg(c))
         return out
 
     def __mul__(self, other):
         F = self.field
+        out = MultiPoly(F, self.nvars)
         if isinstance(other, MultiPoly):
-            out = MultiPoly(F, self.nvars)
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    out.add_term(tuple(a + b for a, b in zip(e1, e2)), F.mul(c1, c2))
+                    out._add(tuple(map(operator.add, e1, e2)), F.mul(c1, c2))
             return out
-        out = MultiPoly(F, self.nvars)
         v = F.coerce(other)
         for e, c in self.terms.items():
-            out.add_term(e, F.mul(c, v))
+            out._add(e, F.mul(c, v))
         return out
 
     __rmul__ = __mul__
@@ -96,21 +105,44 @@ class MultiPoly:
         return acc
 
     def compose_linear(self, M: Mat) -> "MultiPoly":
-        """Substitute variables v_i -> sum_j M[i][j] v_j."""
+        """Substitute variables v_i -> L_i = sum_j M[i][j] v_j, by Horner's
+        rule in v_0, then v_1, ...: sum_a L_0^a q_a(L_1, ...) where
+        q = sum_a v_0^a q_a.  Each power of an L_i is expanded once."""
         F = M.field
-        lin = [MultiPoly(F, self.nvars,
-                         {tuple(1 if t == j else 0 for t in range(self.nvars)):
-                          M.rows[i][j] for j in range(self.nvars)
-                          if not F.is_zero(M.rows[i][j])})
-               for i in range(self.nvars)]
-        out = MultiPoly(F, self.nvars)
-        for e, c in self.terms.items():
-            term = MultiPoly(F, self.nvars, {tuple([0] * self.nvars): _lift(self.field, F, c)})
-            for var, power in enumerate(e):
-                for _ in range(power):
-                    term = term * lin[var]
-            out = out + term
-        return out
+        n = self.nvars
+        const = (0,) * n
+        powers = []  # powers[i][k] = L_i^k
+        for i in range(n):
+            one, lin = MultiPoly(F, n), MultiPoly(F, n)
+            one._add(const, F.one())
+            for j in range(n):
+                lin._add(const[:j] + (1,) + const[j + 1:], M.rows[i][j])
+            powers.append([one, lin])
+
+        def power(i, k):
+            while len(powers[i]) <= k:
+                powers[i].append(powers[i][-1] * powers[i][1])
+            return powers[i][k]
+
+        def compose(terms, i):
+            # the terms share their exponents of v_0 .. v_(i-1)
+            groups = {}
+            for e, c in terms:
+                groups.setdefault(e[i], []).append((e, c))
+            out = MultiPoly(F, n)
+            for k, group in groups.items():
+                if i == n - 1:
+                    part = power(i, k) * group[0][1]
+                else:
+                    part = compose(group, i + 1)
+                    if k:
+                        part = part * power(i, k)
+                for e, c in part.terms.items():
+                    out._add(e, c)
+            return out
+
+        terms = [(e, _lift(self.field, F, c)) for e, c in self.terms.items()]
+        return compose(terms, 0) if terms else MultiPoly(F, n)
 
     def scaled(self, s):
         return self * s

@@ -14,8 +14,9 @@ With d the extension degree and k the inner dimension of a product, s is:
 2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``; 2d-1 for
 ``ext_mul_arrays`` and ``quadrics.compose_forms``; max(k, d^2) for
 ``ext_matmul_np`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
-and the trace descent (``twist.TwistModel._descend_trace``); max(136, d^2)
-for ``quadrics.forms_vanish_at``.  The two point searches stay in int64
+and the trace descent (``twist.trace_stack``); 72 for the descent's span
+check (``twist.TwistModel._check_descent``); max(136, d^2) for
+``quadrics.forms_vanish_at``.  The two point searches stay in int64
 and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and 136 for
 ``twist.search_twist_points``.
 
@@ -25,7 +26,17 @@ are returned as lists of raw-value vectors.
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# Every array here is int64 or object, so no kernel calls BLAS; keep numpy's
+# OpenBLAS from starting its thread pool at import.  A value the user set is
+# kept, and the variable is gone again before any child process starts.
+_SET_BLAS = "OPENBLAS_NUM_THREADS" not in os.environ
+if _SET_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np  # noqa: E402
+if _SET_BLAS:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import Inconsistent
 from .fields import Field

@@ -13,7 +13,7 @@ import random
 
 from .errors import (Genus2Error, NotSeparable, RationalBaseUnsupported,
                      WrongDegree)
-from .fields import Field, FieldElem
+from .fields import Field, FieldElem, _poly_mulmod, _poly_powmod
 
 
 class Poly:
@@ -111,7 +111,8 @@ class Poly:
         F = self.field
         a = list(self.c)
         db = other.degree
-        inv_lead = F.inv(other.lc())
+        lead, one = other.lc(), F.one()
+        inv_lead = one if lead == one else F.inv(lead)
         q = [F.zero()] * max(len(a) - db, 0)
         while len(a) - 1 >= db and a:
             cval = F.mul(a[-1], inv_lead)
@@ -282,20 +283,66 @@ def _powmod(a: Poly, e: int, m: Poly) -> Poly:
 
 
 def roots_in_field(f: Poly, K: Field, seed: int = 0):
-    """All roots of f inside the finite field K, assuming f splits there.
+    """All roots of f inside the finite field K = F_{p^d}, assuming f splits
+    there; f has coefficients in F_p.
 
-    Equal-degree splitting: strip to the product of linear factors over K,
-    then split recursively with gcd(g, (x + a)^((q-1)/2) - 1) for seeded
-    random shifts a.  Returns the roots sorted by the canonical element
-    order of K.
+    So does g = f / lc(f), and on K[x]/(g) the map u -> u^(p^k) is
+    F_p-linear (von zur Gathen and Shoup): the k-th power of the Frobenius
+    of K on each coefficient, then the rows x^(i p^k) mod g, which hold F_p
+    values.  x^q mod g, q = p^d, is d steps of the F_p matrix x^(ip) mod g;
+    it equals x exactly when g splits into distinct linear factors over K.
+    Equal-degree splitting then takes gcd(h, probe - 1) for a factor h of g
+    and seeded random shifts a, with the probe (x + a)^((q-1)/2) mod h
+    computed as N(x + a)^((p-1)/2): the norm N(u) = u^(1 + p + ... + p^(d-1))
+    mod g comes from an Itoh-Tsujii chain of these maps and is reduced mod h
+    before the short power.  Returns the roots sorted by the canonical
+    element order of K.
     """
-    g = f.map_field(K) if f.field != K else f
-    g = g.monic()
-    x = Poly.x(K)
-    xq = _powmod(x, K.order, g)
-    g = g.gcd(xq - x)
-    if g.degree != f.degree:
+    F = f.field
+    if F.kind != "prime" or F.p != K.p:
+        raise Genus2Error(f"need a polynomial over F_{K.p}, not over {F}")
+    p, d = K.p, K.deg
+    m = f.monic().c
+    n = len(m) - 1
+    pad = lambda v: v + [0] * (n - len(v))
+    combine = lambda cols, v: [sum(c * a for c, a in zip(col, v)) % p for col in cols]
+
+    def columns(xe):
+        """cols[j][i], the coefficient of x^j in (x^e)^i mod g, from x^e mod g."""
+        rows = [pad([1])]
+        for _ in range(n - 1):
+            rows.append(pad(_poly_mulmod(rows[-1], xe, m, p)))
+        return [[row[j] for row in rows] for j in range(n)]
+
+    # x^(p^k) mod g over F_p for k = 0..d, and the F_p matrix of u -> u^p
+    cols = {1: columns(_poly_powmod([0, 1], p, m, p))}
+    xpk = [pad(_poly_powmod([0, 1], 1, m, p))]
+    for _ in range(d):
+        xpk.append(combine(cols[1], xpk[-1]))
+    if xpk[d] != xpk[0]:
         raise Genus2Error("polynomial does not split in the given field")
+
+    def frobenius(u, k):
+        """u^(p^k) mod g for u a list of raw values of K."""
+        if k not in cols:
+            cols[k] = columns(xpk[k])
+        if K.kind == "prime":
+            return combine(cols[k], u)
+        return [K.frobenius(tuple(cj), k) for cj in zip(*(combine(cols[k], c)
+                                                           for c in zip(*u)))]
+
+    g = f.map_field(K).monic()
+
+    def norm(u):
+        """u^(1 + p + ... + p^(d-1)) mod g, from N_k = u^(1 + ... + p^(k-1)):
+        N_2k = N_k Frob^k(N_k) and N_(k+1) = u Frob(N_k)."""
+        N, k = u, 1
+        for bit in bin(d)[3:]:
+            N, k = (Poly(K, N) * Poly(K, frobenius(N, k)) % g).c, 2 * k
+            if bit == "1":
+                N, k = (Poly(K, u) * Poly(K, frobenius(N, 1)) % g).c, k + 1
+        return Poly(K, N)
+
     rng = random.Random(seed * 0x9E3779B9 + K.p * 1315423911 + K.deg)
     roots = []
     stack = [g]
@@ -308,14 +355,15 @@ def roots_in_field(f: Poly, K: Field, seed: int = 0):
             # root of x + c is -c
             roots.append(K.neg(K.mul(h.c[0], K.inv(h.c[1]))))
             continue
-        while True:
-            a = K.rand(rng)
-            probe = _powmod(x + Poly.const(K, a), (K.order - 1) // 2, h) - one
-            d = h.gcd(probe)
-            if 0 < d.degree < h.degree:
-                stack.append(d)
-                stack.append((h // d).monic())
+        for _ in range(128):  # a probe splits h with probability about 1 - 2^(1 - deg h)
+            probe = _powmod(norm([K.rand(rng), K.one()]) % h, (p - 1) // 2, h) - one
+            dd = h.gcd(probe)
+            if 0 < dd.degree < h.degree:
+                stack.append(dd)
+                stack.append((h // dd).monic())
                 break
+        else:
+            raise Genus2Error("no probe split a factor")
     roots.sort(key=K.key)
     return roots
 

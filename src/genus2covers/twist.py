@@ -4,7 +4,8 @@ ground field, the covering map, and point searches.
 
 Pipeline: choose epsilon_w with epsilon_w^2 = delta(w_w) and prod = n (over
 the splitting field, or its quadratic extension when some delta_w is a
-non-square, in which case the whole root/torsion context is rebuilt there).
+non-square, in which case the root/torsion context is built there instead:
+``TorsionContexts`` builds only the context of the working field).
 The twisted ideal needs only delta_w and n: it is the weighted variant of
 the 72 diagonal-basis generators, with weights
 
@@ -21,7 +22,8 @@ g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block, which
 
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
-generators by relabelling the pair, so traces stay inside the span).
+generators by relabelling the pair, so traces stay inside the span), all
+of them in one product with the Hankel matrix of traces of t^k.
 
 The point search over F_p reads the descended forms and the covering map
 only, so it runs from an ``EpsilonChoice`` without the twisted model: a
@@ -40,7 +42,7 @@ from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
                     popcount)
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, block_diag, ext_mul_arrays, fp_rref,
+from .linalg import (Mat, block_diag, fp_rref,
                      frobenius_fixed_values, int64_exact, rank_rows, rref_rows,
                      to_np)
 from .poly import _lift
@@ -86,26 +88,48 @@ class TwistDatum:
         return TwistDatum(self.algebra, d2.c, F.mul(self.n, nxi))
 
 
+class TorsionContexts:
+    """The torsion contexts of one curve, each built on first use: over the
+    splitting field k(Omega) of the algebra, and over its quadratic
+    extension, the working field of a datum with some delta_w a non-square
+    in k(Omega)."""
+
+    def __init__(self, algebra: EtaleAlgebra, base: TorsionActionCtx = None):
+        self.algebra = algebra
+        self._built = {} if base is None else {(False, None): base}
+
+    def over(self, quadratic: bool, seed: int = 0) -> TorsionActionCtx:
+        """The context over k(Omega), or over its quadratic extension with
+        the roots found from `seed`."""
+        key = (quadratic, seed if quadratic else None)
+        if key not in self._built:
+            alg = self.algebra
+            if quadratic:
+                K = alg.splitting
+                alg = EtaleAlgebra(alg.curve, splitting=Field.extension(K.p, 2 * K.deg),
+                                   seed=seed)
+            self._built[key] = TorsionActionCtx(alg)
+        return self._built[key]
+
+
 class EpsilonChoice:
     """epsilon_w per root with prod epsilon_w = n, plus the t_I scale data.
 
-    Owns the working torsion context: the base one when every delta_w is a
-    square in the splitting field, otherwise a rebuilt context over the
-    quadratic extension.
+    Owns the working torsion context: the one over the splitting field when
+    every delta_w is a square there, otherwise the one over its quadratic
+    extension.  `contexts` is a :class:`TorsionContexts`, or the context over
+    the splitting field; only the working context is built.
     """
 
-    def __init__(self, base_ctx: TorsionActionCtx, datum: TwistDatum, seed: int = 0,
+    def __init__(self, contexts, datum: TwistDatum, seed: int = 0,
                  require_nonzero_t: bool = True):
+        if isinstance(contexts, TorsionActionCtx):
+            contexts = TorsionContexts(contexts.algebra, base=contexts)
         self.datum = datum
-        alg = base_ctx.algebra
-        K = alg.splitting
+        K = contexts.algebra.splitting
         deltas = [datum.delta.phi(i) for i in range(6)]
-        if all(K.sqrt(dw) is not None for dw in deltas):
-            self.ctx = base_ctx
-        else:
-            W = Field.extension(K.p, 2 * K.deg)
-            alg2 = EtaleAlgebra(datum.algebra.curve, splitting=W, seed=seed)
-            self.ctx = TorsionActionCtx(alg2)
+        quadratic = any(K.sqrt(dw) is None for dw in deltas)
+        self.ctx = contexts.over(quadratic, seed)
         W = self.ctx.K
         alg = self.ctx.algebra
         delta_w = LVec(alg, W, [_lift(datum.algebra.field, W, c)
@@ -233,9 +257,10 @@ class TwistModel:
     Jacobian, and descent data.  ``rank`` is the certified rank (72) of the
     twisted forms."""
 
-    def __init__(self, base_ctx: TorsionActionCtx, datum: TwistDatum, seed: int = 0):
+    def __init__(self, contexts, datum: TwistDatum, seed: int = 0):
+        """`contexts` as for :class:`EpsilonChoice`."""
         self.datum = datum
-        self.eps = EpsilonChoice(base_ctx, datum, seed=seed)
+        self.eps = EpsilonChoice(contexts, datum, seed=seed)
         self.ctx = self.eps.ctx
         W = self.ctx.K
         deltas = self.eps.deltas
@@ -264,7 +289,7 @@ class TwistModel:
             raise Genus2Error("twisted model is rank-deficient")
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
-        base_deg = base_ctx.K.deg
+        base_deg = datum.algebra.splitting.deg
         if W.deg != base_deg and not frobenius_fixed_values(
                 W, [c for q in self.forms for c in q.coeffs.values()], base_deg):
             raise Genus2Error("twisted coefficient outside k(Omega)")
@@ -335,48 +360,33 @@ class TwistModel:
 
     def _descend_trace(self):
         """Traces Tr(t^i q), i < e, of the twisted forms q over the working
-        field F_{p^e}, row-reduced to 72 ground-field forms.
-
-        Multiplying by the power-basis element t^i is a monomial shift, so
-        ``ext_mul_arrays`` sums at most e products here, as does each step
-        through the Frobenius matrix: the arrays are int64 while
-        e (p-1)^2 < 2**63 and hold Python ints above that (``to_np``)."""
+        field F_{p^e} (``trace_stack``), row-reduced to 72 ground-field
+        forms."""
         W = self.ctx.K
         k = self.datum.algebra.field
-        p, e = W.p, W.deg
-        if e == 1:
+        if W.deg == 1:
             return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
-        vectors = [q.vector() for q in self.forms]
-        powers = [tuple(int(j == i) for j in range(e)) for i in range(e)]  # t^i
-        frob = to_np(W, W.frobenius_matrix(), e)
-        vecs = to_np(W, vectors, e)  # (72, 136, e)
-        traces = []
-        for power in powers:
-            term = ext_mul_arrays(W, vecs, power)
-            trace = np.zeros_like(term)
-            for _ in range(e):
-                trace = (trace + term) % p
-                term = term @ frob.T % p
-            traces.append(trace)
-        if any(np.any(trace[..., 1:]) for trace in traces):
-            raise RankLoss("trace landed outside the prime field")
-        stacked = np.concatenate([trace[..., 0] for trace in traces], axis=0)  # (72e, 136)
-        R, piv = rref_rows(k, stacked.tolist())
+        R, piv = rref_rows(k, trace_stack(W, [q.vector() for q in self.forms]).tolist())
         if len(piv) != 72:
             raise RankLoss(f"trace descent produced rank {len(piv)}")
         return [QuadricForm.from_vector(k, row) for row in R[:72]]
 
     def _check_descent(self, forms):
+        """The descended forms have ground coefficients, rank 72, and span
+        the twisted forms over the working field: with R their reduced rows
+        and pivots piv, every twisted vector v equals sum_r v[piv_r] R_r.
+        The twisted forms have rank 72 too, so the two spans are equal.  The
+        products sum 72 products (``to_np``)."""
         W = self.ctx.K
         k = self.datum.algebra.field
         if any(not q.frobenius_fixed() for q in forms):
             raise RankLoss("descended coefficient outside the ground field")
-        vecs = [q.vector() for q in forms]
-        if rank_rows(k, vecs) != 72:
+        R, piv = rref_rows(k, [q.vector() for q in forms])
+        if len(piv) != 72:
             raise RankLoss("descended span has rank < 72")
-        lifted = [[_lift(k, W, v) for v in vec] for vec in vecs]
-        joint = lifted + [q.vector() for q in self.forms]
-        if rank_rows(W, joint) != 72:
+        V = to_np(W, [q.vector() for q in self.forms], 72).reshape(len(self.forms), -1, W.deg)
+        spanned = V[:, piv].transpose(0, 2, 1) @ to_np(W, R, 72) % W.p
+        if not np.array_equal(spanned.transpose(0, 2, 1), V):
             raise RankLoss("descended span differs from the twisted span")
 
     # -- the P^5 sub-block ---------------------------------------------------------
@@ -422,6 +432,33 @@ class TwistModel:
         if descended is not None:
             data["quadrics_ground"] = [q.to_json() for q in descended]
         return data
+
+
+def trace_stack(W: Field, rows):
+    """Tr(t^i c), i < e, of every entry c of `rows` (N vectors over an
+    extension W = F_{p^e}), as an (e N, M) array whose block i holds the
+    traces against t^i.
+
+    For c = sum_j c_j t^j, Tr(t^i c) = sum_j c_j Tr(t^(i+j)), so all e
+    traces are one product with the e x e Hankel matrix
+    H[j][i] = Tr(t^(i+j)), whose 2e-1 entries are Frobenius sums.  The
+    product sums e products: int64 while e (p-1)^2 < 2**63, Python ints
+    above that (``to_np``)."""
+    p, e = W.p, W.deg
+    t = (0, 1) + (0,) * (e - 2)
+    power, traces = W.one(), []
+    for _ in range(2 * e - 1):
+        term, trace = power, power
+        for _ in range(e - 1):
+            term = W.frobenius(term)
+            trace = W.add(trace, term)
+        if any(trace[1:]):
+            raise RankLoss("trace landed outside the prime field")
+        traces.append(trace[0])
+        power = W.mul(power, t)
+    hankel = to_np(W, [traces[j:j + e] for j in range(e)], e)
+    vecs = to_np(W, rows, e)  # (N, M, e)
+    return (vecs @ hankel % p).transpose(2, 0, 1).reshape(-1, vecs.shape[1])
 
 
 def span_supported(field: Field, vectors, keep_monomials):

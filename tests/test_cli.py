@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,35 @@ def test_search_builds_no_twisted_model(capsys, tmp_path, monkeypatch):
     assert json.loads(plain)["count"] > 0
 
 
+def test_commands_build_only_the_working_context(capsys, tmp_path, monkeypatch):
+    """twist and search build the torsion context of the working field only
+    (delta = 2 is a non-square in F_11: F_121, not F_11), and verify --suite
+    twist builds one context per field for all its twist data."""
+    from genus2covers.torsion import TorsionActionCtx
+    built = []
+    init = TorsionActionCtx.__init__
+
+    def recording(self, algebra):
+        built.append(algebra.splitting.spec_string())
+        init(self, algebra)
+
+    monkeypatch.setattr(TorsionActionCtx, "__init__", recording)
+    ref = tmp_path / "tw.json"
+    assert main(["twist", "--field", "F11", "--curve", CURVE11, "--delta",
+                 '["2","0","0","0","0","0"]', "--n", "8", "--descend", "--out", str(ref)]) == 0
+    assert built == ["F11^2"]
+    assert main(["search", "--field", "F11", "--curve", CURVE11, "--model-ref", str(ref)]) == 0
+    assert built == ["F11^2"] * 2
+    assert json.loads(capsys.readouterr().out)["count"] > 0
+    built.clear()
+    for seed in ("0", "3"):
+        assert main(["verify", "--field", "F101", "--curve", CURVE, "--suite", "twist",
+                     "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        assert len(built) == len(set(built)) and built[0] == "F101^4"
+        built.clear()
+
+
 def test_search_vdelta_bundle(capsys, tmp_path):
     curve11 = "[4,8,1,5,3,0,1]"  # prod (x-a), a in {1,2,3,4,5,7} over F11
     code, data = run(capsys, "model", "--field", "F11", "--curve", curve11,
@@ -287,3 +320,44 @@ def test_above_bound_outputs_are_pinned(argv, digest, capsys):
     over F_{(2^31-1)^3}.  Pinned by the SHA-256 of their stdout."""
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+CURVE_D6_1999 = "[1172,1636,510,880,1973,1309,1170]"
+CURVE_D4_BIG = ("[1985165968,1878903661,1985540679,2083544178,1641855439,"
+                "52941341,2118719909]")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["curve-info", "--field", "F1999", "--curve", CURVE_D6_1999],
+     "1247c6de015e360c345288987566c2e8cbbb19b81eb92931dfa784f0e2fc4597"),
+    (["curve-info", "--field", "F2147483647", "--curve", CURVE_D4_BIG],
+     "c7c5ef25182eb02e35850e965eacf26f1a11c43ee845bfb65aba4bd1cf794cdb"),
+], ids=["degree6-p-1999", "degree4-p-2^31-1"])
+def test_curve_info_roots_are_pinned(argv, digest, capsys):
+    """The six roots over F_{1999^6} and over F_{(2^31-1)^4}, pinned by the
+    SHA-256 of the stdout of `curve-info` as square-and-multiply root
+    finding printed it."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(set(json.loads(out)["roots"])) == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_THREADS = ("import os, genus2covers; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_threads(preset):
+    """Importing the package starts no OpenBLAS worker thread and leaves
+    OPENBLAS_NUM_THREADS unset; a value set before the import is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    threads, value = subprocess.run([sys.executable, "-c", _THREADS], env=env, check=True,
+                                    capture_output=True, text=True).stdout.split()
+    assert value == str(preset)
+    if preset is None:
+        assert threads == "1"

@@ -126,6 +126,30 @@ def test_elem_wrapper_arithmetic():
     assert a == 5 and a != 6
 
 
+@pytest.mark.parametrize("F", [Field.prime(101), Field.extension(7, 3), Field.rationals()],
+                         ids=["F101", "F7^3", "Q"])
+def test_coerce_fast_path_keeps_the_checks(F):
+    """The bound coerce passes a field's own raw type straight through and
+    sends everything else to the full checks, with their errors."""
+    a = F.rand(random.Random(3))
+    assert F.coerce(a) == a
+    assert F.coerce(FieldElem(F, a)) == a
+    assert F.coerce(-1) == F.neg(F.one())
+    assert F.coerce(205) == F.from_int(205)
+    other = Field.prime(103)
+    for bad in (True, 1.0, [1], (1,) * (F.deg + 1), FieldElem(other, 1)):
+        with pytest.raises(Genus2Error):
+            F.coerce(bad)
+    if F.kind == "rational":
+        assert F.coerce(Fraction(1, 3)) == Fraction(1, 3)
+    else:
+        with pytest.raises(Genus2Error):
+            F.coerce(Fraction(1, 3))
+    x = FieldElem(F, a) * 3 - 1
+    assert type(x) is FieldElem and x.field is F
+    assert x.v == F.sub(F.mul(a, F.from_int(3)), F.one())
+
+
 def test_parse_field_spec_roundtrip():
     for spec in ("Q", "F101", "F7^3"):
         F = parse_field_spec(spec)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus2covers.curve import random_point
 from genus2covers.errors import BadGauge, NonUnitDelta
-from genus2covers.kummer import KummerModels
+from genus2covers.fields import Field
+from genus2covers.kummer import KummerModels, MultiPoly
 from genus2covers.linalg import Mat, rank_rows
 from genus2covers.poly import _lift
 
@@ -254,3 +257,35 @@ def test_weddle(km, ref_curve, ref_field, rng):
     for _ in range(100):
         D = random_point(ref_curve, F, rng)
         assert F.is_zero(q.evaluate(D.coords().odd[:4], F))
+
+
+def plain_compose_linear(q, M):
+    """Reference substitution v_i -> sum_j M[i][j] v_j: every monomial
+    expanded by one multiplication per linear factor."""
+    F, n = M.field, q.nvars
+    unit = lambda j: tuple(int(t == j) for t in range(n))
+    lin = [MultiPoly(F, n, {unit(j): M.rows[i][j] for j in range(n)}) for i in range(n)]
+    out = MultiPoly(F, n)
+    for e, c in q.terms.items():
+        term = MultiPoly(F, n, {(0,) * n: c})
+        for var, power in enumerate(e):
+            for _ in range(power):
+                term = term * lin[var]
+        out = out + term
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([Field.prime(7), Field.prime(101), Field.extension(5, 2)]),
+       nvars=st.integers(1, 4), data=st.data())
+def test_compose_linear_matches_monomial_expansion(field, nvars, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    q = MultiPoly(field, nvars)
+    for _ in range(data.draw(st.integers(0, 12))):
+        e = [0] * nvars
+        for _ in range(data.draw(st.integers(0, 4))):
+            e[rng.randrange(nvars)] += 1
+        q.add_term(e, field.rand(rng))
+    M = Mat(field, [[field.rand(rng) if rng.random() < 0.7 else field.zero()
+                     for _ in range(nvars)] for _ in range(nvars)])
+    assert q.compose_linear(M).terms == plain_compose_linear(q, M).terms

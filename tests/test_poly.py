@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genus2covers.errors import (NotSeparable, RationalBaseUnsupported,
-                                 WrongDegree)
-from genus2covers.fields import Field
+from genus2covers.errors import (Genus2Error, NotSeparable,
+                                 RationalBaseUnsupported, WrongDegree)
+from genus2covers.fields import Field, _is_irreducible
 from genus2covers.poly import (Poly, distinct_degree_profile,
                                lagrange_interpolate, resultant,
                                roots_in_field, splitting_field_and_roots)
@@ -174,3 +177,110 @@ def test_compose_shift():
     g = f.compose_shift(F.from_int(5))
     for x in range(17):
         assert g.evaluate(F.from_int(x)) == f.evaluate(F.from_int(x + 5))
+
+
+# -- the Frobenius root finder against square-and-multiply ------------------
+
+
+def _powmod(a, e, m):
+    result = Poly.const(a.field, 1)
+    base = a % m
+    while e:
+        if e & 1:
+            result = (result * base) % m
+        base = (base * base) % m
+        e >>= 1
+    return result
+
+
+def plain_roots_in_field(f, K, seed=0):
+    """Reference root finder: x^q mod g and every split probe
+    (x + a)^((q-1)/2) mod h by square-and-multiply over K, with the same
+    seeded shifts a as ``roots_in_field``."""
+    g = f.map_field(K).monic()
+    x = Poly.x(K)
+    g = g.gcd(_powmod(x, K.order, g) - x)
+    if g.degree != f.degree:
+        raise Genus2Error("polynomial does not split in the given field")
+    rng = random.Random(seed * 0x9E3779B9 + K.p * 1315423911 + K.deg)
+    roots, stack, one = [], [g], Poly.const(K, 1)
+    while stack:
+        h = stack.pop()
+        if h.degree == 1:
+            roots.append(K.neg(K.mul(h.c[0], K.inv(h.c[1]))))
+            continue
+        while True:
+            probe = _powmod(x + Poly.const(K, K.rand(rng)), (K.order - 1) // 2, h) - one
+            d = h.gcd(probe)
+            if 0 < d.degree < h.degree:
+                stack += [d, (h // d).monic()]
+                break
+    roots.sort(key=K.key)
+    return roots
+
+
+ROOT_PRIMES = [3, 5, 101, 1999, 2 ** 31 - 1]
+# factor degrees of f over F_p; their lcm is the splitting degree, 1 to 6
+ROOT_PATTERNS = [[1, 1, 1], [1] * 6, [2, 1, 1], [2, 2, 2], [3, 3], [3, 1, 1, 1],
+                 [4, 1, 1], [4, 2], [5, 1], [6], [3, 2, 1]]
+
+
+def random_product(rng, p, pattern):
+    """A product of distinct monic irreducibles of the given degrees over F_p,
+    times a random nonzero constant."""
+    F = Field.prime(p)
+    linear = rng.sample(range(p), pattern.count(1))
+    factors = [[-a % p, 1] for a in linear]
+    for k in pattern:
+        while k > 1:
+            m = [rng.randrange(p) for _ in range(k)] + [1]
+            if m not in factors and _is_irreducible(m, p):
+                factors.append(m)
+                break
+    f = Poly(F, [1 + rng.randrange(p - 1)])
+    for m in factors:
+        f = f * Poly(F, m)
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(ROOT_PRIMES), pattern=st.sampled_from(ROOT_PATTERNS),
+       double=st.booleans(), draw=st.integers(0, 2 ** 32), seed=st.integers(0, 5))
+def test_roots_in_field_matches_square_and_multiply(p, pattern, double, draw, seed):
+    """The Frobenius root finder returns the roots of square-and-multiply
+    over F_{p^d}, d the splitting degree or its double, above and below
+    p^2 < 2^63."""
+    if pattern.count(1) > p:
+        pattern = [1] * p
+    d = math.lcm(*pattern) * (2 if double else 1)
+    f = random_product(random.Random(draw), p, pattern)
+    K = Field.extension(p, d)
+    shifts = {}
+    for name, finder in (("frobenius", roots_in_field), ("plain", plain_roots_in_field)):
+        # the same probes split the same factors, so both draw the same shifts a
+        drawn = shifts[name] = []
+        K.rand = lambda rng, drawn=drawn: drawn.append(Field.rand(K, rng)) or drawn[-1]
+        shifts[name + " roots"] = finder(f, K, seed=seed)
+    roots = shifts["frobenius roots"]
+    assert roots == shifts["plain roots"]
+    assert shifts["frobenius"] == shifts["plain"]
+    assert len(set(roots)) == f.degree
+    assert all(K.is_zero(f.map_field(K).evaluate(w)) for w in roots)
+
+
+@pytest.mark.parametrize("p, pattern, d", [(101, [4, 1, 1], 2), (1999, [6], 3),
+                                           (2 ** 31 - 1, [2, 2, 2], 1)])
+def test_roots_in_field_refuses_a_field_where_f_does_not_split(p, pattern, d):
+    f = random_product(random.Random(p), p, pattern)
+    K = Field.extension(p, d)
+    with pytest.raises(Genus2Error, match="does not split"):
+        roots_in_field(f, K)
+    with pytest.raises(Genus2Error, match="does not split"):
+        plain_roots_in_field(f, K)
+
+
+def test_roots_in_field_refuses_a_non_separable_polynomial():
+    F = Field.prime(101)
+    f = Poly(F, [-1, 1]) * Poly(F, [-1, 1]) * Poly(F, [-2, 1])
+    with pytest.raises(Genus2Error, match="does not split"):
+        roots_in_field(f, F)

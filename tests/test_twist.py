@@ -13,7 +13,7 @@ from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
 from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
-from genus2covers.linalg import Mat, kernel_rows, rank_rows
+from genus2covers.linalg import Mat, ext_mul_arrays, kernel_rows, rank_rows, to_np
 from genus2covers.poly import Poly
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
                                    QuadricForm)
@@ -22,7 +22,7 @@ from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 projective_reps, search_twist_points,
                                 search_vdelta_points, search_vdelta_rational,
-                                span_supported, _coefficient_stack,
+                                span_supported, trace_stack, _coefficient_stack,
                                 _kernel_pairs, _node_pullbacks, _scale_points)
 
 
@@ -249,6 +249,19 @@ def test_descents_agree(trivial_model, ref_curve):
     assert rank_rows(F, [q.vector() for q in a] + [q.vector() for q in b]) == 72
 
 
+def test_check_descent_refuses_a_smaller_or_a_different_span(trivial_model, ref_curve):
+    F = ref_curve.field
+    forms = trivial_model.descend_to_ground()
+    with pytest.raises(RankLoss, match="rank < 72"):
+        trivial_model._check_descent(forms[:71] + forms[:1])
+    rng = random.Random(5)
+    vecs = [q.vector() for q in forms]
+    v = next(v for v in ([F.rand(rng) for _ in MONOMIALS] for _ in range(10))
+             if rank_rows(F, vecs + [v]) == 73)
+    with pytest.raises(RankLoss, match="differs"):
+        trivial_model._check_descent(forms[1:] + [QuadricForm.from_vector(F, v)])
+
+
 def test_descended_forms_vanish_on_twist_points(trivial_model, ref_curve, rng):
     W = trivial_model.field
     des = trivial_model.descend_to_ground()
@@ -294,6 +307,59 @@ def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
         monkeypatch.setattr(twist, "to_np", lambda field, rows, s: np.array(rows, dtype=object))
         assert [q.vector() for q in tm._descend_trace()] == [q.vector() for q in forms]
     tm._check_descent(forms)
+
+
+def plain_trace_stack(W, rows):
+    """Reference trace descent: t^i c through ``ext_mul_arrays``, then the
+    Frobenius sum of its e conjugates, one Frobenius-matrix product each;
+    every trace must land in the prime field."""
+    p, e = W.p, W.deg
+    frob = to_np(W, W.frobenius_matrix(), e)
+    vecs = to_np(W, rows, e)
+    traces = []
+    for i in range(e):
+        term = ext_mul_arrays(W, vecs, tuple(int(j == i) for j in range(e)))
+        trace = np.zeros_like(term)
+        for _ in range(e):
+            trace = (trace + term) % p
+            term = term @ frob.T % p
+        assert not np.any(trace[..., 1:])
+        traces.append(trace[..., 0])
+    return np.concatenate(traces, axis=0)
+
+
+TRACE_PRIMES = [3, 5, 101, 1999, 2 ** 31 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(TRACE_PRIMES), d=st.integers(1, 6), double=st.booleans(),
+       data=st.data())
+def test_trace_stack_matches_frobenius_sums(p, d, double, data):
+    """The Hankel-matrix traces equal the Frobenius sums over F_{p^e}, e a
+    splitting degree 1-6 or its double (e >= 2), in int64 below the bound
+    e (p-1)^2 < 2^63 and on Python ints above it (p = 2^31 - 1)."""
+    e = d * (2 if double else 1)
+    if e == 1:
+        e = 2
+    W = Field.extension(p, e)
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    entry = st.tuples(*[st.integers(0, p - 1)] * e)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    got = trace_stack(W, rows)
+    assert got.dtype == np.dtype(np.int64 if e * (p - 1) ** 2 < 2 ** 63 else object)
+    assert got.shape == (e * nrows, ncols)
+    assert got.tolist() == plain_trace_stack(W, rows).tolist()
+
+
+def test_trace_stack_of_twisted_forms_matches_frobenius_sums(ref_torsion, ref_algebra,
+                                                            ref_curve, rng):
+    """On the 72 twisted forms of a Cassels datum (p = 101), working degree
+    4 or 8."""
+    D = random_point(ref_curve, ref_curve.field, rng)
+    tm = TwistModel(ref_torsion, TwistDatum.from_cassels(ref_algebra, D))
+    rows = [q.vector() for q in tm.forms]
+    assert trace_stack(tm.field, rows).tolist() == plain_trace_stack(tm.field, rows).tolist()
 
 
 def test_odd_block_matches_vdelta(trivial_model, ref_torsion, ref_algebra,
