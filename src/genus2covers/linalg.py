@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the package's fields.
 
-Small matrices (torsion blocks, basis changes) go through the pure-Python
-:class:`Mat` class.  The heavy computations -- kernels of point-evaluation
-matrices, rank certificates, Galois-descent row reductions -- run as numpy
-kernels: prime-field and rational matrices as 2-d arrays, extension fields
-as (rows, cols, deg) coefficient arrays with a precomputed reduction
+Every matrix product, row reduction and kernel runs as a numpy kernel,
+from the 4x4 torsion blocks held in :class:`Mat` to the kernels of
+point-evaluation matrices, the rank certificates and the Galois-descent row
+reductions; only ``Mat.det`` and ``Mat.charpoly`` eliminate in field
+arithmetic.  Prime-field and rational matrices are 2-d arrays, extension
+fields (rows, cols, deg) coefficient arrays with a precomputed reduction
 matrix.  Every kernel reduces mod p after each sum of products of residues
 in [0, p) and keeps the dtype it is given, so one code path serves every
 field.  ``to_np`` chooses that dtype: int64 while s (p-1)^2 < 2**63 for the
@@ -204,18 +205,38 @@ def frobenius_fixed_values(field: Field, values, times: int = 1) -> bool:
     return bool(np.array_equal(A @ frob.T % field.p, A))
 
 
+def kernel_from_rref(field: Field, R, piv, ncols: int):
+    """Basis of the right kernel of the first `ncols` columns of a reduced
+    row echelon array R with pivot columns `piv`, all below `ncols`, over
+    F_p, F_{p^d} or Q: one row per free column j, with 1 at j and -R[r, j]
+    at the pivot column of row r."""
+    free = [j for j in range(ncols) if j not in piv]
+    if field.kind == "ext":
+        basis = np.zeros((len(free), ncols, field.deg), dtype=R.dtype)
+        basis[np.arange(len(free)), free, 0] = 1
+    else:
+        basis = np.full((len(free), ncols), field.zero(), dtype=R.dtype)
+        basis[np.arange(len(free)), free] = field.one()
+    basis[:, piv] = mod_p(field, -np.swapaxes(R[:len(piv), free], 0, 1))
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # generic row-list interface
+
+
+def _rref_np(field: Field, rows):
+    """(reduced array, pivot columns) of a non-empty row list."""
+    if field.kind == "ext":
+        return fq_rref(field, to_np(field, rows, field.deg))
+    return fp_rref(field, to_np(field, rows, 2))
 
 
 def rref_rows(field: Field, rows):
     """(reduced rows, pivot column list) over any field."""
     if not rows:
         return [], []
-    if field.kind == "ext":
-        R, piv = fq_rref(field, to_np(field, rows, field.deg))
-    else:
-        R, piv = fp_rref(field, to_np(field, rows, 2))
+    R, piv = _rref_np(field, rows)
     return from_np(field, R), piv
 
 
@@ -227,19 +248,8 @@ def kernel_rows(field: Field, rows):
     """Basis of the right kernel of the matrix given by rows."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    R, piv = rref_rows(field, rows)
-    pivset = set(piv)
-    basis = []
-    for j in range(ncols):
-        if j in pivset:
-            continue
-        vec = [field.zero()] * ncols
-        vec[j] = field.one()
-        for r, c in enumerate(piv):
-            vec[c] = field.neg(R[r][j])
-        basis.append(vec)
-    return basis
+    R, piv = _rref_np(field, rows)
+    return from_np(field, kernel_from_rref(field, R, piv, len(rows[0])))
 
 
 def solve_rows(field: Field, rows, rhs_cols):
@@ -248,23 +258,20 @@ def solve_rows(field: Field, rows, rhs_cols):
     rows: the matrix A; rhs_cols: list of right-hand-side column vectors.
     Returns (solution columns, kernel basis); raises Inconsistent when some
     column has no solution.  Rank is len(A) minus kernel dimension as usual.
+    [A | B] is reduced once: its kernel vectors at the free columns of A are
+    (k, 0) with k a kernel vector of A, and at the column of B_t, free when
+    the system is consistent, (-x, e_t) with A.x = B_t.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    nrhs = len(rhs_cols)
-    aug = [list(rows[i]) + [col[i] for col in rhs_cols] for i in range(nrows)]
-    R, piv = rref_rows(field, aug)
-    main_piv = [c for c in piv if c < ncols]
-    if len(main_piv) != len(piv):
+    if not rows:
+        return [[] for _ in rhs_cols], []
+    ncols = len(rows[0])
+    aug = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(rows)]
+    R, piv = _rref_np(field, aug)
+    if piv and piv[-1] >= ncols:
         raise Inconsistent("A.X = B has no solution")
-    sols = []
-    for t in range(nrhs):
-        x = [field.zero()] * ncols
-        for r, c in enumerate(main_piv):
-            x[c] = R[r][ncols + t]
-        sols.append(x)
-    kernel = kernel_rows(field, rows)
-    return sols, kernel
+    basis = kernel_from_rref(field, R, piv, ncols + len(rhs_cols))[:, :ncols]
+    nker = len(basis) - len(rhs_cols)
+    return from_np(field, -basis[nker:]), from_np(field, basis[:nker])
 
 
 def in_row_span(field: Field, basis_rows, queries):
@@ -339,23 +346,19 @@ class Mat:
 
     def __mul__(self, other):
         F = self.field
-        if isinstance(other, Mat):
-            if self.nrows * self.ncols * other.ncols > 512:
-                # sums of k = ncols products (degree 1); see ext_matmul_np
-                s = max(self.ncols, F.deg ** 2)
-                A, B = to_np(F, self.rows, s), to_np(F, other.rows, s)
-                out = ext_matmul_np(F, A, B) if F.kind == "ext" else A @ B
-                return Mat(F, from_np(F, out))
-            out = []
-            bt = list(zip(*other.rows))
-            for row in self.rows:
-                out.append([_dot(F, row, col) for col in bt])
-            return Mat(F, out)
-        return self.scale(other)
+        if not isinstance(other, Mat):
+            return self.scale(other)
+        # sums of k = ncols products (degree 1); see ext_matmul_np.  The
+        # explicit shapes keep a dimension of size 0.
+        s = max(self.ncols, F.deg ** 2)
+        entry = (F.deg,) if F.kind == "ext" else ()
+        A, B = (to_np(F, M.rows, s).reshape((M.nrows, M.ncols) + entry)
+                for M in (self, other))
+        out = ext_matmul_np(F, A, B) if F.kind == "ext" else A @ B
+        return Mat(F, from_np(F, out))
 
     def matvec(self, vec):
-        F = self.field
-        return [_dot(F, row, vec) for row in self.rows]
+        return (self * Mat(self.field, [[v] for v in vec])).col(0)
 
     def transpose(self) -> "Mat":
         return Mat(self.field, [list(col) for col in zip(*self.rows)])
@@ -395,9 +398,6 @@ class Mat:
 
     def rank(self) -> int:
         return rank_rows(self.field, self.rows)
-
-    def kernel(self):
-        return kernel_rows(self.field, self.rows)
 
     def trace(self):
         F = self.field
@@ -454,13 +454,6 @@ class Mat:
 
     def col(self, j):
         return [row[j] for row in self.rows]
-
-
-def _dot(F: Field, a, b):
-    acc = F.zero()
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def block_diag(field: Field, blocks) -> Mat:

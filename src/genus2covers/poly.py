@@ -13,7 +13,7 @@ import random
 
 from .errors import (Genus2Error, NotSeparable, RationalBaseUnsupported,
                      WrongDegree)
-from .fields import Field, FieldElem, _poly_mulmod, _poly_powmod
+from .fields import Field, _poly_mulmod, _poly_powmod
 
 
 class Poly:
@@ -140,14 +140,8 @@ class Poly:
         return Poly(F, [F.mul(a, F.from_int(i)) for i, a in enumerate(self.c)][1:])
 
     def evaluate(self, x):
-        """Horner evaluation; accepts raw values or FieldElems of any field
-        containing raw-coercible images of the coefficients."""
+        """Horner evaluation at a raw value of the coefficient field."""
         F = self.field
-        if isinstance(x, FieldElem):
-            acc = FieldElem(x.field, 0)
-            for a in reversed(self.c):
-                acc = acc * x + _lift(F, x.field, a)
-            return acc
         acc = F.zero()
         for a in reversed(self.c):
             acc = F.add(F.mul(acc, x), a)

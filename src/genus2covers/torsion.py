@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .curve import EVEN_PAIRS, even_slot
 from .errors import Genus2Error, IdentityPoint, NotDiagonal, OddMask
-from .etale import (EtaleAlgebra, TwoTorsionPoint, _map_mat, alpha_sign,
-                    character_chi, mask_bits, mask_of, popcount)
+from .etale import (EtaleAlgebra, TwoTorsionPoint, alpha_sign, character_chi,
+                    mask_bits, mask_of, popcount)
 from .fields import Field, FieldElem
 from .linalg import Mat, block_diag
 from .poly import Poly, _lift, resultant
@@ -95,8 +95,8 @@ class TorsionActionCtx:
         self.G_inv_kappa = self._build_G_inv()
         if (self.G * self.G_inv_kappa).rows != Mat.identity(K, 10).rows:
             raise Genus2Error("kappa table does not invert the c_I table")
-        self.C = block_diag(K, [self.G, _map_mat(algebra.S_inv, K)])
-        self.C_inv = block_diag(K, [self.G_inv_kappa, _map_mat(algebra.S, K)])
+        self.C = block_diag(K, [self.G, algebra.S_inv])
+        self.C_inv = block_diag(K, [self.G_inv_kappa, algebra.S])
         self._untwisted_o_plus_pick = None
 
     # -- tables ---------------------------------------------------------------
@@ -255,14 +255,14 @@ class TorsionActionCtx:
             K = self.K
             signs = [K.from_int(-1 if m >> i & 1 else 1) for i in range(6)]
             D = Mat.diagonal(K, signs)
-            self._rho6[m] = _map_mat(self.algebra.S, K) * D * _map_mat(self.algebra.S_inv, K)
+            self._rho6[m] = self.algebra.S * D * self.algebra.S_inv
         return self._rho6[m]
 
     def rho10_matrix(self, m: int) -> Mat:
         if popcount(m) % 2:
             raise OddMask(f"mask {m:06b} has odd cardinality")
-        P = TwoTorsionPoint.from_even_mask(m)
-        return self.t10_matrix(P).scale(self.K.from_int(alpha_sign(m)))
+        T = self.t10_matrix(TwoTorsionPoint.from_even_mask(m))
+        return T if alpha_sign(m) == 1 else -T
 
     def rho_matrix(self, m: int) -> Mat:
         """Block action on Coords16 column vectors (even block, odd block)."""
@@ -276,12 +276,12 @@ class TorsionActionCtx:
         vec = [_lift(coords.field, K, v) if coords.field != K else v
                for v in coords.v]
         even = self.G.matvec(vec[:10])
-        odd = _map_mat(self.algebra.S_inv, K).matvec(vec[10:])
+        odd = self.algebra.S_inv.matvec(vec[10:])
         return DiagonalCoords(self, even, odd)
 
     def coords_from_c(self, dc: DiagonalCoords):
         even = self.G_inv_kappa.matvec(dc.even)
-        odd = _map_mat(self.algebra.S, self.K).matvec(dc.odd)
+        odd = self.algebra.S.matvec(dc.odd)
         return even + odd
 
     def c_even_single(self, coords, mask3: int):
@@ -318,16 +318,6 @@ class TorsionActionCtx:
 
     # -- generators of the graded pieces of the ideal -------------------------
 
-    def _even_part_tables(self):
-        """mu_{ij} values per partition rep, slot order."""
-        out = {}
-        K = self.K
-        for rep in self.reps:
-            plus = self.kappa_values(rep)
-            minus = self.kappa_values(rep ^ 0b111111)
-            out[rep] = [K.sub(p, q) for p, q in zip(plus, minus)]
-        return out
-
     def o_plus_candidates(self, sq_root_weight=None, sq_part_weight=None):
         """The sixteen candidate forms spanning the 12-dimensional identity
         piece, as quadrics in the c-variables (internal order)."""
@@ -335,7 +325,7 @@ class TorsionActionCtx:
         one = K.one()
         wr = sq_root_weight or (lambda i: one)
         wp = sq_part_weight or (lambda rep: one)
-        mu = self._even_part_tables()
+        mu = self.G_inv_kappa.transpose().rows   # mu_{ij} per partition rep
         roots = self.algebra.roots
         lams = self.algebra.lambdas
         forms = []
@@ -355,7 +345,7 @@ class TorsionActionCtx:
         for (a, b, c, d) in pair_combos:
             q = QuadricForm(K)
             for r, rep in enumerate(self.reps):
-                v = mu[rep]
+                v = mu[r]
                 val = K.sub(K.mul(v[even_slot(*a)], v[even_slot(*b)]),
                             K.mul(v[even_slot(*c)], v[even_slot(*d)]))
                 q.add_term(r, r, K.mul(val, wp(rep)))
@@ -364,7 +354,7 @@ class TorsionActionCtx:
         from .quadrics import _KUMMER_EVEN_TERMS, _kk_slot
         f = [_lift(self.field, K, c) for c in self.algebra.curve.coeffs]
         for r, rep in enumerate(self.reps):
-            v = mu[rep]
+            v = mu[r]
             acc = K.zero()
             for (ca, cb), scale, fidx in _KUMMER_EVEN_TERMS:
                 c = K.from_int(scale)
@@ -382,7 +372,7 @@ class TorsionActionCtx:
                 q.add_term(10 + i, 10 + i, K.mul(K.pw(roots[i], ridx), wr(i)))
             scale = half if mult == 2 else one
             for r, rep in enumerate(self.reps):
-                v = mu[rep]
+                v = mu[r]
                 acc = K.zero()
                 for (ca, cb), sc, fidx in terms:
                     c = K.from_int(sc)

@@ -38,13 +38,11 @@ import numpy as np
 from .curve import CurveData, DivisorClass
 from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
                      TIVanishes)
-from .etale import (EtaleAlgebra, LVec, _map_mat, character_chi, mask_bits,
-                    popcount)
+from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, block_diag, fp_rref,
-                     frobenius_fixed_values, int64_exact, rank_rows, rref_rows,
-                     to_np)
+from .linalg import (Mat, block_diag, fp_rref, frobenius_fixed_values,
+                     int64_exact, kernel_from_rref, rank_rows, rref_rows, to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
                        ODD_MONOMIALS, QuadricForm, forms_vanish_at)
@@ -185,9 +183,8 @@ class EpsilonChoice:
             W = self.ctx.K
             T1 = Mat.diagonal(W, [self.t_triple(rep) for rep in self.ctx.reps])
             even = self.ctx.G_inv_kappa * T1 * self.ctx.G
-            S = _map_mat(self.ctx.algebra.S, W)
-            S_inv = _map_mat(self.ctx.algebra.S_inv, W)
-            odd = S * Mat.diagonal(W, self.eps) * S_inv
+            alg = self.ctx.algebra
+            odd = alg.S * Mat.diagonal(W, self.eps) * alg.S_inv
             self._gmat = block_diag(W, [even, odd])
         return self._gmat
 
@@ -681,15 +678,11 @@ def _kernel_pairs(k: Field, systems, b):
     for system, bvec in zip(systems, b):
         if not len(system):
             continue
-        R, piv = fp_rref(k, system)
-        free = [j for j in range(10) if j not in piv]
-        if not free:
+        basis = kernel_from_rref(k, *fp_rref(k, system), 10)
+        if not len(basis):
             continue
-        basis = np.zeros((len(free), 10), dtype=np.int64)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, piv] = -R[:len(piv), free].T % p
-        if len(free) > 1:   # every projective kernel point: sums of <= 10 products
-            combos = np.array(list(projective_reps(k, len(free))), dtype=np.int64)
+        if len(basis) > 1:   # every projective kernel point: sums of <= 10 products
+            combos = np.array(list(projective_reps(k, len(basis))), dtype=np.int64)
             basis = combos @ basis % p
         lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
         inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)

@@ -32,6 +32,13 @@ def test_solve_identity_and_zero():
     assert len(ker) == 3
 
 
+@pytest.mark.parametrize("F", [Field.prime(7), Field.extension(7, 2)], ids=repr)
+def test_products_with_a_dimension_of_size_zero(F):
+    A = Mat.identity(F, 3)
+    X, ker = solve_linear(A, Mat.zeros(F, 3, 0))
+    assert (A * X).rows == [[], [], []]
+
+
 def test_solve_random_full_rank_and_remultiply():
     rng = random.Random(11)
     for F in (Field.prime(97), Field.extension(5, 2)):
@@ -288,8 +295,7 @@ EXT_MATMUL_CASES = [(8, 2, 1073741789), (8, 2, 1073741827),
 @given(data=st.data(), case=st.sampled_from(EXT_MATMUL_CASES))
 def test_ext_matmul_np_matches_plain_product(data, case):
     """The kernel is exact in int64 below its bound, also with every residue
-    near p, and on Python ints above it.  The shapes make r k c > 512, where
-    Mat.__mul__ calls the kernel."""
+    near p, and on Python ints above it, on products with r k c > 512."""
     k, d, p = case
     F = Field.extension(p, d)
     rc = 9 if k == 8 else 14
@@ -305,6 +311,84 @@ def test_ext_matmul_np_matches_plain_product(data, case):
     got = ext_matmul_np(F, to_np(F, A, s), to_np(F, B, s))
     assert ext_rows(got) == [list(row) for row in want]
     assert (Mat(F, A) * Mat(F, B)).rows == want
+
+
+def plain_matmul(F, A, B):
+    """Product in Python ints (Fractions over Q), reduced mod p at the end."""
+    if F.kind == "ext":
+        return plain_ext_matmul(F, A, B)
+    red = (lambda v: v % F.p) if F.is_finite() else (lambda v: v)
+    return [[red(sum(a * b for a, b in zip(row, col))) for col in zip(*B)] for row in A]
+
+
+def field_entries(F):
+    """Entries of F: residues biased to the ends of [0, p), as coefficient
+    tuples over an extension, or small fractions over Q."""
+    if not F.is_finite():
+        return st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=12))
+    return residues(F.p) if F.kind == "prime" else st.tuples(*[residues(F.p)] * F.deg)
+
+
+# fields of every kind, with 2^32 + 15 past every int64 bound (Python ints)
+SMALL_PRODUCT_FIELDS = [Field.prime(101), Field.extension(101, 8), Field.rationals(),
+                        Field.prime(4294967311)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("F", SMALL_PRODUCT_FIELDS, ids=repr)
+def test_small_mat_products_match_plain_product(data, F, n):
+    """Products with r k c <= 512, and matvec as a product with one column,
+    run through the same kernel as large ones."""
+    square = st.lists(st.lists(field_entries(F), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    A, B = data.draw(square), data.draw(square)
+    assert (Mat(F, A) * Mat(F, B)).rows == plain_matmul(F, A, B)
+    assert Mat(F, A).matvec(B[0]) == [row[0] for row in plain_matmul(F, A, [[v] for v in B[0]])]
+
+
+SOLVE_FIELDS = [Field.prime(101), Field.extension(101, 2), Field.rationals(),
+                Field.prime(4294967311)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), F=st.sampled_from(SOLVE_FIELDS))
+def test_solve_rows_matches_plain_reference(data, F):
+    """Solutions satisfy A X = B and the kernel is ``kernel_rows``; a right-hand
+    side outside the column span of A, found by the plain rref of [A | B],
+    raises Inconsistent.  Half of the right-hand sides are A x, in the span."""
+    A = data.draw(matrices(field_entries(F)))
+    nrows, ncols = len(A), len(A[0])
+    column = st.lists(field_entries(F), min_size=nrows, max_size=nrows)
+    point = st.lists(field_entries(F), min_size=ncols, max_size=ncols)
+    B = [data.draw(column) if data.draw(st.booleans())
+         else [row[0] for row in plain_matmul(F, A, [[v] for v in data.draw(point)])]
+         for _ in range(data.draw(st.integers(1, 3)))]
+    aug = [row + [col[i] for col in B] for i, row in enumerate(A)]
+    consistent = all(c < ncols for c in plain_rref(F, aug)[1])
+    if not consistent:
+        with pytest.raises(Inconsistent):
+            solve_rows(F, A, B)
+        return
+    sols, kernel = solve_rows(F, A, B)
+    assert kernel == kernel_rows(F, A)
+    assert [[row[0] for row in plain_matmul(F, A, [[v] for v in x])] for x in sols] == B
+
+
+def test_solve_rows_reduces_once(monkeypatch):
+    """[A | B] is row-reduced once; the kernel of A is read off the same
+    reduction."""
+    from genus2covers import linalg
+    calls = []
+    for name in ("fp_rref", "fq_rref"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda F, A, kernel=kernel: calls.append(1) or kernel(F, A))
+    for F in (Field.prime(7), Field.extension(7, 2)):
+        calls.clear()
+        A = [[F.from_int(v) for v in row] for row in [[1, 2, 3], [2, 4, 6]]]
+        sols, ker = solve_rows(F, A, [[F.from_int(1), F.from_int(2)]])
+        assert len(ker) == 2 and len(calls) == 1
 
 
 # forms_vanish_at sums 136 products (the monomials): the primes just below
