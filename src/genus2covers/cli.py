@@ -21,7 +21,8 @@ import sys
 
 from .curve import CurveData, random_point
 from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
-from .etale import EtaleAlgebra, all_two_torsion, even_masks, weil_pairing
+from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
+                    weil_pairing)
 from .fields import parse_field_spec
 from .kummer import KummerModels, form_values
 from .linalg import Mat, rank_rows
@@ -505,12 +506,8 @@ def _verify_diagonal_suite(alg, ctx, jm):
     # census: the 16 slot-characters are exactly the odd-size partition
     # characters, each once
     expected = {}
-    for rep in ctx.reps:
-        expected[tuple(1 if bin(rep & m).count("1") % 2 == 0 else -1
-                       for m in masks)] = 0
-    for i in range(6):
-        expected[tuple(1 if bin((1 << i) & m).count("1") % 2 == 0 else -1
-                       for m in masks)] = 0
+    for I in ctx.reps + [1 << i for i in range(6)]:
+        expected[tuple(character_chi(I, m) for m in masks)] = 0
     census_ok = True
     for slot, vals in characters.items():
         key = tuple(vals)

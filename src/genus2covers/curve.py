@@ -191,8 +191,8 @@ class DivisorClass:
         k3 = x1 * x2
         r = 1 / (x1 - x2)  # the one inversion per class
         q = FieldElem(F, _lift(self.curve.field, F, self.curve.inv_4f6))  # 1 / (4 f6)
-        k4 = (2 * f0 + f1 * k2 + 2 * f2 * k3 + f3 * k2 * k3 + 2 * f4 * k3 ** 2
-              + f5 * k2 * k3 ** 2 + 2 * f6 * k3 ** 3 - 2 * y1 * y2) * r ** 2
+        num = FieldElem(F, k4_numerator(F, [c.v for c in f], k2.v, k3.v))
+        k4 = (num - 2 * y1 * y2) * r ** 2
         ks = [k1, k2, k3, k4]
         even = [ks[i - 1] * ks[j - 1] for (i, j) in EVEN_PAIRS]
         b = [(x2 ** (i - 1) * y1 - x1 ** (i - 1) * y2) * r for i in range(1, 5)]
@@ -232,6 +232,14 @@ class DivisorClass:
             k[(2, 2)] - 4 * k[(1, 3)],
         ]
         return [v.v for v in a]
+
+
+def k4_numerator(F: Field, f, k2, k3):
+    """2 f0 + f1 k2 + 2 f2 k3 + f3 k2 k3 + 2 f4 k3^2 + f5 k2 k3^2 + 2 f6 k3^3,
+    the numerator of k4 without its -2 y1 y2, from raw values over F."""
+    even = F.add(f[0], F.mul(k3, F.add(f[2], F.mul(k3, F.add(f[4], F.mul(k3, f[6]))))))
+    odd = F.add(f[1], F.mul(k3, F.add(f[3], F.mul(k3, f[5]))))
+    return F.add(F.mul(F.from_int(2), even), F.mul(k2, odd))
 
 
 def _gcorr(f, r, s):

@@ -241,7 +241,7 @@ def rref_rows(field: Field, rows):
 
 
 def rank_rows(field: Field, rows) -> int:
-    return len(rref_rows(field, rows)[1])
+    return len(_rref_np(field, rows)[1]) if rows else 0
 
 
 def kernel_rows(field: Field, rows):
@@ -303,7 +303,7 @@ class Mat:
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Mat":
-        return Mat(field, [[field.zero()] * c for _ in range(r)])
+        return Mat(field, [[field.zero()] * c for _ in range(r)])._shaped(c)
 
     @staticmethod
     def diagonal(field: Field, entries) -> "Mat":
@@ -355,13 +355,19 @@ class Mat:
         A, B = (to_np(F, M.rows, s).reshape((M.nrows, M.ncols) + entry)
                 for M in (self, other))
         out = ext_matmul_np(F, A, B) if F.kind == "ext" else A @ B
-        return Mat(F, from_np(F, out))
+        return Mat(F, from_np(F, out))._shaped(other.ncols)
 
     def matvec(self, vec):
         return (self * Mat(self.field, [[v] for v in vec])).col(0)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [list(col) for col in zip(*self.rows)])
+        return Mat(self.field, [self.col(j) for j in range(self.ncols)])._shaped(self.nrows)
+
+    def _shaped(self, ncols: int) -> "Mat":
+        """Self with `ncols` columns, which rows alone do not give when
+        there are none (a 0 x k matrix)."""
+        self.ncols = ncols
+        return self
 
     def is_symmetric(self) -> bool:
         return self.rows == self.transpose().rows

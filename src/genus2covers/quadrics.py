@@ -26,7 +26,7 @@ import random
 import numpy as np
 
 from .curve import COORD_NAMES, CurveData, even_slot, random_point
-from .errors import Genus2Error, InterpolationFailed, NotGeneric
+from .errors import Genus2Error, InterpolationFailed
 from .fields import Field
 from .linalg import (Mat, ext_matmul_np, ext_mul_arrays, frobenius_fixed_values,
                      from_np, kernel_rows, mod_p, rank_rows, rref_rows,
@@ -263,20 +263,21 @@ _LISTED_BB = [
 # k_{1d} (so 1 is k_11, 4 is k_14), two digits ij mean k_{ij}
 
 
-def _bb_rhs_form(curve: CurveData, entry) -> QuadricForm:
-    """Build c * b_i b_j - (k-expression) for one hardcoded row."""
+def listed_bb_forms(curve: CurveData):
+    """The seven hardcoded forms mult * b_i b_j - (k-expression), one per
+    row of the table."""
     F = curve.field
-    (bi, bj), mult, terms = entry
-    q = QuadricForm(F)
-    q.add_term(9 + bi, 9 + bj, mult)
-    for (ca, cb), scale, fidx in terms:
-        coeff = F.from_int(scale)
-        for t in fidx:
-            coeff = F.mul(coeff, curve.coeffs[t])
-        slot_a = _kk_slot(ca)
-        slot_b = _kk_slot(cb)
-        q.add_term(slot_a, slot_b, F.neg(coeff))
-    return q
+    forms = []
+    for (bi, bj), mult, terms in _LISTED_BB:
+        q = QuadricForm(F)
+        q.add_term(9 + bi, 9 + bj, mult)
+        for (ca, cb), scale, fidx in terms:
+            coeff = F.from_int(scale)
+            for t in fidx:
+                coeff = F.mul(coeff, curve.coeffs[t])
+            q.add_term(_kk_slot(ca), _kk_slot(cb), F.neg(coeff))
+        forms.append(q)
+    return forms
 
 
 def _kk_slot(code: int) -> int:
@@ -308,7 +309,7 @@ class JacobianModel:
         self.kummer_even = kummer_image_quadric(curve)
         self.odd = odd_quadrics(curve)
         self.odd_shifted = odd_quadrics(curve, shifted=True)
-        self.listed_bb = [_bb_rhs_form(curve, e) for e in _LISTED_BB]
+        self.listed_bb = listed_bb_forms(curve)
         self.interpolated_bb = interpolate_bb_quadrics(curve, seed=seed)
         self.forms = (self.veronese + [self.kummer_even] + self.odd
                       + self.odd_shifted + self.listed_bb + self.interpolated_bb)
@@ -494,16 +495,6 @@ def sampling_field(field: Field) -> Field:
     return Field.extension(field.p, e) if e > 1 else field
 
 
-def sample_divisors(curve: CurveData, K: Field, count: int, rng: random.Random):
-    out = []
-    while len(out) < count:
-        try:
-            out.append(random_point(curve, K, rng))
-        except NotGeneric:
-            continue
-    return out
-
-
 def split_equations(K: Field, rows, rhs_cols):
     """Expand K-linear equations in F_p unknowns into F_p equations."""
     if K.kind == "prime":
@@ -533,7 +524,7 @@ def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, targets=None):
     K = sampling_field(F)
     rng = random.Random(seed * 7919 + 17)
     pairs = list(targets) if targets is not None else list(UNLISTED_BB_PAIRS)
-    divisors = sample_divisors(curve, K, 88, rng)
+    divisors = [random_point(curve, K, rng) for _ in range(88)]
     rows = []
     rhs = [[] for _ in pairs]
     for D in divisors:
@@ -558,7 +549,7 @@ def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, targets=None):
             if not F.is_zero(c):
                 q.add_term(*MONOMIALS[n], F.neg(c))
         forms.append(q)
-    fresh = sample_divisors(curve, K, 50, rng)
+    fresh = [random_point(curve, K, rng) for _ in range(50)]
     if not forms_vanish_at(forms, [(D.coords().v, K) for D in fresh]):
         raise InterpolationFailed("interpolated form fails at fresh points")
     return forms
@@ -579,8 +570,8 @@ def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0):
     K = sampling_field(F)
     rng = random.Random(seed * 104729 + 3)
     rows = []
-    for D in sample_divisors(curve, K, 150, rng):
-        v = D.coords().v
+    for _ in range(150):
+        v = random_point(curve, K, rng).coords().v
         rows.append([K.mul(v[MONOMIALS[n][0]], v[MONOMIALS[n][1]])
                      for n in range(len(MONOMIALS))])
     rows_p, _ = split_equations(K, rows, [])

@@ -16,8 +16,10 @@ parts: ten 3|3 partitions and six 1|5 partitions) diagonalizes all of these
 matrices simultaneously, with eigenvalue (-1)^(#(I cap m)) on the
 coordinate labelled by I at the mask m.  The 72-dimensional vanishing ideal
 splits along this grading into a 12-dimensional piece at the identity and
-2+2 dimensions for each nonzero P; the explicit generators built here take
-optional weight callbacks so that the twisted variants reuse the same code.
+2+2 dimensions for each nonzero P.  ``invariant_generators(deltas, n)``
+builds the explicit generators once: with the twist data (delta_w, n) it
+weights their coefficients and gives the twisted ideal, without it the
+ideal of the Jacobian.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .etale import (EtaleAlgebra, TwoTorsionPoint, alpha_sign, character_chi,
 from .fields import Field, FieldElem
 from .linalg import Mat, block_diag
 from .poly import Poly, _lift, resultant
-from .quadrics import QuadricForm, compose_forms, independent_picks
+from .quadrics import (QuadricForm, compose_forms, independent_picks,
+                       kummer_image_quadric, listed_bb_forms)
 
 
 def partition_reps():
@@ -97,7 +100,6 @@ class TorsionActionCtx:
             raise Genus2Error("kappa table does not invert the c_I table")
         self.C = block_diag(K, [self.G, algebra.S_inv])
         self.C_inv = block_diag(K, [self.G_inv_kappa, algebra.S])
-        self._untwisted_o_plus_pick = None
 
     # -- tables ---------------------------------------------------------------
 
@@ -318,157 +320,124 @@ class TorsionActionCtx:
 
     # -- generators of the graded pieces of the ideal -------------------------
 
-    def o_plus_candidates(self, sq_root_weight=None, sq_part_weight=None):
+    def o_plus_candidates(self, deltas=None, n=None):
         """The sixteen candidate forms spanning the 12-dimensional identity
-        piece, as quadrics in the c-variables (internal order)."""
+        piece, as quadrics in the c-variables (internal order).  Each is
+        diagonal; with twist data (deltas, n) over K the coefficient of c_w^2
+        is scaled by delta_w and that of c_I^2 by t_I^2 (``t_squared``)."""
         K = self.K
-        one = K.one()
-        wr = sq_root_weight or (lambda i: one)
-        wp = sq_part_weight or (lambda rep: one)
-        mu = self.G_inv_kappa.transpose().rows   # mu_{ij} per partition rep
+        one, zero = K.one(), K.zero()
         roots = self.algebra.roots
-        lams = self.algebra.lambdas
-        forms = []
+        if deltas is None:
+            wr, wp = [one] * 6, [one] * 10
+        else:
+            wr, wp = deltas, [t_squared(K, deltas, n, rep) for rep in self.reps]
+        # the k-values at c = e_I, one row per partition rep; a form's k-part
+        # at them gives its c_I^2 coefficients
+        mu = [row + [zero] * 6 for row in self.G_inv_kappa.transpose().rows]
+
+        def diagonal(odd, even):
+            q = QuadricForm(K)
+            for i in range(6):
+                q.add_term(10 + i, 10 + i, K.mul(odd[i], wr[i]))
+            for r in range(10):
+                q.add_term(r, r, K.mul(even[r], wp[r]))
+            return q
+
         # three diagonal forms sum w^j lambda_w c_w^2
-        for j in range(3):
-            q = QuadricForm(K)
-            for i in range(6):
-                q.add_term(10 + i, 10 + i, K.mul(K.mul(K.pw(roots[i], j), lams[i]),
-                                                 wr(i)))
-            forms.append(q)
-        # six projections of the even-only quadrics
-        pair_combos = [((1, 2), (1, 2), (1, 1), (2, 2)),
-                       ((1, 2), (1, 3), (1, 1), (2, 3)),
-                       ((1, 3), (1, 3), (1, 1), (3, 3)),
-                       ((1, 3), (2, 3), (1, 2), (3, 3)),
-                       ((2, 3), (2, 3), (2, 2), (3, 3))]
-        for (a, b, c, d) in pair_combos:
-            q = QuadricForm(K)
-            for r, rep in enumerate(self.reps):
-                v = mu[r]
-                val = K.sub(K.mul(v[even_slot(*a)], v[even_slot(*b)]),
-                            K.mul(v[even_slot(*c)], v[even_slot(*d)]))
-                q.add_term(r, r, K.mul(val, wp(rep)))
-            forms.append(q)
-        q = QuadricForm(K)
-        from .quadrics import _KUMMER_EVEN_TERMS, _kk_slot
-        f = [_lift(self.field, K, c) for c in self.algebra.curve.coeffs]
-        for r, rep in enumerate(self.reps):
-            v = mu[r]
-            acc = K.zero()
-            for (ca, cb), scale, fidx in _KUMMER_EVEN_TERMS:
-                c = K.from_int(scale)
-                for t in fidx:
-                    c = K.mul(c, f[t])
-                acc = K.add(acc, K.mul(c, K.mul(v[_kk_slot(ca)], v[_kk_slot(cb)])))
-            q.add_term(r, r, K.mul(acc, wp(rep)))
-        forms.append(q)
-        # seven mixed forms sum w^r c_w^2 - sum nu_r(pi) c_pi^2
-        from .quadrics import _LISTED_BB
-        half = K.inv(K.from_int(2))
-        for ridx, (_, mult, terms) in enumerate(_LISTED_BB):
-            q = QuadricForm(K)
-            for i in range(6):
-                q.add_term(10 + i, 10 + i, K.mul(K.pw(roots[i], ridx), wr(i)))
-            scale = half if mult == 2 else one
-            for r, rep in enumerate(self.reps):
-                v = mu[r]
-                acc = K.zero()
-                for (ca, cb), sc, fidx in terms:
-                    c = K.from_int(sc)
-                    for t in fidx:
-                        c = K.mul(c, f[t])
-                    acc = K.add(acc, K.mul(c, K.mul(v[_kk_slot(ca)], v[_kk_slot(cb)])))
-                q.add_term(r, r, K.neg(K.mul(K.mul(acc, scale), wp(rep))))
-            forms.append(q)
+        forms = [diagonal([K.mul(K.pw(w, j), lam)
+                           for w, lam in zip(roots, self.algebra.lambdas)], [zero] * 10)
+                 for j in range(3)]
+        # five minors of the even-only quadrics, then the Kummer quadric
+        minors = [((1, 2), (1, 2), (1, 1), (2, 2)), ((1, 2), (1, 3), (1, 1), (2, 3)),
+                  ((1, 3), (1, 3), (1, 1), (3, 3)), ((1, 3), (2, 3), (1, 2), (3, 3)),
+                  ((2, 3), (2, 3), (2, 2), (3, 3))]
+        even = [QuadricForm(K, {(even_slot(*a), even_slot(*b)): 1,
+                                (even_slot(*c), even_slot(*d)): -1})
+                for a, b, c, d in minors]
+        even.append(kummer_image_quadric(self.algebra.curve).map_field(K))
+        forms += [diagonal([zero] * 6, [q.evaluate(m) for m in mu]) for q in even]
+        # seven mixed forms sum w^r c_w^2 - sum nu_r(pi) c_pi^2, from the
+        # listed forms mult * (b_i b_j - nu_r(k))
+        for r, q in enumerate(listed_bb_forms(self.algebra.curve)):
+            q = q.map_field(K)
+            mult = next(c for (i, _), c in q.coeffs.items() if i >= 10)
+            forms.append(diagonal([K.pw(w, r) for w in roots],
+                                  [K.div(q.evaluate(m), mult) for m in mu]))
         return forms
 
-    def _pick_o_plus(self):
-        """Indices of 12 independent identity-piece candidates (untwisted)."""
-        if self._untwisted_o_plus_pick is None:
-            cands = self.o_plus_candidates()
-            picked = independent_picks(self.K, [q.vector() for q in cands])
-            if len(picked) < 12:
-                raise Genus2Error("identity piece has rank < 12")
-            self._untwisted_o_plus_pick = picked[:12]
-        return self._untwisted_o_plus_pick
-
-    def pair_generators(self, pair, odd_weight=None, even_weight=None):
-        """The four c-variable forms attached to one root pair (i, j):
-        two odd (l = 0, 1) and two even."""
+    def pair_generators(self, pair, deltas=None, n=None):
+        """The four c-variable forms attached to one root pair (i, j): two
+        odd (l = 0, 1) and two even.  With twist data (deltas, n) over K the
+        odd term at theta is scaled by delta_theta + n / (delta_i delta_j)
+        and the even terms at the partition {t1 t2 | p1 p2} of the other four
+        roots by delta_t1 delta_t2 + delta_p1 delta_p2
+        + n (1/delta_i + 1/delta_j)."""
         K = self.K
         one = K.one()
-        w_odd = odd_weight or (lambda theta: one)
-        w_even = even_weight or (lambda part: one)
         i, j = pair
         roots = self.algebra.roots
         comp = [t for t in range(6) if t not in (i, j)]
+        partitions = [((comp[0], comp[1]), (comp[2], comp[3])),
+                      ((comp[0], comp[2]), (comp[1], comp[3])),
+                      ((comp[0], comp[3]), (comp[1], comp[2]))]
+        if deltas is None:
+            w_odd, w_even = [one] * 6, [one] * 3
+        else:
+            d = deltas
+            r = K.div(n, K.mul(d[i], d[j]))
+            w_odd = [K.add(dt, r) for dt in d]
+            w_even = [K.add(K.add(K.mul(d[t1], d[t2]), K.mul(d[p1], d[p2])),
+                            K.mul(r, K.add(d[i], d[j])))
+                      for (t1, t2), (p1, p2) in partitions]
         out = []
         for l in (0, 1):
             q = QuadricForm(K)
             for theta in comp:
-                coef = K.pw(roots[theta], l)
+                coef = K.mul(K.pw(roots[theta], l), w_odd[theta])
                 for psi in comp:
                     if psi != theta:
                         coef = K.mul(coef, K.sub(roots[theta], roots[psi]))
                 rep, sign = partition_rep_and_sign(mask_of([i, j, theta]), self.reps)
-                coef = K.mul(coef, w_odd(theta))
-                if sign < 0:
-                    coef = K.neg(coef)
-                q.add_term(rep, 10 + theta, coef)
+                q.add_term(rep, 10 + theta, coef if sign > 0 else K.neg(coef))
             out.append(q)
-        partitions = [((comp[0], comp[1]), (comp[2], comp[3])),
-                      ((comp[0], comp[2]), (comp[1], comp[3])),
-                      ((comp[0], comp[3]), (comp[1], comp[2]))]
-
-        def nu(part):
-            (t1, t2), (p1, p2) = part
-            acc = one
-            for a in (t1, t2):
-                for b in (p1, p2):
-                    acc = K.mul(acc, K.sub(roots[a], roots[b]))
-            return acc
-
-        def even_term(q, part, extra):
-            (t1, t2), _ = part
-            r1, s1 = partition_rep_and_sign(mask_of([t1, t2, i]), self.reps)
-            r2, s2 = partition_rep_and_sign(mask_of([t1, t2, j]), self.reps)
-            coef = K.mul(K.mul(nu(part), extra), w_even(part))
-            if s1 * s2 < 0:
-                coef = K.neg(coef)
-            q.add_term(r1, r2, coef)
-
-        q1 = QuadricForm(K)
-        for part in partitions:
-            even_term(q1, part, one)
-        out.append(q1)
-        q2 = QuadricForm(K)
+        q1, q2 = QuadricForm(K), QuadricForm(K)
         q2.add_term(10 + i, 10 + j, one)
         f6 = _lift(self.field, K, self.algebra.curve.coeffs[6])
-        for part in partitions:
-            (t1, t2), (p1, p2) = part
+        for ((t1, t2), (p1, p2)), w in zip(partitions, w_even):
+            r1, s1 = partition_rep_and_sign(mask_of([t1, t2, i]), self.reps)
+            r2, s2 = partition_rep_and_sign(mask_of([t1, t2, j]), self.reps)
+            coef = w
+            for a in (t1, t2):
+                for b in (p1, p2):
+                    coef = K.mul(coef, K.sub(roots[a], roots[b]))
+            if s1 * s2 < 0:
+                coef = K.neg(coef)
+            q1.add_term(r1, r2, coef)
             extra = K.mul(f6, K.mul(K.add(roots[t1], roots[t2]),
                                     K.add(roots[p1], roots[p2])))
-            even_term(q2, part, extra)
-        out.append(q2)
-        return out
+            q2.add_term(r1, r2, K.mul(coef, extra))
+        return out + [q1, q2]
 
-    def invariant_generators(self, odd_weight=None, even_weight=None,
-                             sq_root_weight=None, sq_part_weight=None):
+    def invariant_generators(self, deltas=None, n=None):
         """72 labelled generators of the (possibly twisted) vanishing ideal.
 
         Returns a list of (label, form) with forms over the splitting field
         expressed in Coords16; labels are ("O", n) for the identity piece and
-        ((i, j), kind, l) with kind "odd"/"even" for the pair pieces.  The
-        weight callbacks produce the twisted ideal; defaults give the ideal
-        of the Jacobian itself.
+        ((i, j), kind, l) with kind "odd"/"even" for the pair pieces.  Twist
+        data (deltas, n) over K, the six delta_w and n, weight the
+        coefficients and give the twisted ideal; without it this is the
+        ideal of the Jacobian itself.  Nonzero weights only rescale the
+        coordinates c_w^2 and c_I^2 of the identity-piece candidates, so the
+        twelve picked are the same with and without them.
         """
-        cands = self.o_plus_candidates(sq_root_weight, sq_part_weight)
-        labelled = [(("O", n), cands[idx]) for n, idx in enumerate(self._pick_o_plus())]
+        cands = self.o_plus_candidates(deltas, n)
+        picked = independent_picks(self.K, [q.vector() for q in cands])
+        if len(picked) < 12:
+            raise Genus2Error("identity piece has rank < 12")
+        labelled = [(("O", k), cands[idx]) for k, idx in enumerate(picked[:12])]
         for P in _all_pairs():
-            ow = None if odd_weight is None else (lambda th, P=P: odd_weight(P, th))
-            ew = None if even_weight is None else (lambda part, P=P: even_weight(P, part))
-            four = self.pair_generators(P, ow, ew)
+            four = self.pair_generators(P, deltas, n)
             labelled += [((P, "odd", 0), four[0]), ((P, "odd", 1), four[1]),
                          ((P, "even", 1), four[2]), ((P, "even", 2), four[3])]
         # v -> Q(C v) for all 72 forms in one batched product
@@ -495,6 +464,24 @@ class TorsionActionCtx:
 
 def _all_pairs():
     return [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+
+def split_product(K: Field, values, mask: int):
+    """(product of values[i] over the bits i of mask, product over the rest)."""
+    inside = outside = K.one()
+    for i, v in enumerate(values):
+        if mask >> i & 1:
+            inside = K.mul(inside, v)
+        else:
+            outside = K.mul(outside, v)
+    return inside, outside
+
+
+def t_squared(K: Field, deltas, n, mask3: int):
+    """t_I^2 from the twist data alone: prod_{w in I} delta_w
+    + prod_{w not in I} delta_w + 2n."""
+    inside, outside = split_product(K, deltas, mask3)
+    return K.add(K.add(inside, outside), K.mul(K.from_int(2), n))
 
 
 def _elementary_sym(K: Field, roots):

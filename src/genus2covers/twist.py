@@ -7,7 +7,8 @@ the splitting field, or its quadratic extension when some delta_w is a
 non-square, in which case the root/torsion context is built there instead:
 ``TorsionContexts`` builds only the context of the working field).
 The twisted ideal needs only delta_w and n: it is the weighted variant of
-the 72 diagonal-basis generators, with weights
+the 72 diagonal-basis generators, which
+``TorsionActionCtx.invariant_generators(deltas, n)`` builds, with weights
 
     odd piece at the pair (w1, w2):  delta_t + n / (delta_{w1} delta_{w2})
     even piece:  delta_{t1} delta_{t2} + delta_{p1} delta_{p2}
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import CurveData, DivisorClass
+from .curve import CurveData, DivisorClass, k4_numerator
 from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
                      TIVanishes)
 from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
@@ -46,7 +47,7 @@ from .linalg import (Mat, block_diag, fp_rref, frobenius_fixed_values,
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
                        ODD_MONOMIALS, QuadricForm, forms_vanish_at)
-from .torsion import TorsionActionCtx
+from .torsion import TorsionActionCtx, split_product, t_squared
 
 
 class TwistDatum:
@@ -130,9 +131,9 @@ class EpsilonChoice:
         self.ctx = contexts.over(quadratic, seed)
         W = self.ctx.K
         alg = self.ctx.algebra
-        delta_w = LVec(alg, W, [_lift(datum.algebra.field, W, c)
-                                for c in datum.delta.c])
-        self.deltas = [delta_w.phi(i) for i in range(6)]
+        self.delta_w = LVec(alg, W, [_lift(datum.algebra.field, W, c)
+                                     for c in datum.delta.c])
+        self.deltas = [self.delta_w.phi(i) for i in range(6)]
         eps = []
         for dw in self.deltas:
             r = W.sqrt(dw)
@@ -157,14 +158,7 @@ class EpsilonChoice:
         for m in range(64):
             if popcount(m) != 3:
                 continue
-            inside = W.one()
-            outside = W.one()
-            for i in range(6):
-                if m >> i & 1:
-                    inside = W.mul(inside, eps[i])
-                else:
-                    outside = W.mul(outside, eps[i])
-            self.t3[m] = W.add(inside, outside)
+            self.t3[m] = W.add(*split_product(W, eps, m))
             if W.is_zero(self.t3[m]) and m in self.ctx.reps:
                 vanish.append(sorted(i + 1 for i in mask_bits(m)))
         if vanish and require_nonzero_t:
@@ -198,16 +192,8 @@ class EpsilonChoice:
         return self.t3[mask3]
 
     def t_squared_triple(self, mask3: int):
-        """t_I^2 from ground data only: prod_in + prod_out + 2n."""
-        W = self.ctx.K
-        inside = W.one()
-        outside = W.one()
-        for i in range(6):
-            if mask3 >> i & 1:
-                inside = W.mul(inside, self.deltas[i])
-            else:
-                outside = W.mul(outside, self.deltas[i])
-        return W.add(W.add(inside, outside), W.mul(W.from_int(2), self.n))
+        """t_I^2 from ground data only (``torsion.t_squared``)."""
+        return t_squared(self.ctx.K, self.deltas, self.n, mask3)
 
     def cocycle_mask(self) -> int:
         """Root mask of sigma(epsilon)/epsilon for the Frobenius generator."""
@@ -260,26 +246,7 @@ class TwistModel:
         self.eps = EpsilonChoice(contexts, datum, seed=seed)
         self.ctx = self.eps.ctx
         W = self.ctx.K
-        deltas = self.eps.deltas
-        inv_d = [W.inv(d) for d in deltas]
-        n_w = self.eps.n
-
-        def odd_weight(pair, theta):
-            i, j = pair
-            return W.add(deltas[theta], W.mul(n_w, W.mul(inv_d[i], inv_d[j])))
-
-        def even_weight(pair, part):
-            i, j = pair
-            (t1, t2), (p1, p2) = part
-            prods = W.add(W.mul(deltas[t1], deltas[t2]),
-                          W.mul(deltas[p1], deltas[p2]))
-            return W.add(prods, W.mul(n_w, W.add(inv_d[i], inv_d[j])))
-
-        self.labelled = self.ctx.invariant_generators(
-            odd_weight=odd_weight,
-            even_weight=even_weight,
-            sq_root_weight=lambda i: deltas[i],
-            sq_part_weight=lambda rep: self.eps.t_squared_triple(rep))
+        self.labelled = self.ctx.invariant_generators(self.eps.deltas, self.eps.n)
         self.forms = [q for _, q in self.labelled]
         self.rank = rank_rows(W, [q.vector() for q in self.forms])
         if self.rank != 72:
@@ -399,10 +366,7 @@ class TwistModel:
         blk = self.odd_block()
         if len(blk) != 3:
             return False
-        alg = self.ctx.algebra
-        delta_w = LVec(alg, W, [_lift(self.datum.algebra.field, W, c)
-                                for c in self.datum.delta.c])
-        vd = VDeltaModel(alg, delta_w)
+        vd = VDeltaModel(self.ctx.algebra, self.eps.delta_w)
         vrows = [QuadricForm.from_odd_matrix(M).vector() for M in vd.matrices]
         return (rank_rows(W, vrows) == 3
                 and rank_rows(W, vrows + blk) == 3)
@@ -708,9 +672,8 @@ def _node_pullbacks(model, forms):
             wi, wj = alg.roots[i], alg.roots[j]
             k2 = W.add(wi, wj)
             k3 = W.mul(wi, wj)
-            num = _node_k4_numerator(W, f, k2, k3)
             dx = W.sub(wi, wj)
-            k4 = W.div(num, W.mul(dx, dx))
+            k4 = W.div(k4_numerator(W, f, k2, k3), W.mul(dx, dx))
             kvectors.append([W.one(), k2, k3, k4])
     nodes = Mat(W, [[W.mul(kv[a - 1], kv[b - 1]) for (a, b) in EVEN_PAIRS]
                     + [W.zero()] * 6 for kv in kvectors])
@@ -727,14 +690,3 @@ def _node_pullbacks(model, forms):
     values = C @ (X[:, _MONO_I] * X[:, _MONO_J] % k.p).T % k.p
     return [pt for pt, col in zip(rational, values.T) if not col.any()]
 
-
-def _node_k4_numerator(W, f, k2, k3):
-    two = W.from_int(2)
-    acc = W.mul(two, f[0])
-    acc = W.add(acc, W.mul(f[1], k2))
-    acc = W.add(acc, W.mul(two, W.mul(f[2], k3)))
-    acc = W.add(acc, W.mul(f[3], W.mul(k2, k3)))
-    acc = W.add(acc, W.mul(two, W.mul(f[4], W.mul(k3, k3))))
-    acc = W.add(acc, W.mul(f[5], W.mul(k2, W.mul(k3, k3))))
-    acc = W.add(acc, W.mul(two, W.mul(f[6], W.mul(k3, W.mul(k3, k3)))))
-    return acc

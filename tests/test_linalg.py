@@ -39,6 +39,18 @@ def test_products_with_a_dimension_of_size_zero(F):
     assert (A * X).rows == [[], [], []]
 
 
+@pytest.mark.parametrize("F", [Field.prime(7), Field.extension(7, 2)], ids=repr)
+def test_zero_row_matrices_keep_their_columns(F):
+    """The transpose of a 3 x 0 solution is 0 x 3, and so is its product
+    with I_3."""
+    I = Mat.identity(F, 3)
+    Xt = solve_linear(I, Mat.zeros(F, 3, 0))[0].transpose()
+    P = Xt * I
+    assert (Xt.nrows, Xt.ncols) == (P.nrows, P.ncols) == (0, 3)
+    assert P.rows == []
+    assert (Mat.zeros(F, 0, 3).transpose().nrows, Mat.zeros(F, 0, 3).ncols) == (3, 3)
+
+
 def test_solve_random_full_rank_and_remultiply():
     rng = random.Random(11)
     for F in (Field.prime(97), Field.extension(5, 2)):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genus2covers.curve import CurveData, random_point
@@ -16,8 +16,8 @@ from genus2covers.kummer import KummerModels, VDeltaModel
 from genus2covers.linalg import Mat, ext_mul_arrays, kernel_rows, rank_rows, to_np
 from genus2covers.poly import Poly
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
-                                   QuadricForm)
-from genus2covers.torsion import TorsionActionCtx
+                                   QuadricForm, independent_picks)
+from genus2covers.torsion import TorsionActionCtx, t_squared
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 projective_reps, search_twist_points,
@@ -401,6 +401,37 @@ def test_quadratic_extension_path(split_curve_f31):
     assert rank_rows(F, [q.vector() for q in des]) == 72
 
 
+@pytest.fixture(scope="module")
+def pick_contexts(ref_torsion, split_curve_f31):
+    """The F_101 reference context, and the F_31 split curve's context over
+    F_{31^2}, the working field of a non-square datum."""
+    alg = EtaleAlgebra(split_curve_f31)
+    eps = EpsilonChoice(TorsionActionCtx(alg), _nonsquare_scalar_datum(alg, random.Random(3)))
+    assert eps.field.deg == 2
+    return {"F101": ref_torsion, "F31": eps.ctx}
+
+
+@pytest.mark.parametrize("curve", ["F101", "F31"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_weights_keep_the_identity_piece_picks(pick_contexts, curve, data):
+    """Nonzero twist weights only rescale the coordinates c_w^2 and c_I^2
+    of the identity-piece candidates, so the greedy picks among the weighted
+    candidates are the unweighted ones."""
+    ctx = pick_contexts[curve]
+    K = ctx.K
+    entry = st.integers(0, K.p - 1)
+    elem = st.tuples(*[entry] * K.deg) if K.kind == "ext" else entry
+    deltas = data.draw(st.lists(elem.filter(lambda v: not K.is_zero(v)),
+                                min_size=6, max_size=6))
+    n = data.draw(elem)
+    assume(not any(K.is_zero(t_squared(K, deltas, n, rep)) for rep in ctx.reps))
+
+    def picks(*twist):
+        return independent_picks(K, [q.vector() for q in ctx.o_plus_candidates(*twist)])
+    assert picks(deltas, n) == picks()
+
+
 def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch):
     """The twisted forms over the quadratic extension must have coefficients
     in k(Omega) = F_31; one coefficient equal to the generator t is caught."""
@@ -409,8 +440,8 @@ def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch)
     datum = _nonsquare_scalar_datum(alg, random.Random(3))
     generators = TorsionActionCtx.invariant_generators
 
-    def planted(self, **weights):
-        out = generators(self, **weights)
+    def planted(self, *args, **kwargs):
+        out = generators(self, *args, **kwargs)
         out[-1][1].add_term(10, 15, (0, 1))  # t is in F_31^2 but not in F_31
         return out
 
