@@ -451,7 +451,7 @@ def _verify_action(alg, ctx):
     pts = all_two_torsion()
     ok_sq = ok_det = ok_quartic = 0
     km = KummerModels(alg)
-    quartic = km.kummer_quartic().map_field(K) if K != alg.field else km.kummer_quartic()
+    quartic = km.kummer_quartic().map_field(K)
     for P in pts:
         M = ctx.mp_matrix(P)
         res = ctx.res_gh(P)

@@ -134,7 +134,7 @@ class DivisorClass:
     def __init__(self, curve: CurveData, field: Field, p1, p2):
         x1, y1 = (field.coerce(v) for v in p1)
         x2, y2 = (field.coerce(v) for v in p2)
-        fK = curve.f.map_field(field) if curve.field != field else curve.f
+        fK = curve.f.map_field(field)
         for x, y in ((x1, y1), (x2, y2)):
             if not field.eq(field.mul(y, y), fK.evaluate(x)):
                 raise DegenerateDivisor("point is not on the curve")
@@ -326,7 +326,7 @@ def _add_points(curve: CurveData, F: Field, pts):
     if len({F.key(x) for x in xs}) != 4:
         raise NotGeneric("x-coordinates of the four points collide")
     cubic = lagrange_interpolate(F, [(F.coerce(p[0]), F.coerce(p[1])) for p in pts])
-    fK = curve.f.map_field(F) if curve.field != F else curve.f
+    fK = curve.f.map_field(F)
     diff = cubic * cubic - fK
     if diff.degree != 6:
         raise NotGeneric("residual intersection at infinity")
@@ -359,7 +359,7 @@ def random_point(curve: CurveData, field: Field, rng: random.Random,
     """Rejection-sample a generic divisor class over a finite field."""
     if not field.is_finite():
         raise Genus2Error("sampling needs a finite field")
-    fK = curve.f.map_field(field) if curve.field != field else curve.f
+    fK = curve.f.map_field(field)
     pts = []
     for _ in range(max_attempts):
         x = field.rand(rng)

@@ -210,7 +210,7 @@ class EtaleAlgebra:
 
     def from_poly(self, g: Poly, field=None) -> "LVec":
         F = field if field is not None else g.field
-        g = g.map_field(F) if g.field != F else g
+        g = g.map_field(F)
         rem = g % self.curve.f.map_field(F)
         return self.elem([rem.coeff(i) for i in range(6)], F)
 
@@ -313,8 +313,7 @@ class LVec:
         return Poly(self.field, self.c)
 
     def _modulus(self) -> Poly:
-        f = self.algebra.curve.f
-        return f.map_field(self.field) if f.field != self.field else f
+        return self.algebra.curve.f.map_field(self.field)
 
     def __mul__(self, other):
         F = self.field

@@ -148,6 +148,9 @@ class MultiPoly:
         return self * s
 
     def map_field(self, G: Field) -> "MultiPoly":
+        """The same polynomial over G; itself when G is its own field."""
+        if G == self.field:
+            return self
         out = MultiPoly(G, self.nvars)
         for e, c in self.terms.items():
             out.terms[e] = _lift(self.field, G, c)
@@ -228,7 +231,6 @@ class KummerModels:
         self.curve = algebra.curve
         self.field = algebra.field
         self._quartic = None
-        self._y_mats = None
         self._weddle = None
 
     # -- P^3 ---------------------------------------------------------------
@@ -251,16 +253,9 @@ class KummerModels:
     # -- P^5 ---------------------------------------------------------------
 
     def y_matrices(self):
-        """T, RT, R^2T: the three quadratic forms of the P^5 model."""
-        if self._y_mats is None:
-            T = self.algebra.T
-            R_pows = self.algebra.R_pows
-            mats = [R_pows[j] * T for j in range(3)]
-            for M in mats:
-                if not M.is_symmetric():
-                    raise Genus2Error("P^5 model matrix failed symmetry")
-            self._y_mats = mats
-        return self._y_mats
+        """T, RT, R^2T: the three quadratic forms of the P^5 model, which
+        are V_delta at delta = 1."""
+        return self.v_delta(self.algebra.one()).matrices
 
     def y_quadrics(self):
         """The same three forms as QuadricForms in the odd coordinates."""
@@ -293,7 +288,7 @@ class KummerModels:
         F = D.field
         x1, y1 = D.p1
         x2, y2 = D.p2
-        fK = self.curve.f.map_field(F) if self.curve.field != F else self.curve.f
+        fK = self.curve.f.map_field(F)
         dfK = fK.derivative()
         el = lambda v: FieldElem(F, v)
 

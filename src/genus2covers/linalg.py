@@ -1,25 +1,25 @@
 """Exact dense linear algebra over the package's fields.
 
-Every matrix product, row reduction and kernel runs as a numpy kernel,
-from the 4x4 torsion blocks held in :class:`Mat` to the kernels of
+Every matrix product, row reduction and kernel runs as a numpy kernel, from
+the 4x4 torsion blocks held in :class:`Mat` to the kernels of
 point-evaluation matrices, the rank certificates and the Galois-descent row
-reductions; only ``Mat.det`` and ``Mat.charpoly`` eliminate in field
-arithmetic.  Prime-field and rational matrices are 2-d arrays, extension
-fields (rows, cols, deg) coefficient arrays with a precomputed reduction
-matrix.  Every kernel reduces mod p after each sum of products of residues
-in [0, p) and keeps the dtype it is given, so one code path serves every
-field.  ``to_np`` chooses that dtype: int64 while s (p-1)^2 < 2**63 for the
-kernel's longest sum of s products (``int64_exact``), otherwise object
-arrays of Python ints, or of Fractions over Q, where nothing overflows.
-With d the extension degree and k the inner dimension of a product, s is:
-2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``; 2d-1 for
-``ext_mul_arrays`` and ``quadrics.compose_forms``; max(k, d^2) for
-``ext_matmul_np`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
-and the trace descent (``twist.trace_stack``); 72 for the descent's span
-check (``twist.TwistModel._check_descent``); max(136, d^2) for
-``quadrics.forms_vanish_at``.  The two point searches stay in int64
-and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and 136 for
-``twist.search_twist_points``.
+reductions; only ``Mat.charpoly`` eliminates in field arithmetic, and
+``Mat.det`` reads its constant term.  Prime-field and rational matrices are
+2-d arrays, extension fields (rows, cols, deg) coefficient arrays with a
+precomputed reduction matrix.  Every kernel reduces mod p after each sum of
+products of residues in [0, p) and keeps the dtype it is given, so one code
+path serves every field.  ``to_np`` chooses that dtype: int64 while s
+(p-1)^2 < 2**63 for the kernel's longest sum of s products
+(``int64_exact``), otherwise object arrays of Python ints, or of Fractions
+over Q, where nothing overflows.  With d the extension degree and k the
+inner dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for
+``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
+max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
+``frobenius_fixed_values`` and the trace descent (``twist.trace_stack``);
+72 for the descent's span check (``twist.TwistModel._check_descent``);
+max(136, d^2) for ``quadrics.forms_vanish_at``.  The two point searches
+stay in int64 and refuse fields above their bounds: 6 for
+``twist.p5_zeros`` and 136 for ``twist.search_twist_points``.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
 are returned as lists of raw-value vectors.
@@ -274,6 +274,22 @@ def solve_rows(field: Field, rows, rhs_cols):
     return from_np(field, -basis[nker:]), from_np(field, basis[:nker])
 
 
+def span_supported(field: Field, vectors, keep):
+    """(rank of the vectors, basis of their row span intersected with the
+    vectors supported on the columns in `keep`), from one reduction with the
+    other columns first: the rows of the reduced array whose pivot lies in
+    `keep` are that basis, and only they are converted."""
+    if not vectors:
+        return 0, []
+    keep = set(keep)
+    order = [j for j in range(len(vectors[0])) if j not in keep] + sorted(keep)
+    R, piv = _rref_np(field, [[vec[j] for j in order] for vec in vectors])
+    first = sum(c < len(order) - len(keep) for c in piv)
+    block = np.empty_like(R[first:len(piv)])
+    block[:, order] = R[first:len(piv)]
+    return len(piv), from_np(field, block)
+
+
 def in_row_span(field: Field, basis_rows, queries):
     """True when every query vector lies in the row span of basis_rows."""
     base = rank_rows(field, basis_rows)
@@ -373,24 +389,9 @@ class Mat:
         return self.rows == self.transpose().rows
 
     def det(self):
-        F = self.field
-        a = [list(r) for r in self.rows]
-        n = self.nrows
-        det = F.one()
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not F.is_zero(a[i][c])), None)
-            if pr is None:
-                return F.zero()
-            if pr != c:
-                a[c], a[pr] = a[pr], a[c]
-                det = F.neg(det)
-            det = F.mul(det, a[c][c])
-            inv = F.inv(a[c][c])
-            for i in range(c + 1, n):
-                if not F.is_zero(a[i][c]):
-                    f = F.mul(a[i][c], inv)
-                    a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[c])]
-        return det
+        """(-1)^n times the constant term of ``charpoly``."""
+        c = self.charpoly().coeff(0)
+        return self.field.neg(c) if self.nrows % 2 else c
 
     def inv(self) -> "Mat":
         F = self.field

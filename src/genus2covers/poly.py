@@ -183,8 +183,10 @@ class Poly:
         return g.degree == 0
 
     def map_field(self, G: Field) -> "Poly":
-        """Reinterpret the coefficients in field G (F_p into F_p^d, or
-        identical fields)."""
+        """Reinterpret the coefficients in field G (F_p into F_p^d); itself
+        when G is its own field."""
+        if G == self.field:
+            return self
         return Poly(G, [_lift(self.field, G, a) for a in self.c])
 
 

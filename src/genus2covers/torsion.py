@@ -275,8 +275,7 @@ class TorsionActionCtx:
     def c_coords(self, coords) -> DiagonalCoords:
         """c_I = G . (k_{ij}) and c_w = S^{-1} . (b) for a Coords16 point."""
         K = self.K
-        vec = [_lift(coords.field, K, v) if coords.field != K else v
-               for v in coords.v]
+        vec = [_lift(coords.field, K, v) for v in coords.v]
         even = self.G.matvec(vec[:10])
         odd = self.algebra.S_inv.matvec(vec[10:])
         return DiagonalCoords(self, even, odd)
@@ -289,8 +288,7 @@ class TorsionActionCtx:
     def c_even_single(self, coords, mask3: int):
         """c_I for one 3-subset straight from its defining relation."""
         K = self.K
-        vec = [_lift(coords.field, K, v) if coords.field != K else v
-               for v in coords.v]
+        vec = [_lift(coords.field, K, v) for v in coords.v]
         inv = K.inv(self._normalizer(mask3))
         acc = K.zero()
         for val, lam in zip(vec[:10], self._lambda_row(mask3)):

@@ -24,7 +24,9 @@ g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block, which
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
 generators by relabelling the pair, so traces stay inside the span), all
-of them in one product with the Hankel matrix of traces of t^k.
+of them in one product with the Hankel matrix of traces of t^k.  One row
+reduction of the traces gives the 72 descended forms and certifies their
+span, as the one that certifies the twisted rank 72 gives the odd block.
 
 The point search over F_p reads the descended forms and the covering map
 only, so it runs from an ``EpsilonChoice`` without the twisted model: a
@@ -42,11 +44,12 @@ from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
 from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, block_diag, fp_rref, frobenius_fixed_values,
-                     int64_exact, kernel_from_rref, rank_rows, rref_rows, to_np)
+from .linalg import (Mat, block_diag, fp_rref, from_np, frobenius_fixed_values,
+                     int64_exact, kernel_from_rref, span_supported, to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
-                       ODD_MONOMIALS, QuadricForm, forms_vanish_at)
+                       ODD_MONOMIALS, QuadricForm, forms_vanish_at,
+                       independent_picks)
 from .torsion import TorsionActionCtx, split_product, t_squared
 
 
@@ -248,7 +251,8 @@ class TwistModel:
         W = self.ctx.K
         self.labelled = self.ctx.invariant_generators(self.eps.deltas, self.eps.n)
         self.forms = [q for _, q in self.labelled]
-        self.rank = rank_rows(W, [q.vector() for q in self.forms])
+        self.rank, self._odd_block = span_supported(
+            W, [q.vector() for q in self.forms], ODD_MONOMIALS)
         if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
         # every coefficient lies in the splitting field of f, even when the
@@ -278,8 +282,7 @@ class TwistModel:
 
     def _lift_coords(self, coords):
         W = self.ctx.K
-        return [_lift(coords.field, W, v) if coords.field != W else v
-                for v in coords.v]
+        return [_lift(coords.field, W, v) for v in coords.v]
 
     def pull_back(self, coords):
         """g^{-1} of a point of the Jacobian, as a 16-vector over the field."""
@@ -317,59 +320,48 @@ class TwistModel:
     # -- descent ------------------------------------------------------------------
 
     def descend_to_ground(self):
-        """72 forms with ground-field coefficients spanning the twisted ideal."""
-        forms = self._descend_trace()
-        self._check_descent(forms)
-        return forms
-
-    def _descend_trace(self):
-        """Traces Tr(t^i q), i < e, of the twisted forms q over the working
-        field F_{p^e} (``trace_stack``), row-reduced to 72 ground-field
-        forms."""
+        """72 forms with ground-field coefficients spanning the twisted ideal:
+        the first 72 rows of the one reduction of the traces Tr(t^i q),
+        i < e, of the twisted forms q over F_{p^e} (``trace_stack``), which
+        ``_check_descent`` certifies.  Over the ground field the twisted
+        forms, already of rank 72, are the descended forms."""
         W = self.ctx.K
         k = self.datum.algebra.field
         if W.deg == 1:
             return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
-        R, piv = rref_rows(k, trace_stack(W, [q.vector() for q in self.forms]).tolist())
-        if len(piv) != 72:
-            raise RankLoss(f"trace descent produced rank {len(piv)}")
-        return [QuadricForm.from_vector(k, row) for row in R[:72]]
+        R, piv = fp_rref(k, trace_stack(W, [q.vector() for q in self.forms]))
+        self._check_descent(R, piv)
+        return [QuadricForm.from_vector(k, row) for row in from_np(k, R[:72])]
 
-    def _check_descent(self, forms):
-        """The descended forms have ground coefficients, rank 72, and span
-        the twisted forms over the working field: with R their reduced rows
-        and pivots piv, every twisted vector v equals sum_r v[piv_r] R_r.
+    def _check_descent(self, R, piv):
+        """The reduced rows R over the ground field, pivots piv, have rank at
+        least 72, and the first 72 span the twisted forms over the working
+        field: every twisted vector v equals sum_r v[piv_r] R_r, r < 72.
         The twisted forms have rank 72 too, so the two spans are equal.  The
         products sum 72 products (``to_np``)."""
         W = self.ctx.K
-        k = self.datum.algebra.field
-        if any(not q.frobenius_fixed() for q in forms):
-            raise RankLoss("descended coefficient outside the ground field")
-        R, piv = rref_rows(k, [q.vector() for q in forms])
-        if len(piv) != 72:
+        if len(piv) < 72:
             raise RankLoss("descended span has rank < 72")
         V = to_np(W, [q.vector() for q in self.forms], 72).reshape(len(self.forms), -1, W.deg)
-        spanned = V[:, piv].transpose(0, 2, 1) @ to_np(W, R, 72) % W.p
+        spanned = V[:, piv[:72]].transpose(0, 2, 1) @ to_np(W, R[:72], 72) % W.p
         if not np.array_equal(spanned.transpose(0, 2, 1), V):
             raise RankLoss("descended span differs from the twisted span")
 
     # -- the P^5 sub-block ---------------------------------------------------------
 
     def odd_block(self):
-        """Basis of the forms in the twisted ideal supported on b-monomials."""
-        return span_supported(self.field, [q.vector() for q in self.forms],
-                              ODD_MONOMIALS)
+        """Basis of the forms in the twisted ideal supported on b-monomials,
+        read from the reduction that certified ``rank``."""
+        return self._odd_block
 
     def matches_vdelta(self) -> bool:
-        """The 3-dimensional odd block equals the span of the V_delta forms."""
-        W = self.field
+        """The 3-dimensional odd block equals the span of the V_delta forms:
+        in one reduction, the three V_delta forms are independent and the
+        block adds nothing to them."""
         blk = self.odd_block()
-        if len(blk) != 3:
-            return False
         vd = VDeltaModel(self.ctx.algebra, self.eps.delta_w)
         vrows = [QuadricForm.from_odd_matrix(M).vector() for M in vd.matrices]
-        return (rank_rows(W, vrows) == 3
-                and rank_rows(W, vrows + blk) == 3)
+        return len(blk) == 3 and independent_picks(self.field, vrows + blk) == [0, 1, 2]
 
     def to_json(self, descended=None):
         W = self.field
@@ -420,25 +412,6 @@ def trace_stack(W: Field, rows):
     hankel = to_np(W, [traces[j:j + e] for j in range(e)], e)
     vecs = to_np(W, rows, e)  # (N, M, e)
     return (vecs @ hankel % p).transpose(2, 0, 1).reshape(-1, vecs.shape[1])
-
-
-def span_supported(field: Field, vectors, keep_monomials):
-    """Basis of (row span) intersect (coordinates in keep_monomials)."""
-    keep = set(keep_monomials)
-    order = [n for n in range(len(MONOMIALS)) if n not in keep] + list(keep_monomials)
-    permuted = [[vec[n] for n in order] for vec in vectors]
-    R, piv = rref_rows(field, permuted)
-    ncut = len(MONOMIALS) - len(keep)
-    out = []
-    for r, row in enumerate(R):
-        if r >= len(piv):
-            break
-        if all(field.is_zero(v) for v in row[:ncut]):
-            back = [field.zero()] * len(MONOMIALS)
-            for pos, n in enumerate(order):
-                back[n] = row[pos]
-            out.append(back)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +567,8 @@ def search_twist_points(model, descended=None):
         raise Genus2Error("searching from an EpsilonChoice needs the descended forms")
     forms = descended if descended is not None else model.descend_to_ground()
     vecs = [q.vector() for q in forms]
-    odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS))[:, 10:, 10:]
-    mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS))[:, :10, 10:]
+    odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS)[1])[:, 10:, 10:]
+    mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS)[1])[:, :10, 10:]
     found = set(_node_pullbacks(model, forms))
     b = np.array(p5_zeros(k, odd), dtype=np.int64).reshape(-1, 6)
     # row i of survivor r's system: sum_j mixed[:, i, j] b_j (6 products)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,3 +66,19 @@ def rand_divisor(curve, field, rng):
 @pytest.fixture()
 def rng():
     return random.Random(20260809)
+
+
+@pytest.fixture()
+def rref_calls(monkeypatch):
+    """A list that grows by one on every ``fp_rref`` or ``fq_rref`` call,
+    from whichever package module makes it."""
+    from genus2covers import linalg
+    calls = []
+    for name in ("fp_rref", "fq_rref"):
+        kernel = getattr(linalg, name)
+        counted = lambda F, A, kernel=kernel: calls.append(1) or kernel(F, A)
+        for module in list(sys.modules.values()):
+            if (module.__name__.split(".")[0] == "genus2covers"
+                    and getattr(module, name, None) is kernel):
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -10,7 +10,8 @@ from genus2covers.fields import Field
 from genus2covers.linalg import (Mat, block_diag, ext_matmul_np, fp_rref,
                                  fq_rref, in_row_span, int64_exact,
                                  kernel_rows, rank_rows, rref_rows,
-                                 solve_linear, solve_rows, to_np)
+                                 solve_linear, solve_rows, span_supported,
+                                 to_np)
 from genus2covers.poly import Poly
 from genus2covers.quadrics import MONOMIALS, QuadricForm, forms_vanish_at
 
@@ -95,6 +96,31 @@ def test_inverse_and_det():
             if F.is_zero(A.det()):
                 continue
             assert (A * A.inv()).rows == Mat.identity(F, 5).rows
+
+
+def cofactor_det(F, rows):
+    """Reference determinant by expansion along the first row."""
+    if not rows:
+        return F.one()
+    det = F.zero()
+    for j, a in enumerate(rows[0]):
+        minor = cofactor_det(F, [row[:j] + row[j + 1:] for row in rows[1:]])
+        term = F.mul(a, minor)
+        det = F.sub(det, term) if j % 2 else F.add(det, term)
+    return det
+
+
+def test_det_matches_cofactor_expansion():
+    """``Mat.det``, read from the characteristic polynomial, against the
+    expansion by minors, on random and on singular matrices of sizes 0-5."""
+    rng = random.Random(15)
+    for F in (Field.prime(103), Field.extension(11, 2), Field.rationals()):
+        for n in range(6):
+            A = _rand_mat(F, rng, n, n)
+            assert A.det() == cofactor_det(F, A.rows)
+            if n > 1:
+                S = Mat(F, A.rows[:-1] + [A.rows[0]])
+                assert S.det() == cofactor_det(F, S.rows) == F.zero()
 
 
 def test_charpoly_known_cases():
@@ -386,6 +412,29 @@ def test_solve_rows_matches_plain_reference(data, F):
     sols, kernel = solve_rows(F, A, B)
     assert kernel == kernel_rows(F, A)
     assert [[row[0] for row in plain_matmul(F, A, [[v] for v in x])] for x in sols] == B
+
+
+@pytest.mark.parametrize("F", [Field.prime(7), Field.extension(7, 2)], ids=repr)
+def test_span_supported_reads_rank_and_block(F, rref_calls):
+    """One reduction gives the rank and a basis of the span's vectors
+    supported on `keep`: the basis is independent, lies in the span and is
+    supported there, and its size is the rank minus the rank of the other
+    columns."""
+    rng = random.Random(16)
+    keep = [6, 2, 5]
+    rest = [j for j in range(8) if j not in keep]
+    for _ in range(20):
+        vecs = [[F.rand(rng) if j in keep or full else F.zero() for j in range(8)]
+                for full in rng.choices([True, False], k=rng.randrange(1, 7))]
+        rref_calls.clear()
+        rank, block = span_supported(F, vecs, keep)
+        assert len(rref_calls) == 1
+        assert rank == rank_rows(F, vecs)
+        assert len(block) == rank - rank_rows(F, [[v[j] for j in rest] for v in vecs])
+        assert rank_rows(F, block) == len(block)
+        assert in_row_span(F, vecs, block)
+        assert all(F.is_zero(v[j]) for v in block for j in rest)
+    assert span_supported(F, [], keep) == (0, [])
 
 
 def test_solve_rows_reduces_once(monkeypatch):

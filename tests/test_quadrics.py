@@ -42,6 +42,12 @@ def test_kernel_certificates(ref_curve):
     assert vanishing_kernel_dimensions(ref_curve, seed=3) == (72, 21)
 
 
+def test_kernel_dimensions_reduce_once(ref_curve, rref_calls):
+    """Both dimensions come from one reduction, the even columns first."""
+    assert vanishing_kernel_dimensions(ref_curve, seed=1) == (72, 21)
+    assert len(rref_calls) == 1
+
+
 def test_two_uple_holds_identically(ref_curve, ref_field, rng):
     """The even part of any evaluated point satisfies every rank condition."""
     forms = veronese_quadrics(ref_field)

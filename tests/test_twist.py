@@ -13,7 +13,8 @@ from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
 from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
-from genus2covers.linalg import Mat, ext_mul_arrays, kernel_rows, rank_rows, to_np
+from genus2covers.linalg import (Mat, ext_mul_arrays, kernel_rows, rank_rows,
+                                 rref_rows, to_np)
 from genus2covers.poly import Poly
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
                                    QuadricForm, independent_picks)
@@ -243,7 +244,7 @@ def test_descents_agree(trivial_model, ref_curve):
     F = ref_curve.field
     a = trivial_model.descend_to_ground()
     b = assembled_descent(trivial_model)
-    trivial_model._check_descent(b)
+    trivial_model._check_descent(*rref_rows(F, [q.vector() for q in b]))
     assert all(q.frobenius_fixed() for q in a + b)
     assert rank_rows(F, [q.vector() for q in a]) == 72
     assert rank_rows(F, [q.vector() for q in a] + [q.vector() for q in b]) == 72
@@ -251,15 +252,21 @@ def test_descents_agree(trivial_model, ref_curve):
 
 def test_check_descent_refuses_a_smaller_or_a_different_span(trivial_model, ref_curve):
     F = ref_curve.field
-    forms = trivial_model.descend_to_ground()
+    vecs = [q.vector() for q in trivial_model.descend_to_ground()]
     with pytest.raises(RankLoss, match="rank < 72"):
-        trivial_model._check_descent(forms[:71] + forms[:1])
+        trivial_model._check_descent(*rref_rows(F, vecs[:71] + vecs[:1]))
     rng = random.Random(5)
-    vecs = [q.vector() for q in forms]
     v = next(v for v in ([F.rand(rng) for _ in MONOMIALS] for _ in range(10))
              if rank_rows(F, vecs + [v]) == 73)
     with pytest.raises(RankLoss, match="differs"):
-        trivial_model._check_descent(forms[1:] + [QuadricForm.from_vector(F, v)])
+        trivial_model._check_descent(*rref_rows(F, vecs[1:] + [v]))
+
+
+def test_odd_block_and_descent_reduce_once(trivial_model, rref_calls):
+    """The odd block is read from the reduction that certified rank 72, and
+    the descent reduces the trace stack once, which also certifies its span."""
+    assert len(trivial_model.odd_block()) == 3 and not rref_calls
+    assert len(trivial_model.descend_to_ground()) == 72 and len(rref_calls) == 1
 
 
 def test_descended_forms_vanish_on_twist_points(trivial_model, ref_curve, rng):
@@ -301,12 +308,11 @@ def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
         return arr
 
     monkeypatch.setattr(twist, "to_np", recorded)
-    forms = tm._descend_trace()
+    forms = tm.descend_to_ground()
     assert set(dtypes) == {np.dtype(np.int64 if p == 103 else object)}
     if p == 103:
         monkeypatch.setattr(twist, "to_np", lambda field, rows, s: np.array(rows, dtype=object))
-        assert [q.vector() for q in tm._descend_trace()] == [q.vector() for q in forms]
-    tm._check_descent(forms)
+        assert [q.vector() for q in tm.descend_to_ground()] == [q.vector() for q in forms]
 
 
 def plain_trace_stack(W, rows):
@@ -565,8 +571,8 @@ def scalar_twist_search(model, forms):
     (``kernel_reps``, ``resolve_scale``) and the node pullbacks."""
     k = model.datum.algebra.field
     vecs = [q.vector() for q in forms]
-    odd_blk = span_supported(k, vecs, ODD_MONOMIALS)
-    mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)
+    odd_blk = span_supported(k, vecs, ODD_MONOMIALS)[1]
+    mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)[1]
     found = set(_node_pullbacks(model, forms))
     for b in projective_reps(k, 6):
         ok = True
