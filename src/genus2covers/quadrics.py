@@ -12,8 +12,11 @@ The generators come in five families, kept in this fixed order:
 4. 15 more from the same construction with every b_i replaced by b_{i-1},
    where f_0 b_0 = -(f_1 b_1 + ... + f_6 b_6), cleared of denominators;
 5. 21 forms expressing each product b_i b_j as a quadratic in the k_{uv}:
-   seven are hard-coded, the remaining fourteen are reconstructed by exact
-   interpolation at sampled points.
+   seven are hard-coded, the remaining fourteen are read from the kernel of
+   the quadrics vanishing at 150 sampled classes (``sampled_kernel``).
+
+The same reduction certifies the model: its kernel has dimension 72, and
+the kernel's even-only part dimension 21.
 
 Monomials are ordered (i, j), i <= j, over the 16 coordinates; a form maps
 to its length-136 coefficient vector in that order for all linear algebra.
@@ -30,7 +33,7 @@ from .errors import Genus2Error, InterpolationFailed
 from .fields import Field
 from .linalg import (Mat, ext_matmul_np, ext_mul_arrays, fp_rref,
                      frobenius_fixed_values, from_np, mod_p, rank_rows,
-                     rref_rows, solve_rows, to_np)
+                     rref_rows, to_np)
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
 MONO_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
@@ -294,9 +297,11 @@ UNLISTED_BB_PAIRS = [p for p in ALL_BB_PAIRS if p not in LISTED_BB_PAIRS]
 class JacobianModel:
     """The 72 quadrics through the Jacobian in P^15, over the ground field.
 
-    Construction samples points over a small extension to interpolate the
-    fourteen unlisted products b_i b_j, then certifies the rank, kept as
-    ``rank`` (72).  Immutable afterwards.
+    Construction reads the fourteen unlisted products b_i b_j and the
+    dimensions of the sampled kernel, kept as ``kernel_dimensions`` (72,
+    21), from one reduction at classes sampled over a small extension
+    (``sampled_kernel``), then certifies the rank, kept as ``rank`` (72).
+    Immutable afterwards.
     """
 
     def __init__(self, curve: CurveData, seed: int = 0):
@@ -310,7 +315,7 @@ class JacobianModel:
         self.odd = odd_quadrics(curve)
         self.odd_shifted = odd_quadrics(curve, shifted=True)
         self.listed_bb = listed_bb_forms(curve)
-        self.interpolated_bb = interpolate_bb_quadrics(curve, seed=seed)
+        self.interpolated_bb, self.kernel_dimensions = sampled_kernel(curve, seed)
         self.forms = (self.veronese + [self.kummer_even] + self.odd
                       + self.odd_shifted + self.listed_bb + self.interpolated_bb)
         if len(self.forms) != 72:
@@ -484,7 +489,8 @@ def odd_quadrics(curve: CurveData, shifted: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# interpolation of the fourteen unlisted b_i b_j products
+# the sampled kernel: the fourteen unlisted b_i b_j products and the
+# dimension certificates
 
 
 def sampling_field(field: Field) -> Field:
@@ -495,88 +501,57 @@ def sampling_field(field: Field) -> Field:
     return Field.extension(field.p, e) if e > 1 else field
 
 
-def split_equations(K: Field, rows, rhs_cols):
-    """Expand K-linear equations in F_p unknowns into F_p equations."""
-    if K.kind == "prime":
-        return rows, rhs_cols
-    d = K.deg
-    new_rows = []
-    new_rhs = [[] for _ in rhs_cols]
-    for r, row in enumerate(rows):
-        for t in range(d):
-            new_rows.append([v[t] for v in row])
-            for c, col in enumerate(rhs_cols):
-                new_rhs[c].append(col[r][t])
-    return new_rows, new_rhs
+def sampled_kernel(curve: CurveData, seed: int = 0, pairs=UNLISTED_BB_PAIRS):
+    """(forms b_i b_j - k-quadratic for `pairs`, (full, even-only) kernel
+    dimensions), read from one reduction of the 136 monomials' values at 150
+    sampled classes, each value split into its coefficients over F_p.
 
-
-def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, targets=None):
-    """Reconstruct products b_i b_j as k-quadratics by exact interpolation.
-
-    Solves, over the prime field, the linear system demanding that the
-    k-expression matches the product at 88 sampled generic classes, then
-    verifies each output at 50 fresh points.  The solution space per product
-    is an affine space over the 21-dimensional even vanishing subspace; any
-    representative is valid.  By default the fourteen products without a
-    hardcoded expression are reconstructed.
-    """
-    F = curve.field
-    K = sampling_field(F)
-    rng = random.Random(seed * 7919 + 17)
-    pairs = list(targets) if targets is not None else list(UNLISTED_BB_PAIRS)
-    divisors = [random_point(curve, K, rng) for _ in range(88)]
-    rows = []
-    rhs = [[] for _ in pairs]
-    for D in divisors:
-        v = D.coords().v
-        rows.append([K.mul(v[MONOMIALS[n][0]], v[MONOMIALS[n][1]])
-                     for n in EVEN_MONOMIALS])
-        for c, (bi, bj) in enumerate(pairs):
-            rhs[c].append(K.mul(v[9 + bi], v[9 + bj]))
-    rows_p, rhs_p = split_equations(K, rows, rhs)
-    try:
-        sols, kernel = solve_rows(F, rows_p, rhs_p)
-    except Genus2Error as exc:
-        raise InterpolationFailed(str(exc)) from exc
-    if len(kernel) != 21:
-        raise InterpolationFailed(
-            f"even vanishing space has dimension {len(kernel)}, expected 21")
-    forms = []
-    for (bi, bj), sol in zip(pairs, sols):
-        q = QuadricForm(F)
-        q.add_term(9 + bi, 9 + bj, 1)
-        for n, c in zip(EVEN_MONOMIALS, sol):
-            if not F.is_zero(c):
-                q.add_term(*MONOMIALS[n], F.neg(c))
-        forms.append(q)
-    fresh = [random_point(curve, K, rng) for _ in range(50)]
-    if not forms_vanish_at(forms, [(D.coords().v, K) for D in fresh]):
-        raise InterpolationFailed("interpolated form fails at fresh points")
-    return forms
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0):
-    """(full, even-only) dimensions of the spaces of quadrics vanishing at
-    one batch of 150 sampled points.
-
-    With enough generic points these are the degree-2 part of the ideal and
-    its even-coordinate slice: 72 and 21.  One reduction of the evaluation
-    matrix with the 55 even monomials first gives both: the even-only rank
-    is the number of its pivots among the first 55 columns.
+    The columns are the 55 even monomials, the 21 odd and the 60 mixed
+    ones.  The kernel is the degree-2 part of the ideal (72) and the even
+    monomials' pivots leave its even slice (21).  Each b_i b_j is a
+    k-quadratic on J, so its column is free, and its kernel vector is b_i
+    b_j minus the k-quadratic that is zero at the free even columns.  The
+    forms are checked at 50 more classes of the same stream; a wrong
+    even-only dimension, a pivot b_i b_j column or a failed check raises
+    InterpolationFailed.
     """
     F = curve.field
     K = sampling_field(F)
     rng = random.Random(seed * 104729 + 3)
-    order = EVEN_MONOMIALS + MIXED_MONOMIALS + ODD_MONOMIALS
-    rows = []
-    for _ in range(150):
-        v = random_point(curve, K, rng).coords().v
-        rows.append([K.mul(v[MONOMIALS[n][0]], v[MONOMIALS[n][1]]) for n in order])
-    rows_p, _ = split_equations(K, rows, [])
-    _, piv = fp_rref(F, to_np(F, rows_p, 2))
+    order = EVEN_MONOMIALS + ODD_MONOMIALS + MIXED_MONOMIALS
+    A = to_np(F, [monomial_values(K, random_point(curve, K, rng).coords().v)
+                  for _ in range(150)], 2)[:, order]
+    if K.kind == "ext":
+        A = A.transpose(0, 2, 1).reshape(-1, len(order))
+    R, piv = fp_rref(F, A)
     even = len(EVEN_MONOMIALS)
-    return len(order) - len(piv), even - sum(c < even for c in piv)
+    dims = (len(order) - len(piv), even - sum(c < even for c in piv))
+    if dims[1] != 21:
+        raise InterpolationFailed(
+            f"even vanishing space has dimension {dims[1]}, expected 21")
+    forms = []
+    for bi, bj in pairs:
+        c = even + ODD_MONOMIALS.index(MONO_INDEX[(9 + bi, 9 + bj)])
+        if c in piv:
+            raise InterpolationFailed(f"b{bi} b{bj} is not a k-quadratic at the sampled classes")
+        q = QuadricForm(F)
+        q.add_term(9 + bi, 9 + bj, 1)
+        for r, n in enumerate(piv):
+            if R[r, c]:
+                q.add_term(*MONOMIALS[order[n]], F.neg(int(R[r, c])))
+        forms.append(q)
+    fresh = [(random_point(curve, K, rng).coords().v, K) for _ in range(50)]
+    if not forms_vanish_at(forms, fresh):
+        raise InterpolationFailed("interpolated form fails at fresh points")
+    return forms, dims
+
+
+def interpolate_bb_quadrics(curve: CurveData, seed: int = 0, targets=None):
+    """The forms of ``sampled_kernel`` for `targets`, by default the fourteen
+    products without a hardcoded expression."""
+    return sampled_kernel(curve, seed, UNLISTED_BB_PAIRS if targets is None else targets)[0]
+
+
+def vanishing_kernel_dimensions(curve: CurveData, seed: int = 0):
+    """The (full, even-only) dimensions of ``sampled_kernel``: 72 and 21."""
+    return sampled_kernel(curve, seed, [])[1]

@@ -82,3 +82,18 @@ def rref_calls(monkeypatch):
                     and getattr(module, name, None) is kernel):
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture()
+def sampled_classes(monkeypatch):
+    """A list that grows by one on every ``random_point`` call, from
+    whichever package module makes it."""
+    from genus2covers import curve
+    calls = []
+    sample = curve.random_point
+    counted = lambda *args, **kw: calls.append(1) or sample(*args, **kw)
+    for module in list(sys.modules.values()):
+        if (module.__name__.split(".")[0] == "genus2covers"
+                and getattr(module, "random_point", None) is sample):
+            monkeypatch.setattr(module, "random_point", counted)
+    return calls

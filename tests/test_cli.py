@@ -106,6 +106,17 @@ def test_model_jacobian(capsys):
     assert data["verification"]["vanishes"] is True
 
 
+def test_model_jacobian_samples_once(capsys, rref_calls, sampled_classes):
+    """The model reads its fourteen b_i b_j forms and both kernel dimensions
+    from one reduction at 150 classes, checks the forms at 50 more and
+    vanishing at 200; building no roots leaves the three greedy picks and
+    the rank of the 72 generators as the other reductions."""
+    assert main(["model", "--field", "F101", "--curve", CURVE, "--which", "jacobian"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["kernel_dimension"] == 72
+    assert len(sampled_classes) == 400
+    assert len(rref_calls) == 5
+
+
 def test_model_desing_p5(capsys):
     code, data = run(capsys, "model", "--field", "F101", "--curve", CURVE,
                      "--which", "desing-p5")
@@ -150,6 +161,14 @@ def test_verify_suites(capsys):
                          "--suite", suite)
         assert code == 0
         assert data["ok"] is True
+
+
+def test_verify_diagonal_ranks_generators_in_one_reduction(capsys, rref_calls):
+    """The independence of the 72 untwisted generators and their span of
+    the lifted Jacobian forms come from one reduction."""
+    assert main(["verify", "--field", "F101", "--curve", CURVE, "--suite", "diagonal"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(rref_calls) == 9
 
 
 def test_verify_action_on_split_curve(capsys):

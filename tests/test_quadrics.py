@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus2covers.curve import random_point
+from genus2covers.curve import CurveData, random_point
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field
-from genus2covers.linalg import Mat, in_row_span, rank_rows
-from genus2covers.quadrics import (ALL_BB_PAIRS, LISTED_BB_PAIRS, MONOMIALS,
-                                   JacobianModel, QuadricForm, compose_forms,
-                                   forms_vanish_at, independent_picks,
-                                   interpolate_bb_quadrics, sampling_field,
+from genus2covers.linalg import Mat, in_row_span, rank_rows, solve_rows
+from genus2covers.quadrics import (ALL_BB_PAIRS, EVEN_MONOMIALS, LISTED_BB_PAIRS,
+                                   MONOMIALS, UNLISTED_BB_PAIRS, JacobianModel,
+                                   QuadricForm, compose_forms, forms_vanish_at,
+                                   independent_picks, interpolate_bb_quadrics,
+                                   sampled_kernel, sampling_field,
                                    select_independent,
                                    vanishing_kernel_dimensions,
                                    veronese_quadrics)
@@ -46,6 +47,50 @@ def test_kernel_dimensions_reduce_once(ref_curve, rref_calls):
     """Both dimensions come from one reduction, the even columns first."""
     assert vanishing_kernel_dimensions(ref_curve, seed=1) == (72, 21)
     assert len(rref_calls) == 1
+
+
+def reference_interpolation(curve, seed, pairs):
+    """The plain reference for the b_i b_j forms of ``sampled_kernel``: solve
+    for each product as a k-quadratic at 88 sampled classes of their own
+    stream, each equation over the sampling field split into its
+    coefficients over the prime field.  ``solve_rows`` sets the free even
+    columns to zero, as the kernel read does."""
+    F = curve.field
+    K = sampling_field(F)
+    rng = random.Random(seed * 7919 + 17)
+    rows, rhs = [], [[] for _ in pairs]
+    for _ in range(88):
+        v = random_point(curve, K, rng).coords().v
+        values = [K.mul(v[MONOMIALS[n][0]], v[MONOMIALS[n][1]]) for n in EVEN_MONOMIALS]
+        targets = [K.mul(v[9 + bi], v[9 + bj]) for bi, bj in pairs]
+        for t in range(K.deg):
+            coeff = lambda x: x if K.kind == "prime" else x[t]
+            rows.append([coeff(x) for x in values])
+            for col, x in zip(rhs, targets):
+                col.append(coeff(x))
+    sols, kernel = solve_rows(F, rows, rhs)
+    assert len(kernel) == 21
+    forms = []
+    for (bi, bj), sol in zip(pairs, sols):
+        q = QuadricForm(F)
+        q.add_term(9 + bi, 9 + bj, 1)
+        for n, c in zip(EVEN_MONOMIALS, sol):
+            q.add_term(*MONOMIALS[n], F.neg(c))
+        forms.append(q)
+    return forms
+
+
+# sampling over F_{13^4}, F_{101^2} and the prime field itself, int64 below
+# 2^31 and object arrays of Python ints above
+@pytest.mark.parametrize("p", [13, 101, 40000003, 4294967311])
+def test_sampled_kernel_forms_match_reference_interpolation(p):
+    F = Field.prime(p)
+    curve = CurveData(F, [5, 1, 2, 1, 1, 3, 1])
+    for seed in (0, 1, 7):
+        forms, dims = sampled_kernel(curve, seed)
+        assert dims == (72, 21)
+        want = reference_interpolation(curve, seed, UNLISTED_BB_PAIRS)
+        assert [q.coeffs for q in forms] == [q.coeffs for q in want]
 
 
 def test_two_uple_holds_identically(ref_curve, ref_field, rng):
