@@ -7,9 +7,10 @@ Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
 factor t_I, 5 verification failure.  Errors are JSON objects
 {"error": message, "kind": kind}; the input kinds are bad-field (exit 1,
-also for F<p>^<d>: curves over extension fields are not supported yet),
-bad-curve (exit 2), bad-delta for --delta and --n, or a delta of norm zero
-(exit 1) and bad-model-ref (exit 1).
+also for F<p>^<d>: curves over extension fields are not supported yet, and
+for Q in model, twist and verify), bad-curve (exit 2), bad-delta for
+--delta and --n, or a delta of norm zero (exit 1) and bad-model-ref
+(exit 1).
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
 from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
 from .fields import parse_field_spec
-from .kummer import KummerModels, form_values
+from .kummer import KummerModels, even_matrix, form_values, veronese_quartic
 from .linalg import Mat, rank_rows
 from .poly import Poly, _lift
 from .quadrics import (JacobianModel, QuadricForm, independent_picks,
-                       sampling_field)
+                       kummer_image_quadric, sampling_field, veronese_quadrics)
 from .torsion import TorsionActionCtx
 from .twist import (EpsilonChoice, TorsionContexts, TwistDatum, TwistModel,
                     count_jacobian_points, search_twist_points,
@@ -223,15 +224,15 @@ def cmd_curve_info(args):
 
 def _context(args, roots=True):
     """The curve over a finite field and, when `roots`, its roots in the
-    splitting field (an ``EtaleAlgebra``)."""
+    splitting field (an ``EtaleAlgebra``).  Q is refused as bad-field."""
     curve = load_curve(load_field(args.field), args.curve)
     if not curve.field.is_finite():
-        raise Genus2Error("this command needs a finite ground field")
+        raise BadInput("bad-field", "this command needs a finite ground field")
     return curve, EtaleAlgebra(curve, seed=args.seed) if roots else None
 
 
 def cmd_model(args):
-    # the Jacobian and its even-only Kummer quadrics read no roots
+    # the Jacobian and its Kummer quadrics in P^9 read no roots
     curve, alg = _context(args, roots=args.which not in ("jacobian", "kummer-p9"))
     field = curve.field
     which = args.which
@@ -247,8 +248,7 @@ def cmd_model(args):
             curve, args.seed,
             lambda D: _kummer_quartic_value(km, D), 100, "quartic_vanishes")
     elif which == "kummer-p9":
-        jm = JacobianModel(curve, seed=args.seed)
-        evens = [q for q in jm.forms if q.is_even_only()]
+        evens = veronese_quadrics(field) + [kummer_image_quadric(curve)]
         out["quadrics"] = [q.to_json() for q in evens]
         out["verification"] = {"count": len(evens),
                                "rank": rank_rows(field, [q.vector() for q in evens])}
@@ -453,8 +453,10 @@ def _verify_action(alg, ctx):
     K = alg.splitting
     pts = all_two_torsion()
     ok_sq = ok_det = ok_quartic = 0
-    km = KummerModels(alg)
-    quartic = km.kummer_quartic().map_field(K)
+    # the Kummer quartic at M_P k is Res^2 Q(T10_P v(k)): Q is the Kummer
+    # quadric (matrix A) and v(k) = (k_i k_j)
+    A = even_matrix(kummer_image_quadric(alg.curve), K)
+    quartic = veronese_quartic(A).terms
     for P in pts:
         M = ctx.mp_matrix(P)
         res = ctx.res_gh(P)
@@ -463,9 +465,8 @@ def _verify_action(alg, ctx):
                    for i in range(4) for j in range(4))
         ok_sq += good
         ok_det += K.eq(M.det(), K.mul(res, res))
-        composed = quartic.compose_linear(M)
-        scaled = quartic.scaled(K.mul(res, res))
-        ok_quartic += (composed.terms == scaled.terms)
+        T = ctx.t10_matrix(P)
+        ok_quartic += veronese_quartic(T.transpose() * A * T).terms == quartic
     ok_law = 0
     for P in pts:
         TP = ctx.t10_matrix(P)

@@ -354,14 +354,17 @@ def _add_points(curve: CurveData, F: Field, pts):
         raise NotGeneric(str(exc)) from exc
 
 
-def random_point(curve: CurveData, field: Field, rng: random.Random,
-                 max_attempts: int = 400) -> DivisorClass:
+# x-coordinates drawn by random_point before it gives up on the field
+SAMPLE_ATTEMPTS = 400
+
+
+def random_point(curve: CurveData, field: Field, rng: random.Random) -> DivisorClass:
     """Rejection-sample a generic divisor class over a finite field."""
     if not field.is_finite():
         raise Genus2Error("sampling needs a finite field")
     fK = curve.f.map_field(field)
     pts = []
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         x = field.rand(rng)
         fx = fK.evaluate(x)
         if field.is_zero(fx):

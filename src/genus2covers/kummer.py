@@ -7,6 +7,12 @@ for j = 0, 1, 2 gives the twist V_delta attached to delta = sum d_i X^i.
 Conjugating by the root Vandermonde diagonalizes all of these:
 S^t (sum_i d_i R^{i+j} T) S = f6 * diag(w^j lambda_w delta(w)).
 
+The Kummer quartic in P^3 is the Kummer quadric Q of P^9 (the 21st even
+generator of the Jacobian) on the Veronese image v(k) = (k_i k_j):
+K(k) = Q(v(k)) (``veronese_quartic``).  Translation by a two-torsion point P
+sends v(k) to Res(g, h) T10_P v(k), so K(M_P k) = Res^2 K(k) exactly when
+Q(T10_P v) and Q(v) give the same quartic.
+
 The map from P^5 down to P^3 is quadratic and only uses b_1..b_4; its image
 factors through the Weddle quartic surface.  The inverse direction evaluates
 the products b_r b_i written as quadratics in the k_{ij}.
@@ -14,14 +20,13 @@ the products b_r b_i written as quadratics in the k_{ij}.
 
 from __future__ import annotations
 
-import operator
-
 from .curve import DivisorClass, EVEN_PAIRS
 from .errors import BadGauge, BasePoint, Genus2Error, NonUnitDelta
 from .etale import EtaleAlgebra, LVec
 from .fields import Field, FieldElem
 from .linalg import Mat
 from .poly import Poly, _lift
+from .quadrics import QuadricForm, kummer_image_quadric
 
 
 class MultiPoly:
@@ -29,13 +34,10 @@ class MultiPoly:
 
     __slots__ = ("field", "nvars", "terms")
 
-    def __init__(self, field: Field, nvars: int, terms=None):
+    def __init__(self, field: Field, nvars: int):
         self.field = field
         self.nvars = nvars
         self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                self.add_term(e, c)
 
     def add_term(self, expts, c):
         self._add(tuple(expts), self.field.coerce(c))
@@ -50,48 +52,6 @@ class MultiPoly:
         else:
             self.terms[e] = new
 
-    def _copy(self):
-        out = MultiPoly(self.field, self.nvars)
-        out.terms = dict(self.terms)
-        return out
-
-    def __add__(self, other):
-        out = self._copy()
-        for e, c in other.terms.items():
-            out._add(e, c)
-        return out
-
-    def __sub__(self, other):
-        out = self._copy()
-        F = self.field
-        for e, c in other.terms.items():
-            out._add(e, F.neg(c))
-        return out
-
-    def __mul__(self, other):
-        F = self.field
-        out = MultiPoly(F, self.nvars)
-        if isinstance(other, MultiPoly):
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    out._add(tuple(map(operator.add, e1, e2)), F.mul(c1, c2))
-            return out
-        v = F.coerce(other)
-        for e, c in self.terms.items():
-            out._add(e, F.mul(c, v))
-        return out
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, var: int):
-        return max((e[var] for e in self.terms), default=0)
-
     def evaluate(self, vec, K: Field = None):
         F = self.field
         K = K or F
@@ -104,60 +64,31 @@ class MultiPoly:
             acc = K.add(acc, term)
         return acc
 
-    def compose_linear(self, M: Mat) -> "MultiPoly":
-        """Substitute variables v_i -> L_i = sum_j M[i][j] v_j, by Horner's
-        rule in v_0, then v_1, ...: sum_a L_0^a q_a(L_1, ...) where
-        q = sum_a v_0^a q_a.  Each power of an L_i is expanded once."""
-        F = M.field
-        n = self.nvars
-        const = (0,) * n
-        powers = []  # powers[i][k] = L_i^k
-        for i in range(n):
-            one, lin = MultiPoly(F, n), MultiPoly(F, n)
-            one._add(const, F.one())
-            for j in range(n):
-                lin._add(const[:j] + (1,) + const[j + 1:], M.rows[i][j])
-            powers.append([one, lin])
-
-        def power(i, k):
-            while len(powers[i]) <= k:
-                powers[i].append(powers[i][-1] * powers[i][1])
-            return powers[i][k]
-
-        def compose(terms, i):
-            # the terms share their exponents of v_0 .. v_(i-1)
-            groups = {}
-            for e, c in terms:
-                groups.setdefault(e[i], []).append((e, c))
-            out = MultiPoly(F, n)
-            for k, group in groups.items():
-                if i == n - 1:
-                    part = power(i, k) * group[0][1]
-                else:
-                    part = compose(group, i + 1)
-                    if k:
-                        part = part * power(i, k)
-                for e, c in part.terms.items():
-                    out._add(e, c)
-            return out
-
-        terms = [(e, _lift(self.field, F, c)) for e, c in self.terms.items()]
-        return compose(terms, 0) if terms else MultiPoly(F, n)
-
-    def scaled(self, s):
-        return self * s
-
-    def map_field(self, G: Field) -> "MultiPoly":
-        """The same polynomial over G; itself when G is its own field."""
-        if G == self.field:
-            return self
-        out = MultiPoly(G, self.nvars)
-        for e, c in self.terms.items():
-            out.terms[e] = _lift(self.field, G, c)
-        return out
-
     def to_json(self):
         return [[list(e), self.field.fmt(c)] for e, c in sorted(self.terms.items())]
+
+
+def even_matrix(q: QuadricForm, K: Field) -> Mat:
+    """The upper-triangular 10x10 matrix A over K of an even-only quadric q
+    (a field that holds its coefficients), so that q(v) = v^T A v."""
+    rows = [[K.zero()] * 10 for _ in range(10)]
+    for (a, b), c in q.coeffs.items():
+        rows[a][b] = _lift(q.field, K, c)
+    return Mat(K, rows)
+
+
+def veronese_quartic(B: Mat) -> MultiPoly:
+    """The quartic v(k)^T B v(k) in k_1..k_4 of a 10x10 matrix B on the even
+    coordinates, v(k) = (k_i k_j) in slot order: B[a][b] adds to the
+    monomial k_i k_j k_u k_v, where slot a = (i, j) and slot b = (u, v)."""
+    out = MultiPoly(B.field, 4)
+    for (i, j), row in zip(EVEN_PAIRS, B.rows):
+        for (u, v), c in zip(EVEN_PAIRS, row):
+            e = [0] * 4
+            for t in (i, j, u, v):
+                e[t - 1] += 1
+            out._add(tuple(e), c)
+    return out
 
 
 def form_values(mats, vec6, K: Field):
@@ -172,13 +103,6 @@ def form_values(mats, vec6, K: Field):
                                        K.mul(vec6[i], vec6[j])))
         out.append(acc)
     return out
-
-
-def _mono(n, *pairs):
-    e = [0] * n
-    for var, power in pairs:
-        e[var] += power
-    return tuple(e)
 
 
 class VDeltaModel:
@@ -236,18 +160,11 @@ class KummerModels:
     # -- P^3 ---------------------------------------------------------------
 
     def kummer_quartic(self) -> MultiPoly:
-        """The quartic in (k_1..k_4) cutting out the Kummer surface."""
+        """The quartic in (k_1..k_4) cutting out the Kummer surface: the
+        Kummer quadric of P^9 on the Veronese image."""
         if self._quartic is None:
-            from .quadrics import kummer_image_quadric
             q = kummer_image_quadric(self.curve)
-            F = self.field
-            out = MultiPoly(F, 4)
-            for (a, b), c in q.coeffs.items():
-                pa, pb = EVEN_PAIRS[a], EVEN_PAIRS[b]
-                e = _mono(4, (pa[0] - 1, 1), (pa[1] - 1, 1),
-                          (pb[0] - 1, 1), (pb[1] - 1, 1))
-                out.add_term(e, c)
-            self._quartic = out
+            self._quartic = veronese_quartic(even_matrix(q, self.field))
         return self._quartic
 
     # -- P^5 ---------------------------------------------------------------
@@ -259,7 +176,6 @@ class KummerModels:
 
     def y_quadrics(self):
         """The same three forms as QuadricForms in the odd coordinates."""
-        from .quadrics import QuadricForm
         return [QuadricForm.from_odd_matrix(M) for M in self.y_matrices()]
 
     def v_delta(self, delta: LVec) -> VDeltaModel:

@@ -29,6 +29,7 @@ from genus2covers.quadrics import (JacobianModel, sampling_field,
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (TwistDatum, TwistModel, count_jacobian_points,
                                 search_twist_points)
+from test_kummer import plain_compose_linear, scaled_terms
 
 N_CURVES = 20
 SEED = 1009
@@ -133,7 +134,7 @@ def test_criterion_2_translation_matrices(family):
         tor = ctx.torsion
         K = tor.K
         km = KummerModels(ctx.algebra)
-        quartic = km.kummer_quartic().map_field(K)
+        quartic = km.kummer_quartic()
         for P in all_two_torsion():
             M = tor.mp_matrix(P)
             res = tor.res_gh(P)
@@ -142,8 +143,8 @@ def test_criterion_2_translation_matrices(family):
                 for j in range(4):
                     assert K.eq(sq.rows[i][j], res if i == j else K.zero())
             assert K.eq(M.det(), K.mul(res, res))
-            assert quartic.compose_linear(M).terms == \
-                quartic.scaled(K.mul(res, res)).terms
+            assert plain_compose_linear(quartic, M).terms == \
+                scaled_terms(quartic, K.mul(res, res), K)
     _report(2, "translation matrices", True, f"{len(family)} curves x 15 points")
 
 

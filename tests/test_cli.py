@@ -12,6 +12,7 @@ from genus2covers.cli import main
 CURVE = "[5,1,2,1,1,3,1]"
 CURVE11 = "[4,8,1,5,3,0,1]"
 DELTA1 = '["1","0","0","0","0","0"]'
+CURVE_Q = '["1","0","0","0","0","1","1"]'
 
 
 def run(capsys, *argv):
@@ -76,10 +77,14 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-delta", 1),
     (["twist", "--field", "F11", "--curve", CURVE11, "--delta", '["0","0","0","0","0","0"]',
       "--n", "0"], "bad-delta", 1),
+    (["model", "--field", "Q", "--curve", CURVE_Q, "--which", "jacobian"], "bad-field", 1),
+    (["twist", "--field", "Q", "--curve", CURVE_Q, "--delta", DELTA1, "--n", "1",
+      "--descend"], "bad-field", 1),
+    (["verify", "--field", "Q", "--curve", CURVE_Q, "--suite", "all"], "bad-field", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
-        "delta-norm-zero"])
+        "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
@@ -360,6 +365,38 @@ def test_curve_info_roots_are_pinned(argv, digest, capsys):
     out = capsys.readouterr().out
     assert len(set(json.loads(out)["roots"])) == 6
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["model", "--which", "kummer-p3", "--field", "F101", "--curve", CURVE],
+     "e65ec3f7d73b62ae52035b467d4575cfcbe4766843c77ef5aaba0a5c98a57d39"),
+    (["model", "--which", "kummer-p9", "--field", "F101", "--curve", CURVE],
+     "7441dee8f91b054443e257bb8e18ed923f25e8053ad65f17b21542b3c1560ce1"),
+    (["model", "--which", "weddle", "--field", "F101", "--curve", CURVE],
+     "fc40be9b08039b0b72c8152460fb64318c7d6c3f009e2bc7fbdea9818d8873af"),
+    (["model", "--which", "desing-p5", "--field", "F101", "--curve", CURVE],
+     "cfc5e07fc8eaf4b04187876564617d261c0ac6a0e43fd5f3b992c1bd63b4a97c"),
+    (["verify", "--suite", "action", "--field", "F101", "--curve", CURVE],
+     "da1e3be102d7158b2f79ff4151d963624dc63487fb3bdbb4ccdbcf74a662e3a5"),
+    (["verify", "--suite", "action", "--field", "F1009",
+      "--curve", "[400,414,335,194,623,440,63]", "--seed", "1"],
+     "f7f808a0ca8e9c797bdb855ddeea91184544a13f24d49834a174f6a02264444e"),
+], ids=["kummer-p3", "kummer-p9", "weddle", "desing-p5", "action-p101", "action-p1009"])
+def test_kummer_tower_outputs_are_pinned(argv, digest, capsys):
+    """The Kummer-tower models and the two-torsion action checks, pinned by
+    the SHA-256 of their stdout."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_model_kummer_p9_samples_nothing(capsys, rref_calls, sampled_classes):
+    """The 21 quadrics of P^9 are the Veronese quadrics (one greedy pick)
+    and the Kummer quadric; their rank is the second reduction."""
+    assert main(["model", "--field", "F101", "--curve", CURVE, "--which", "kummer-p9"]) == 0
+    v = json.loads(capsys.readouterr().out)["verification"]
+    assert v["count"] == v["rank"] == 21
+    assert len(sampled_classes) == 0
+    assert len(rref_calls) == 2
 
 
 _THREADS = ("import os, genus2covers; "

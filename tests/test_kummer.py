@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus2covers.curve import random_point
+from genus2covers.curve import EVEN_PAIRS, random_point
 from genus2covers.errors import BadGauge, NonUnitDelta
 from genus2covers.fields import Field
-from genus2covers.kummer import KummerModels, MultiPoly
+from genus2covers.kummer import KummerModels, MultiPoly, veronese_quartic
 from genus2covers.linalg import Mat, rank_rows
 from genus2covers.poly import _lift
 
@@ -24,8 +24,8 @@ def _kvec(D):
 
 def test_kummer_quartic(km, ref_curve, rng):
     q = km.kummer_quartic()
-    assert q.total_degree() == 4
-    assert q.degree_in(3) == 2  # quadratic in the fourth coordinate
+    assert max(sum(e) for e in q.terms) == 4
+    assert max(e[3] for e in q.terms) == 2  # quadratic in the fourth coordinate
     F = ref_curve.field
     for _ in range(100):
         D = random_point(ref_curve, F, rng)
@@ -251,7 +251,7 @@ def test_map_x_to_y_bad_gauge_at_nodes(km, ref_algebra, ref_jacobian):
 
 def test_weddle(km, ref_curve, ref_field, rng):
     q = km.weddle_quartic()
-    assert q.total_degree() == 4
+    assert max(sum(e) for e in q.terms) == 4
     assert q.nvars == 4  # no b5, b6
     F = ref_field
     for _ in range(100):
@@ -260,32 +260,87 @@ def test_weddle(km, ref_curve, ref_field, rng):
 
 
 def plain_compose_linear(q, M):
-    """Reference substitution v_i -> sum_j M[i][j] v_j: every monomial
-    expanded by one multiplication per linear factor."""
+    """Reference substitution v_i -> sum_j M[i][j] v_j over M's field (q's
+    coefficients lifted there): every monomial expanded by one dict product
+    per linear factor."""
     F, n = M.field, q.nvars
     unit = lambda j: tuple(int(t == j) for t in range(n))
-    lin = [MultiPoly(F, n, {unit(j): M.rows[i][j] for j in range(n)}) for i in range(n)]
+    lin = [{unit(j): M.rows[i][j] for j in range(n)} for i in range(n)]
+
+    def times(p1, p2):
+        prod = {}
+        for e1, c1 in p1.items():
+            for e2, c2 in p2.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod[e] = F.add(prod.get(e, F.zero()), F.mul(c1, c2))
+        return prod
+
     out = MultiPoly(F, n)
     for e, c in q.terms.items():
-        term = MultiPoly(F, n, {(0,) * n: c})
+        term = {(0,) * n: _lift(q.field, F, c)}
         for var, power in enumerate(e):
             for _ in range(power):
-                term = term * lin[var]
-        out = out + term
+                term = times(term, lin[var])
+        for e2, c2 in term.items():
+            out._add(e2, c2)
     return out
+
+
+def scaled_terms(q, s, K):
+    """The terms of s q over K."""
+    out = MultiPoly(K, q.nvars)
+    for e, c in q.terms.items():
+        out._add(e, K.mul(_lift(q.field, K, c), s))
+    return out.terms
+
+
+def sym2(M):
+    """The symmetric square of a 4x4 M on the even coordinates, so that
+    v(M k) = sym2(M) v(k) for v(k) = (k_i k_j) in slot order."""
+    F, m = M.field, M.rows
+    rows = []
+    for i, j in EVEN_PAIRS:
+        row = []
+        for u, v in EVEN_PAIRS:
+            c = F.mul(m[i - 1][u - 1], m[j - 1][v - 1])
+            if u != v:
+                c = F.add(c, F.mul(m[i - 1][v - 1], m[j - 1][u - 1]))
+            row.append(c)
+        rows.append(row)
+    return Mat(F, rows)
+
+
+def _random_mat(field, rng, n):
+    return Mat(field, [[field.rand(rng) if rng.random() < 0.7 else field.zero()
+                        for _ in range(n)] for _ in range(n)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from([Field.prime(7), Field.prime(101), Field.extension(5, 2)]),
-       nvars=st.integers(1, 4), data=st.data())
-def test_compose_linear_matches_monomial_expansion(field, nvars, data):
-    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    q = MultiPoly(field, nvars)
-    for _ in range(data.draw(st.integers(0, 12))):
-        e = [0] * nvars
-        for _ in range(data.draw(st.integers(0, 4))):
-            e[rng.randrange(nvars)] += 1
-        q.add_term(e, field.rand(rng))
-    M = Mat(field, [[field.rand(rng) if rng.random() < 0.7 else field.zero()
-                     for _ in range(nvars)] for _ in range(nvars)])
-    assert q.compose_linear(M).terms == plain_compose_linear(q, M).terms
+       seed=st.integers(0, 2 ** 32))
+def test_veronese_quartic_of_congruence_matches_substitution(field, seed):
+    """veronese_quartic(S^T A S) = veronese_quartic(A) composed with M, for
+    S = Sym^2(M); and veronese_quartic(A) takes the value v(k)^T A v(k)."""
+    rng = random.Random(seed)
+    M, A = _random_mat(field, rng, 4), _random_mat(field, rng, 10)
+    S = sym2(M)
+    q = veronese_quartic(A)
+    assert veronese_quartic(S.transpose() * A * S).terms == plain_compose_linear(q, M).terms
+    k = [field.rand(rng) for _ in range(4)]
+    v = [field.mul(k[i - 1], k[j - 1]) for i, j in EVEN_PAIRS]
+    value = field.zero()
+    for a in range(10):
+        for b in range(10):
+            value = field.add(value, field.mul(A.rows[a][b], field.mul(v[a], v[b])))
+    assert field.eq(q.evaluate(k), value)
+
+
+def test_veronese_quartic_sees_a_perturbed_congruence():
+    F = Field.prime(101)
+    rng = random.Random(5)
+    M, A = _random_mat(F, rng, 4), _random_mat(F, rng, 10)
+    rows = [list(row) for row in sym2(M).rows]
+    rows[0][0] = F.add(rows[0][0], F.one())
+    S = Mat(F, rows)
+    assert veronese_quartic(S.transpose() * A * S).terms != \
+        plain_compose_linear(veronese_quartic(A), M).terms
