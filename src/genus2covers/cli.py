@@ -25,11 +25,12 @@ from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
 from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
 from .fields import parse_field_spec
-from .kummer import KummerModels, even_matrix, form_values, veronese_quartic
+from .kummer import KummerModels, even_matrix, veronese_quartic
 from .linalg import Mat, rank_rows
 from .poly import Poly, _lift
-from .quadrics import (JacobianModel, QuadricForm, independent_picks,
-                       kummer_image_quadric, sampling_field, veronese_quadrics)
+from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
+                       independent_picks, kummer_image_quadric, sampling_field,
+                       veronese_quadrics)
 from .torsion import TorsionActionCtx
 from .twist import (EpsilonChoice, TorsionContexts, TwistDatum, TwistModel,
                     count_jacobian_points, search_twist_points,
@@ -246,7 +247,8 @@ def cmd_model(args):
         out["quartic"] = km.kummer_quartic().to_json()
         out["verification"] = _sampled_check(
             curve, args.seed,
-            lambda D: _kummer_quartic_value(km, D), 100, "quartic_vanishes")
+            lambda Ds: all(_kummer_quartic_vanishes(km, D) for D in Ds),
+            100, "quartic_vanishes")
     elif which == "kummer-p9":
         evens = veronese_quadrics(field) + [kummer_image_quadric(curve)]
         out["quadrics"] = [q.to_json() for q in evens]
@@ -254,46 +256,49 @@ def cmd_model(args):
                                "rank": rank_rows(field, [q.vector() for q in evens])}
     elif which == "desing-p5":
         km = KummerModels(alg)
-        mats = km.y_matrices()
         out["matrices"] = [[[field.fmt(v) for v in row] for row in M.rows]
-                           for M in mats]
+                           for M in km.y_matrices()]
         out["verification"] = _sampled_check(
             curve, args.seed,
-            lambda D: form_values(mats, D.coords().odd, D.field), 100, "forms_vanish")
+            lambda Ds: forms_vanish_at(km.y_quadrics(),
+                                       [(D.coords().v, D.field) for D in Ds]),
+            100, "forms_vanish")
     elif which == "weddle":
         km = KummerModels(alg)
         out["quartic"] = km.weddle_quartic().to_json()
         out["verification"] = _sampled_check(
             curve, args.seed,
-            lambda D: [km.weddle_quartic().evaluate(D.coords().odd[:4], D.field)],
+            lambda Ds: all(D.field.is_zero(km.weddle_quartic().evaluate(
+                D.coords().odd[:4], D.field)) for D in Ds),
             100, "quartic_vanishes")
     elif which == "vdelta":
         if args.delta is None:
             raise BadInput("bad-delta", "--delta is required for the vdelta model")
         km = KummerModels(alg)
         delta = alg.elem(load_delta(field, args.delta))
-        vd = km.v_delta(delta)
+        try:
+            vd = km.v_delta(delta)
+        except NonUnitDelta as exc:
+            raise BadInput("bad-delta", str(exc)) from exc
         out["delta"] = delta.to_strings()
         out["matrices"] = vd.to_json()
         out["verification"] = {"matrices": 3, "symmetric": True}
     return out
 
 
-def _kummer_quartic_value(km, D):
+def _kummer_quartic_vanishes(km, D):
     c = D.coords()
     kv = [c.v[0], c.kval(1, 2), c.kval(1, 3), c.kval(1, 4)]
-    return [km.kummer_quartic().evaluate(kv, D.field)]
+    return D.field.is_zero(km.kummer_quartic().evaluate(kv, D.field))
 
 
-def _sampled_check(curve, seed, value_fn, count, label):
+def _sampled_check(curve, seed, vanishes, count, label):
+    """Whether the model vanishes (``vanishes`` on a list of classes) at
+    `count` classes sampled over ``sampling_field``."""
     K = sampling_field(curve.field)
     rng = random.Random(seed * 31337 + 5)
-    bad = 0
-    for _ in range(count):
-        D = random_point(curve, K, rng)
-        if any(not K.is_zero(v) for v in value_fn(D)):
-            bad += 1
-    return {"samples": count, label: bad == 0}
+    return {"samples": count,
+            label: vanishes([random_point(curve, K, rng) for _ in range(count)])}
 
 
 def _jacobian_certificates(jm, seed):
@@ -351,7 +356,7 @@ def cmd_twist(args):
 
 def load_model_ref(raw: str, field) -> dict:
     """The bundle given inline or as a path by --model-ref, parsed into what
-    its search reads: "delta", "n" and the descended "forms" of a twist
+    its search reads: "delta", "n" and the 72 descended "forms" of a twist
     bundle; "delta" of a V_delta bundle over F_p; the 6x6 "matrices" over Q."""
     try:
         if raw.strip().startswith("{"):
@@ -372,10 +377,11 @@ def load_model_ref(raw: str, field) -> dict:
         raise BadInput("bad-model-ref", f"model-ref bundle lacks {', '.join(missing)}")
     try:
         if "quadrics_ground" in bundle:
+            forms = [QuadricForm.from_json(field, q) for q in bundle["quadrics_ground"]]
+            if len(forms) != 72:
+                raise ValueError(f"a twist bundle has 72 forms, not {len(forms)}")
             return {"delta": parse_values(field, bundle["delta"], 6, _DELTA_SHAPE),
-                    "n": field.parse(str(bundle["n"])),
-                    "forms": [QuadricForm.from_json(field, q)
-                              for q in bundle["quadrics_ground"]]}
+                    "n": field.parse(str(bundle["n"])), "forms": forms}
         if field.is_finite():
             return {"delta": parse_values(field, bundle["delta"], 6, _DELTA_SHAPE)}
         shape = "matrices must be a JSON array of 6x6 arrays"

@@ -150,12 +150,6 @@ class DivisorClass:
         self.p1 = (x1, y1)
         self.p2 = (x2, y2)
 
-    def swapped(self) -> "DivisorClass":
-        out = object.__new__(DivisorClass)
-        out.curve, out.field = self.curve, self.field
-        out.p1, out.p2 = self.p2, self.p1
-        return out
-
     def negate(self) -> "DivisorClass":
         F = self.field
         return DivisorClass(self.curve, F,
@@ -174,17 +168,12 @@ class DivisorClass:
 
     # -- the sixteen coordinates -------------------------------------------
 
-    def _wrapped(self):
+    def coords(self) -> Coords16:
         F = self.field
         el = lambda v: FieldElem(F, v)
         x1, y1 = el(self.p1[0]), el(self.p1[1])
         x2, y2 = el(self.p2[0]), el(self.p2[1])
-        fs = [FieldElem(F, _lift(self.curve.field, F, c)) for c in self.curve.coeffs]
-        return x1, y1, x2, y2, fs
-
-    def coords(self) -> Coords16:
-        F = self.field
-        x1, y1, x2, y2, f = self._wrapped()
+        f = [el(_lift(self.curve.field, F, c)) for c in self.curve.coeffs]
         f0, f1, f2, f3, f4, f5, f6 = f
         k1 = FieldElem(F, 1)
         k2 = x1 + x2
@@ -203,36 +192,6 @@ class DivisorClass:
         odd = b + [b5, b6]
         return Coords16(F, [e.v for e in even] + [o.v for o in odd])
 
-    def a_basis(self):
-        """The alternative 16-function basis a_0..a_15, evaluated directly."""
-        *_, f = self._wrapped()
-        f0, f1, f2, f3, f4, f5, f6 = f
-        c = self.coords()
-        F = self.field
-        el = lambda v: FieldElem(F, v)
-        k = {pair: el(c.even[n]) for n, pair in enumerate(EVEN_PAIRS)}
-        b = [el(v) for v in c.odd]
-        half = FieldElem(F, 1) / 2
-        a = [
-            k[(4, 4)],
-            -(f1 * b[0]) - 2 * (f2 * b[1] + f3 * b[2] + f4 * b[3] + f5 * b[4] + f6 * b[5]),
-            f5 * b[3] + 2 * f6 * b[4],
-            k[(3, 4)],
-            half * (k[(2, 4)] - f1 * k[(1, 1)] - f3 * k[(1, 3)] - f5 * k[(3, 3)]),
-            k[(1, 4)],
-            b[3],
-            b[2],
-            b[1],
-            b[0],
-            k[(3, 3)],
-            k[(2, 3)],
-            k[(1, 3)],
-            k[(1, 2)],
-            k[(1, 1)],
-            k[(2, 2)] - 4 * k[(1, 3)],
-        ]
-        return [v.v for v in a]
-
 
 def k4_numerator(F: Field, f, k2, k3):
     """2 f0 + f1 k2 + 2 f2 k3 + f3 k2 k3 + 2 f4 k3^2 + f5 k2 k3^2 + 2 f6 k3^3,
@@ -248,46 +207,6 @@ def _gcorr(f, r, s):
     return (4 * f0 + f1 * (r + 3 * s) + 2 * f2 * s * (r + s)
             + f3 * s ** 2 * (3 * r + s) + 4 * f4 * r * s ** 3
             + f5 * s ** 4 * (5 * r - s) + 2 * f6 * r * s ** 4 * (r + s))
-
-
-def a_basis_matrix(curve: CurveData):
-    """16x16 matrix taking a Coords16 vector to the a_0..a_15 vector."""
-    from .linalg import Mat
-    F = curve.field
-    f = curve.coeffs
-    M = Mat.zeros(F, 16, 16)
-    half = F.inv(F.from_int(2))
-
-    def setk(r, i, j, val):
-        M.rows[r][even_slot(i, j)] = F.coerce(val)
-
-    def setb(r, i, val):  # i is 1-based
-        M.rows[r][9 + i] = F.coerce(val)
-
-    setk(0, 4, 4, 1)
-    setb(1, 1, F.neg(f[1]))
-    for i in range(2, 7):
-        setb(1, i, F.neg(F.mul(F.from_int(2), f[i])))
-    setb(2, 4, f[5])
-    setb(2, 5, F.mul(F.from_int(2), f[6]))
-    setk(3, 3, 4, 1)
-    setk(4, 2, 4, half)
-    setk(4, 1, 1, F.neg(F.mul(half, f[1])))
-    setk(4, 1, 3, F.neg(F.mul(half, f[3])))
-    setk(4, 3, 3, F.neg(F.mul(half, f[5])))
-    setk(5, 1, 4, 1)
-    setb(6, 4, 1)
-    setb(7, 3, 1)
-    setb(8, 2, 1)
-    setb(9, 1, 1)
-    setk(10, 3, 3, 1)
-    setk(11, 2, 3, 1)
-    setk(12, 1, 3, 1)
-    setk(13, 1, 2, 1)
-    setk(14, 1, 1, 1)
-    setk(15, 2, 2, 1)
-    setk(15, 1, 3, -4)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +226,6 @@ def add(D1: DivisorClass, D2: DivisorClass) -> DivisorClass:
     F = D1.field
     pts = [D1.p1, D1.p2, D2.p1, D2.p2]
     return _add_points(D1.curve, F, pts)
-
-
-def add_two_torsion(D: DivisorClass, root_pair) -> DivisorClass:
-    """Translation oracle D + P for P the class of a Weierstrass root pair.
-
-    root_pair holds the two root values (in D's field).  This runs the same
-    four-point cubic interpolation with the two order-two points (w, 0); it
-    exists as an independent check of the linear translation action.
-    """
-    F = D.field
-    pts = [D.p1, D.p2, (root_pair[0], F.zero()), (root_pair[1], F.zero())]
-    return _add_points(D.curve, F, pts)
 
 
 def _add_points(curve: CurveData, F: Field, pts):

@@ -20,8 +20,6 @@ The pairing (-1)^(#intersection) on masks computes the Weil pairing.
 
 from __future__ import annotations
 
-import random
-
 from .errors import Genus2Error, MissingRoots, OddMask
 from .fields import Field
 from .linalg import Mat
@@ -214,10 +212,6 @@ class EtaleAlgebra:
         rem = g % self.curve.f.map_field(F)
         return self.elem([rem.coeff(i) for i in range(6)], F)
 
-    def rand_elem(self, rng: random.Random, field=None) -> "LVec":
-        F = field if field is not None else self.field
-        return self.elem([F.rand(rng) for _ in range(6)], F)
-
     # -- mask action of Frobenius ----------------------------------------------
 
     def frobenius_mask(self, m: int) -> int:
@@ -225,76 +219,6 @@ class EtaleAlgebra:
         for i in mask_bits(m):
             out |= 1 << self.frob_perm[i]
         return out
-
-    # -- basis changes -----------------------------------------------------------
-
-    def basis_change(self, vec, frm: str, to: str, field=None):
-        """Exact linear change between the bases used on L.
-
-        Basis ids: "power" (1, X, ..., X^5), "g" (reversal basis g_1..g_6),
-        "root-values" (a(w) per root), "root-dual" (lambda_w^{-1} a(w)).
-        Root bases live over the splitting field; ground-basis conversions
-        default to the ground field but accept any compatible ``field``.
-        """
-        known = {"power", "g", "root-values", "root-dual"}
-        if frm not in known or to not in known:
-            raise Genus2Error(f"unknown basis in {frm!r} -> {to!r}")
-        if frm == to:
-            return list(vec)
-        root_based = {"root-values", "root-dual"}
-        if field is None:
-            field = self.splitting if (frm in root_based or to in root_based) else self.field
-        if (frm in root_based or to in root_based) and field != self.splitting:
-            raise MissingRoots("root bases require the splitting field")
-        Tm = _map_mat(self.T, field)
-        Ti = _map_mat(self.T_inv, field)
-        # to power coordinates first
-        if frm == "power":
-            power = list(vec)
-        elif frm == "g":
-            power = Tm.matvec(vec)
-        else:
-            values = list(vec)
-            if frm == "root-dual":
-                values = [field.mul(v, lam) for v, lam in zip(values, self.lambdas)]
-            power = self.S.transpose().inv().matvec(values)
-        if to == "power":
-            return power
-        if to == "g":
-            return Ti.matvec(power)
-        values = self.S.transpose().matvec(power)
-        if to == "root-values":
-            return values
-        return [field.mul(v, field.inv(lam)) for v, lam in zip(values, self.lambdas)]
-
-    # -- sign vectors of M as elements of L over the splitting field -------------
-
-    def mu2_elem(self, m: int) -> "LVec":
-        """The square root of unity in L tensored up: phi_w = -1 iff w in m."""
-        K = self.splitting
-        coeffs = [K.zero()] * 6
-        for i, w in enumerate(self.roots):
-            sign = K.from_int(-1 if m >> i & 1 else 1)
-            lag = self.lagrange_elem(i)
-            coeffs = [K.add(c, K.mul(sign, l)) for c, l in zip(coeffs, lag.c)]
-        return self.elem(coeffs, K)
-
-    def lagrange_elem(self, i: int) -> "LVec":
-        """The idempotent P_w with P_w(w') = [w == w']."""
-        K = self.splitting
-        num = Poly(K, [K.one()])
-        for j, t in enumerate(self.roots):
-            if j != i:
-                num = num * Poly(K, [K.neg(t), K.one()])
-        num = num * K.inv(self.lambdas[i])
-        return self.elem([num.coeff(t) for t in range(6)], K)
-
-
-def _map_mat(M: Mat, F: Field) -> Mat:
-    """M with its entries lifted into F (M itself when F is its field)."""
-    if M.field == F:
-        return M
-    return Mat(F, [[_lift(M.field, F, v) for v in row] for row in M.rows])
 
 
 class LVec:
@@ -377,12 +301,6 @@ class LVec:
 
     def square(self) -> "LVec":
         return self * self
-
-    def in_splitting(self) -> "LVec":
-        K = self.algebra.splitting
-        if self.field == K:
-            return self
-        return LVec(self.algebra, K, [_lift(self.field, K, v) for v in self.c])
 
     def to_strings(self):
         return [self.field.fmt(v) for v in self.c]

@@ -647,7 +647,3 @@ class FieldElem:
 
     def key(self):
         return self.field.key(self.v)
-
-
-def elem(field: Field, v) -> FieldElem:
-    return FieldElem(field, v)

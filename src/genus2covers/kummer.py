@@ -26,7 +26,7 @@ from .etale import EtaleAlgebra, LVec
 from .fields import Field, FieldElem
 from .linalg import Mat
 from .poly import Poly, _lift
-from .quadrics import QuadricForm, kummer_image_quadric
+from .quadrics import QuadricForm, forms_vanish_at, kummer_image_quadric
 
 
 class MultiPoly:
@@ -91,20 +91,6 @@ def veronese_quartic(B: Mat) -> MultiPoly:
     return out
 
 
-def form_values(mats, vec6, K: Field):
-    """x^t M x for each 6x6 matrix M, at a 6-vector x over K (a field that
-    holds the entries of every M)."""
-    out = []
-    for M in mats:
-        acc = K.zero()
-        for i in range(6):
-            for j in range(6):
-                acc = K.add(acc, K.mul(_lift(M.field, K, M.rows[i][j]),
-                                       K.mul(vec6[i], vec6[j])))
-        out.append(acc)
-    return out
-
-
 class VDeltaModel:
     """Three symmetric 6x6 matrices cutting out V_delta in P^5.
 
@@ -137,10 +123,13 @@ class VDeltaModel:
                 raise Genus2Error("V_delta matrix failed symmetry")
             mats.append(acc)
         self.matrices = mats
+        self.forms = [QuadricForm.from_odd_matrix(M) for M in mats]
 
     def is_solution(self, vec6, K: Field = None) -> bool:
+        """All three forms vanish at the odd coordinates vec6 over K (a field
+        that holds delta's coefficients)."""
         K = K or self.delta.field
-        return all(K.is_zero(v) for v in form_values(self.matrices, vec6, K))
+        return forms_vanish_at(self.forms, [([K.zero()] * 10 + list(vec6), K)])
 
     def to_json(self):
         F = self.delta.field
@@ -176,7 +165,7 @@ class KummerModels:
 
     def y_quadrics(self):
         """The same three forms as QuadricForms in the odd coordinates."""
-        return [QuadricForm.from_odd_matrix(M) for M in self.y_matrices()]
+        return self.v_delta(self.algebra.one()).forms
 
     def v_delta(self, delta: LVec) -> VDeltaModel:
         return VDeltaModel(self.algebra, delta)

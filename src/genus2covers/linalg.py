@@ -290,13 +290,6 @@ def span_supported(field: Field, vectors, keep):
     return len(piv), from_np(field, block)
 
 
-def in_row_span(field: Field, basis_rows, queries):
-    """True when every query vector lies in the row span of basis_rows."""
-    base = rank_rows(field, basis_rows)
-    joint = [list(r) for r in basis_rows] + [list(q) for q in queries]
-    return rank_rows(field, joint) == base
-
-
 # ---------------------------------------------------------------------------
 # the small-matrix class
 
@@ -402,16 +395,6 @@ class Mat:
         if piv != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Mat(F, [row[n:] for row in R])
-
-    def rank(self) -> int:
-        return rank_rows(self.field, self.rows)
-
-    def trace(self):
-        F = self.field
-        t = F.zero()
-        for i in range(self.nrows):
-            t = F.add(t, self.rows[i][i])
-        return t
 
     def charpoly(self) -> Poly:
         """Monic characteristic polynomial det(x*I - M) via Hessenberg form."""

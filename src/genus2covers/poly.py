@@ -99,12 +99,6 @@ class Poly:
     def scale(self, v):
         return self * v
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.c:
-            return self
-        return Poly(self.field, [self.field.zero()] * k + self.c)
-
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

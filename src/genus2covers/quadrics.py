@@ -106,9 +106,6 @@ class QuadricForm:
                 q.coeffs[m] = v
         return q
 
-    def is_even_only(self) -> bool:
-        return all(j < 10 for (_, j) in self.coeffs)
-
     @staticmethod
     def from_odd_matrix(M: Mat) -> "QuadricForm":
         """The form b^t M b in the odd coordinates b_1..b_6, for a symmetric
@@ -120,10 +117,6 @@ class QuadricForm:
                 c = M.rows[i][j] if i == j else F.mul(F.from_int(2), M.rows[i][j])
                 q.add_term(10 + i, 10 + j, c)
         return q
-
-    def compose(self, M: Mat) -> "QuadricForm":
-        """The form v -> Q(M v)."""
-        return compose_forms([self], M)[0]
 
     def map_field(self, G: Field) -> "QuadricForm":
         from .poly import _lift

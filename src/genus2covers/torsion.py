@@ -285,16 +285,6 @@ class TorsionActionCtx:
         odd = self.algebra.S.matvec(dc.odd)
         return even + odd
 
-    def c_even_single(self, coords, mask3: int):
-        """c_I for one 3-subset straight from its defining relation."""
-        K = self.K
-        vec = [_lift(coords.field, K, v) for v in coords.v]
-        inv = K.inv(self._normalizer(mask3))
-        acc = K.zero()
-        for val, lam in zip(vec[:10], self._lambda_row(mask3)):
-            acc = K.add(acc, K.mul(val, lam))
-        return K.mul(inv, acc)
-
     def verify_diagonal(self, m: int):
         """Conjugate the mask action into the c-basis and read the diagonal.
 
@@ -449,15 +439,6 @@ class TorsionActionCtx:
 
     def definition_field_tag(self, M: Mat) -> str:
         return "ground" if M.frobenius_fixed() else "splitting"
-
-    def export_action_matrix(self, M: Mat):
-        """JSON form of an action matrix, tagged with its field of definition."""
-        K = self.K
-        return {
-            "field_of_definition": self.definition_field_tag(M),
-            "field": K.spec_string(),
-            "entries": [[K.fmt(v) for v in row] for row in M.rows],
-        }
 
 
 def _all_pairs():

@@ -284,10 +284,6 @@ class TwistModel:
         W = self.ctx.K
         return [_lift(coords.field, W, v) for v in coords.v]
 
-    def pull_back(self, coords):
-        """g^{-1} of a point of the Jacobian, as a 16-vector over the field."""
-        return self.covering_inverse().matvec(self._lift_coords(coords))
-
     def vanish_at_pullbacks(self, divisors) -> bool:
         """Every twisted form vanishes at g^{-1} of each divisor's point; the
         points are pulled back as the columns of one 16 x N matrix."""
@@ -360,7 +356,7 @@ class TwistModel:
         block adds nothing to them."""
         blk = self.odd_block()
         vd = VDeltaModel(self.ctx.algebra, self.eps.delta_w)
-        vrows = [QuadricForm.from_odd_matrix(M).vector() for M in vd.matrices]
+        vrows = [q.vector() for q in vd.forms]
         return len(blk) == 3 and independent_picks(self.field, vrows + blk) == [0, 1, 2]
 
     def to_json(self, descended=None):

@@ -29,6 +29,7 @@ from genus2covers.quadrics import (JacobianModel, sampling_field,
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (TwistDatum, TwistModel, count_jacobian_points,
                                 search_twist_points)
+from conftest import rand_elem
 from test_kummer import plain_compose_linear, scaled_terms
 
 N_CURVES = 20
@@ -254,8 +255,8 @@ def test_criterion_5_kummer_tower(family):
         T, T_inv = alg.T, alg.T_inv
         done = 0
         while done < 10:
-            eta = alg.rand_elem(rng)
-            xi = alg.rand_elem(rng)
+            eta = rand_elem(alg, rng)
+            xi = rand_elem(alg, rng)
             if F.is_zero(eta.norm()) or F.is_zero(xi.norm()):
                 continue
             delta = eta * eta
@@ -312,7 +313,7 @@ def _gamma_pairs(alg, rng, count):
         except Genus2Error:
             continue
     while len(out) < count:
-        xi = alg.rand_elem(rng)
+        xi = rand_elem(alg, rng)
         if F.is_zero(xi.norm()):
             continue
         c = F.rand(rng)

