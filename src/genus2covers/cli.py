@@ -19,6 +19,10 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
+from itertools import islice
+
+import numpy as np
 
 from .curve import CurveData, random_point
 from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
@@ -26,7 +30,7 @@ from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
 from .fields import parse_field_spec
 from .kummer import KummerModels, even_matrix, veronese_quartic
-from .linalg import Mat, rank_rows
+from .linalg import Mat, ext_matmul_np, rank_rows, to_np
 from .poly import Poly, _lift
 from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
                        independent_picks, kummer_image_quadric, sampling_field,
@@ -126,14 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def emit(payload, args):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline
+    to --out or stdout, joining the encoder's chunks 4096 at a time, so the
+    whole text is never held at once."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        chunks = _ENCODER.iterencode(payload)
+        while block := "".join(islice(chunks, 4096)):
+            fh.write(block)
+        fh.write("\n")
 
 
 def load_field(spec: str):
@@ -400,19 +409,21 @@ def cmd_search(args):
     field = load_field(args.field)
     ref = load_model_ref(args.model_ref, field)
     curve = load_curve(field, args.curve)
-    if "forms" in ref:
-        # the search reads the covering matrix, so no TwistModel is built
-        alg = EtaleAlgebra(curve, seed=args.seed)
-        datum = TwistDatum(alg, ref["delta"], ref["n"])
-        eps = EpsilonChoice(TorsionContexts(alg), datum, seed=args.seed)
-        pts = search_twist_points(eps, descended=ref["forms"])
-    elif field.is_finite():
-        alg = EtaleAlgebra(curve, seed=args.seed)
-        pts = search_vdelta_points(KummerModels(alg).v_delta(alg.elem(ref["delta"])))
-    else:
+    if "matrices" in ref:
         # over Q: enumerate integer vectors up to the bound on the matrices
         pts = search_vdelta_rational(ref["matrices"], args.bound)
         return {"count": len(pts), "points": [list(p) for p in pts]}
+    alg = EtaleAlgebra(curve, seed=args.seed)
+    try:
+        if "forms" in ref:
+            # the search reads the covering matrix, so no TwistModel is built
+            datum = TwistDatum(alg, ref["delta"], ref["n"])
+            eps = EpsilonChoice(TorsionContexts(alg), datum, seed=args.seed)
+            pts = search_twist_points(eps, descended=ref["forms"])
+        else:
+            pts = search_vdelta_points(KummerModels(alg).v_delta(alg.elem(ref["delta"])))
+    except NonUnitDelta as exc:   # the bundle's delta has norm zero
+        raise BadInput("bad-model-ref", str(exc)) from exc
     return {"count": len(pts), "points": [[field.fmt(v) for v in p] for p in pts]}
 
 
@@ -473,15 +484,7 @@ def _verify_action(alg, ctx):
         ok_det += K.eq(M.det(), K.mul(res, res))
         T = ctx.t10_matrix(P)
         ok_quartic += veronese_quartic(T.transpose() * A * T).terms == quartic
-    ok_law = 0
-    for P in pts:
-        TP = ctx.t10_matrix(P)
-        for Q in pts:
-            lhs = TP * ctx.t10_matrix(Q)
-            rhs = ctx.t10_matrix(P + Q)
-            if weil_pairing(P, Q) == -1:
-                rhs = -rhs
-            ok_law += lhs.rows == rhs.rows
+    ok_law = _group_law_pairs(ctx, pts)
     expect = Poly(K, [1])
     for _ in range(6):
         expect = expect * Poly(K, [K.from_int(-1), K.one()])
@@ -495,6 +498,31 @@ def _verify_action(alg, ctx):
         _check("action.group_law_pairs", ok_law, 225),
         _check("action.t10_charpoly", ok_cp, 15),
     ]
+
+
+def _group_law_pairs(ctx, pts):
+    """The number of pairs (P, Q) of `pts` with T10_P T10_Q = e_W(P, Q)
+    T10_{P+Q}.  Every product T10_P T10_Q is a block of one product: the
+    matrices stacked in a column times the same stacked in a row (sums of
+    max(10, d^2) products, ``ext_matmul_np``)."""
+    K, d, n = ctx.K, ctx.K.deg, len(pts)
+    T = to_np(K, [ctx.t10_matrix(P).rows for P in pts] + [Mat.identity(K, 10).rows],
+              max(10, d * d)).reshape(n + 1, 10, 10, d)
+    column, row = T[:n].reshape(10 * n, 10, d), T[:n].transpose(1, 0, 2, 3).reshape(10, 10 * n, d)
+    if K.kind == "ext":
+        prod = ext_matmul_np(K, column, row)
+    else:
+        prod = (column[..., 0] @ row[..., 0] % K.p)[..., None]
+    prod = prod.reshape(n, 10, n, 10, d)
+    index = {P.mask: k for k, P in enumerate(pts)}
+    ok = 0
+    for a, P in enumerate(pts):
+        for b, Q in enumerate(pts):
+            rhs = T[index.get((P + Q).mask, n)]   # the identity for P = Q
+            if weil_pairing(P, Q) == -1:
+                rhs = -rhs % K.p
+            ok += np.array_equal(prod[a, :, b], rhs)
+    return ok
 
 
 def _verify_diagonal_suite(alg, ctx, jm):

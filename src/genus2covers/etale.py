@@ -173,7 +173,6 @@ class EtaleAlgebra:
         # T: Hankel matrix of the reversal basis
         self.T = Mat(k, [[f.coeff(i + j + 1) if i + j + 1 <= 6 else k.zero()
                           for j in range(6)] for i in range(6)])
-        self.T_inv = self.T.inv()
         # S: Vandermonde of the ordered roots, over the splitting field
         self.S = Mat(K, [[K.pw(w, i) for w in roots] for i in range(6)])
         self.S_inv = self.S.inv()

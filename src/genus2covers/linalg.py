@@ -98,29 +98,44 @@ def from_np(field: Field, arr):
 
 
 def ext_mul_arrays(field: Field, a, b):
-    """Elementwise product of two broadcastable (..., d) coefficient arrays;
-    sums of 2d-1 products."""
+    """Elementwise product of two broadcastable (..., d) arrays of
+    coefficients in [0, p); sums of 2d-1 products."""
     p, d = field.p, field.deg
     red, _ = _red_tables(field)
-    a = np.asarray(a) % p
-    b = np.asarray(b) % p
+    a, b = np.asarray(a), np.asarray(b)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     full = np.zeros(shape + (2 * d - 1,), dtype=np.result_type(a, b))
     for i in range(d):
         full[..., i : i + d] += a[..., i : i + 1] * b
-    return (full % p) @ red % p
+    full %= p
+    out = full @ red
+    out %= p
+    return out
 
 
 def ext_matmul_np(field: Field, A, B):
-    """(r, k, d) @ (k, c, d) -> (r, c, d); sums of max(k, d^2) products
-    (k products summed, then the d^2-term ``redfold`` reduction)."""
+    """(r, k, d) @ (k, c, d) -> (r, c, d); sums of at most max(k, d^2)
+    products.
+
+    With A = sum_a A_a t^a for (r, k) arrays A_a over F_p, A B is the sum
+    of the products A_a (t^a B): the coefficient array of t^a B sums d
+    products (rows a d .. a d + d - 1 of ``redfold``) and each product k.
+    Each product, reduced, is added to the result, so only two (r, c, d)
+    arrays are formed."""
     p, d = field.p, field.deg
     _, redfold = _red_tables(field)
     A = np.asarray(A) % p
     B = np.asarray(B) % p
-    full = np.einsum("rka,kcb->rcab", A, B)
-    r, c = full.shape[0], full.shape[1]
-    return (full.reshape(r, c, d * d) % p) @ redfold % p
+    r, k, c = A.shape[0], A.shape[1], B.shape[1]
+    out = np.zeros((r, c * d), dtype=np.result_type(A, B, redfold))
+    term = np.empty_like(out)
+    for a in range(d):
+        np.matmul(A[:, :, a], (B @ redfold[a * d:(a + 1) * d] % p).reshape(k, c * d),
+                  out=term)
+        term %= p
+        out += term
+    out %= p
+    return out.reshape(r, c, d)
 
 
 def fp_rref(field: Field, A):
@@ -130,7 +145,9 @@ def fp_rref(field: Field, A):
     Only single products are formed, each reduced at once, so over F_p the
     int64 dtype is exact for every p < 2**31: (p-1)^2 < 2**62 leaves room
     for the subtraction."""
-    A = mod_p(field, np.array(A))
+    A = np.array(A)
+    if field.is_finite():
+        A %= field.p
     nrows, ncols = A.shape
     pivots = []
     r = 0
@@ -147,7 +164,9 @@ def fp_rref(field: Field, A):
         rows = np.nonzero(A[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            A[rows] = mod_p(field, A[rows] - np.outer(A[rows, c], A[r]))
+            update = A[rows]
+            update -= np.outer(A[rows, c], A[r])
+            A[rows] = mod_p(field, update)
         pivots.append(c)
         r += 1
     return A, pivots
@@ -163,7 +182,8 @@ def fq_rref(field: Field, A):
     matrices updates every other row; the pivot row is normalized by the
     matrix of its pivot's inverse."""
     p, d = field.p, field.deg
-    A = np.array(A) % p
+    A = np.array(A)
+    A %= p
     nrows, ncols = A.shape[0], A.shape[1]
     red, _ = _red_tables(field)
     T = red[np.add.outer(np.arange(d), np.arange(d))].reshape(d, d * d)
@@ -185,8 +205,12 @@ def fq_rref(field: Field, A):
         if rows.size:
             # M[j, b] is row b of the matrix of multiplication by A[r, c + j]
             M = (A[r, c:] @ T % p).reshape(-1, d, d)
-            prod = A[rows, c, :] @ M.transpose(1, 0, 2).reshape(d, -1) % p
-            A[rows, c:] = (A[rows, c:] - prod.reshape(rows.size, -1, d)) % p
+            prod = A[rows, c, :] @ M.transpose(1, 0, 2).reshape(d, -1)
+            prod %= p
+            update = A[rows, c:]
+            update -= prod.reshape(update.shape)
+            update %= p
+            A[rows, c:] = update
         pivots.append(c)
         r += 1
     return A, pivots

@@ -123,8 +123,7 @@ class EpsilonChoice:
     the splitting field; only the working context is built.
     """
 
-    def __init__(self, contexts, datum: TwistDatum, seed: int = 0,
-                 require_nonzero_t: bool = True):
+    def __init__(self, contexts, datum: TwistDatum, seed: int = 0):
         if isinstance(contexts, TorsionActionCtx):
             contexts = TorsionContexts(contexts.algebra, base=contexts)
         self.datum = datum
@@ -164,9 +163,8 @@ class EpsilonChoice:
             self.t3[m] = W.add(*split_product(W, eps, m))
             if W.is_zero(self.t3[m]) and m in self.ctx.reps:
                 vanish.append(sorted(i + 1 for i in mask_bits(m)))
-        if vanish and require_nonzero_t:
+        if vanish:
             raise TIVanishes(vanish)
-        self.vanishing_partitions = vanish
         self._gmat = None
         self._ginv = None
 
@@ -332,15 +330,18 @@ class TwistModel:
     def _check_descent(self, R, piv):
         """The reduced rows R over the ground field, pivots piv, have rank at
         least 72, and the first 72 span the twisted forms over the working
-        field: every twisted vector v equals sum_r v[piv_r] R_r, r < 72.
-        The twisted forms have rank 72 too, so the two spans are equal.  The
-        products sum 72 products (``to_np``)."""
+        field: every twisted vector v equals sum_r v[piv_r] R_r, r < 72,
+        checked one coefficient over F_p at a time.  The twisted forms have
+        rank 72 too, so the two spans are equal.  The products sum 72
+        products (``to_np``)."""
         W = self.ctx.K
         if len(piv) < 72:
             raise RankLoss("descended span has rank < 72")
         V = to_np(W, [q.vector() for q in self.forms], 72).reshape(len(self.forms), -1, W.deg)
-        spanned = V[:, piv[:72]].transpose(0, 2, 1) @ to_np(W, R[:72], 72) % W.p
-        if not np.array_equal(spanned.transpose(0, 2, 1), V):
+        B = to_np(W, R[:72], 72)
+        at_pivots = V[:, piv[:72]]
+        if not all(np.array_equal(at_pivots[..., t] @ B % W.p, V[..., t])
+                   for t in range(W.deg)):
             raise RankLoss("descended span differs from the twisted span")
 
     # -- the P^5 sub-block ---------------------------------------------------------
@@ -406,8 +407,9 @@ def trace_stack(W: Field, rows):
         traces.append(trace[0])
         power = W.mul(power, t)
     hankel = to_np(W, [traces[j:j + e] for j in range(e)], e)
-    vecs = to_np(W, rows, e)  # (N, M, e)
-    return (vecs @ hankel % p).transpose(2, 0, 1).reshape(-1, vecs.shape[1])
+    stack = to_np(W, rows, e) @ hankel  # (N, M, e)
+    stack %= p
+    return stack.transpose(2, 0, 1).reshape(-1, stack.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def basis_change(alg, vec, frm, to, field=None):
     if (frm in root_based or to in root_based) and field != alg.splitting:
         raise MissingRoots("root bases require the splitting field")
     Tm = _map_mat(alg.T, field)
-    Ti = _map_mat(alg.T_inv, field)
+    Ti = _map_mat(alg.T.inv(), field)
     # to power coordinates first
     if frm == "power":
         power = list(vec)

@@ -252,7 +252,7 @@ def test_criterion_5_kummer_tower(family):
             done += 1
         assert done == 50
         # multiplication equivariance at the matrix level for 10 random xi
-        T, T_inv = alg.T, alg.T_inv
+        T, T_inv = alg.T, alg.T.inv()
         done = 0
         while done < 10:
             eta = rand_elem(alg, rng)

@@ -4,10 +4,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from genus2covers.cli import main
+from genus2covers.cli import _group_law_pairs, emit, main
+from genus2covers.curve import CurveData
+from genus2covers.etale import EtaleAlgebra, all_two_torsion, weil_pairing
+from genus2covers.fields import Field
+from genus2covers.torsion import TorsionActionCtx
 
 CURVE = "[5,1,2,1,1,3,1]"
 CURVE11 = "[4,8,1,5,3,0,1]"
@@ -86,15 +91,32 @@ def test_curve_info_rejects_eight_coefficients(capsys):
     (["search", "--field", "F11", "--curve", CURVE11, "--model-ref",
       '{"delta": ["1","0","0","0","0","0"], "n": "1", "quadrics_ground": []}'],
      "bad-model-ref", 1),
+    (["search", "--field", "F11", "--curve", CURVE11, "--model-ref",
+      '{"delta": ["0","0","0","0","0","0"], "matrices": []}'], "bad-model-ref", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
         "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
-        "vdelta-norm-zero", "twist-bundle-without-forms"])
+        "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
     assert data["kind"] == kind
+
+
+def test_twist_bundle_with_norm_zero_delta(capsys, tmp_path):
+    """A real 72-form twist bundle whose delta and n are set to zero is a bad
+    bundle, not an internal error."""
+    bundle = tmp_path / "twist.json"
+    assert main(["twist", "--field", "F11", "--curve", CURVE11, "--delta", DELTA1,
+                 "--n", "1", "--descend", "--out", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    assert len(data["quadrics_ground"]) == 72
+    data["delta"], data["n"] = ["0"] * 6, "0"
+    bundle.write_text(json.dumps(data))
+    code, out = run(capsys, "search", "--field", "F11", "--curve", CURVE11,
+                    "--model-ref", str(bundle))
+    assert (code, out["kind"], out["error"]) == (1, "bad-model-ref", "N(delta) = 0")
 
 
 def test_curve_info_irreducible_sextic(capsys):
@@ -176,10 +198,39 @@ def test_verify_suites(capsys):
 
 def test_verify_diagonal_ranks_generators_in_one_reduction(capsys, rref_calls):
     """The independence of the 72 untwisted generators and their span of
-    the lifted Jacobian forms come from one reduction."""
+    the lifted Jacobian forms come from one reduction; the etale algebra
+    inverts only the Vandermonde matrix S."""
     assert main(["verify", "--field", "F101", "--curve", CURVE, "--suite", "diagonal"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert len(rref_calls) == 9
+    assert len(rref_calls) == 8
+
+
+def pairwise_group_law(ctx, pts):
+    """The reference for ``cli._group_law_pairs``: one Mat product and one
+    negation per pair."""
+    ok = 0
+    for P in pts:
+        for Q in pts:
+            rhs = ctx.t10_matrix(P + Q)
+            if weil_pairing(P, Q) == -1:
+                rhs = -rhs
+            ok += (ctx.t10_matrix(P) * ctx.t10_matrix(Q)).rows == rhs.rows
+    return ok
+
+
+@pytest.mark.parametrize("field, coeffs", [(101, [5, 1, 2, 1, 1, 3, 1]),
+                                           (31, [7, 3, 12, 9, 20, 10, 1])],
+                         ids=["splitting-degree-4", "split-over-F31"])
+def test_group_law_pairs_match_pairwise_products(field, coeffs):
+    """The stacked product counts the pairs the 225 separate products count,
+    also when one T10 matrix is replaced by twice itself."""
+    F = Field.prime(field)
+    ctx = TorsionActionCtx(EtaleAlgebra(CurveData(F, coeffs)))
+    pts = all_two_torsion()
+    assert _group_law_pairs(ctx, pts) == pairwise_group_law(ctx, pts) == 225
+    wrong = SimpleNamespace(K=ctx.K, t10_matrix=lambda P: ctx.t10_matrix(P).scale(2)
+                            if P == pts[3] else ctx.t10_matrix(P))
+    assert _group_law_pairs(wrong, pts) == pairwise_group_law(wrong, pts) < 225
 
 
 def test_verify_action_on_split_curve(capsys):
@@ -423,3 +474,41 @@ def test_import_starts_no_blas_threads(preset):
     assert value == str(preset)
     if preset is None:
         assert threads == "1"
+
+
+def test_emit_matches_json_dumps(capsys, tmp_path):
+    """The streamed writer gives the bytes of json.dumps plus a newline, on
+    stdout and with --out, for a payload of many blocks of 4096 chunks."""
+    payload = {"z": [[i, str(i * 7919 % 101), {"b": None, "a": [True, 1.5, "x\né"]}]
+                     for i in range(2000)], "a": {}, "m": []}
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert len(list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))) > 3 * 4096
+    emit(payload, SimpleNamespace(out=None))
+    assert capsys.readouterr().out == want
+    path = tmp_path / "payload.json"
+    emit(payload, SimpleNamespace(out=str(path)))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+_PEAK = ("import os, sys, tracemalloc\n"
+         "from genus2covers.cli import main\n"
+         "sys.stdout = open(os.devnull, 'w')\n"
+         "tracemalloc.start()\n"
+         "assert main(sys.argv[1:]) == 0\n"
+         "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("argv, bound_mb", [
+    (["twist", "--field", "F101", "--curve", '["1","14","94","98","2","5","21"]',
+      "--delta", '["37","24","1","0","0","0"]', "--n", "16", "--seed", "1", "--descend"], 3.2),
+    (["model", "--field", "F101", "--curve", CURVE, "--which", "jacobian"], 3.1),
+], ids=["twist-degree8", "jacobian-p101"])
+def test_traced_memory_peak_is_bounded(argv, bound_mb):
+    """The peak of the memory Python and numpy allocate for one job after
+    import, from tracemalloc in a fresh process: the JSON text is streamed,
+    the sampled monomials are one array and the composition tensor is built
+    on its parity blocks only (4.2 MB and 3.6 MB when they were not)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    peak = subprocess.run([sys.executable, "-c", _PEAK, *argv], env=env, check=True,
+                          capture_output=True, text=True).stderr.split()[-1]
+    assert int(peak) < bound_mb * 2 ** 20

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from genus2covers.curve import CurveData, random_point
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field
-from genus2covers.linalg import Mat, rank_rows, solve_rows
+from genus2covers.linalg import (Mat, block_diag, ext_mul_arrays, from_np, mod_p,
+                                 rank_rows, solve_rows, to_np)
 from genus2covers.quadrics import (ALL_BB_PAIRS, EVEN_MONOMIALS, LISTED_BB_PAIRS,
                                    MONOMIALS, UNLISTED_BB_PAIRS, JacobianModel,
                                    QuadricForm, compose_forms, forms_vanish_at,
                                    independent_picks, interpolate_bb_quadrics,
-                                   sampled_kernel, sampling_field,
+                                   monomial_array, sampled_kernel, sampling_field,
                                    select_independent,
                                    vanishing_kernel_dimensions,
                                    veronese_quadrics)
@@ -166,29 +168,91 @@ def reference_compose(q, M):
     return out
 
 
-# int64 arrays over F_101, F_{101^4} and F_p at p = 2^31 - 1; object arrays
-# of Python ints over F_{p^2} at that p, past the (2d-1) (p-1)^2 < 2^63
-# bound, and of Fractions over Q
-_COMPOSE_FIELDS = [Field.prime(101), Field.extension(101, 4), Field.prime(2147483647),
-                   Field.extension(2147483647, 2), Field.rationals()]
+def full_compose_forms(forms, M):
+    """The reference for ``compose_forms`` at any 16x16 M: the whole
+    136 x 136 matrix T of the composition, T[(i,j),(a,b)] = M_ia M_jb +
+    M_ib M_ja for a < b and M_ia M_ja for a = b, and each composed form the
+    sum of the rows of T at its nonzero coefficients, times them."""
+    F = M.field
+    d, I, J = F.deg, np.array([i for i, _ in MONOMIALS]), np.array([j for _, j in MONOMIALS])
+    if F.kind == "ext":
+        mul = lambda a, b: ext_mul_arrays(F, a, b)
+    else:
+        mul = lambda a, b: mod_p(F, a * b)
+    Mn = to_np(F, M.rows, 2 * d - 1).reshape(16, 16, d)
+    T = mod_p(F, mul(Mn[I[:, None], I], Mn[J[:, None], J])
+              + mul(Mn[I[:, None], J], Mn[J[:, None], I]) * (I != J)[:, None])
+    out = []
+    for q in forms:
+        c = to_np(F, q.vector(), 2 * d - 1).reshape(len(MONOMIALS), 1, d)
+        m = np.nonzero(c.any(axis=(1, 2)))[0]
+        row = mul(c[m], T[m]).sum(axis=0)
+        out.append(QuadricForm.from_vector(F, from_np(F, (row if d > 1 else row[:, 0])[None])[0]))
+    return out
 
 
-@settings(max_examples=25, deadline=None)
+def random_block_diag(F, rng):
+    """A random 16x16 matrix, block-diagonal on the even and odd coordinates."""
+    return block_diag(F, [Mat(F, [[F.rand(rng) for _ in range(n)] for _ in range(n)])
+                          for n in (10, 6)])
+
+
+# int64 arrays over F_101, F_{101^2}, F_{101^4}, F_{101^8} and F_p at p =
+# 2^31 - 1; object arrays of Python ints over F_{p^2} at that p, past the
+# (2d-1) (p-1)^2 < 2^63 bound, and over F_p at p > 2^32, and of Fractions
+# over Q
+_COMPOSE_FIELDS = [Field.prime(101), Field.extension(101, 2), Field.extension(101, 4),
+                   Field.extension(101, 8), Field.prime(2147483647),
+                   Field.extension(2147483647, 2), Field.prime(4294967311),
+                   Field.rationals()]
+
+
+@settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from(_COMPOSE_FIELDS), seed=st.integers(0, 2 ** 32),
        nforms=st.integers(1, 4), nterms=st.integers(0, 12))
 def test_compose_forms_matches_matrix_conjugation(field, seed, nforms, nterms):
-    """The batched conjugation equals M^T A M per form."""
+    """The composition on the parity blocks of a block-diagonal M equals the
+    full-T reference and M^T A M per form."""
     F = field
     rng = random.Random(seed)
-    M = Mat(F, [[F.rand(rng) for _ in range(16)] for _ in range(16)])
+    M = random_block_diag(F, rng)
     forms = []
     for _ in range(nforms):
         q = QuadricForm(F)
         for _ in range(nterms):
             q.add_term(*rng.choice(MONOMIALS), F.rand(rng))
         forms.append(q)
-    got = compose_forms(forms, M)
-    assert [g.coeffs for g in got] == [reference_compose(q, M).coeffs for q in forms]
+    got = [g.coeffs for g in compose_forms(forms, M)]
+    assert got == [g.coeffs for g in full_compose_forms(forms, M)]
+    assert got == [reference_compose(q, M).coeffs for q in forms]
+
+
+def test_compose_forms_refuses_a_coupling_matrix(ref_field):
+    """An M that mixes even and odd coordinates leaves the parity blocks."""
+    M = Mat.identity(ref_field, 16)
+    M.rows[3][12] = ref_field.one()
+    with pytest.raises(Genus2Error, match="block-diagonal"):
+        compose_forms([QuadricForm(ref_field, {(0, 0): 1})], M)
+
+
+def monomial_values(field, vec):
+    """The reference for ``monomial_array``: the 136 products one class at a
+    time in field arithmetic."""
+    return [field.mul(vec[i], vec[j]) for (i, j) in MONOMIALS]
+
+
+# int64 over F_101, F_{101^2} and F_{101^8}; object arrays of Python ints
+# over F_p and F_{p^2} at p > 2^32
+@pytest.mark.parametrize("K", [Field.prime(101), Field.extension(101, 2),
+                               Field.extension(101, 8), Field.prime(4294967311),
+                               Field.extension(4294967311, 2)])
+def test_monomial_array_matches_monomial_values(K):
+    rng = random.Random(K.p * K.deg)
+    vecs = [[K.rand(rng) for _ in range(16)] for _ in range(7)]
+    for s in (2, 136):
+        got = monomial_array(K, vecs, s)
+        assert got.dtype == to_np(K, [0], max(s, 2 * K.deg - 1)).dtype
+        assert from_np(K, got) == [monomial_values(K, v) for v in vecs]
 
 
 def test_second_curve_full_build():

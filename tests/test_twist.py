@@ -69,18 +69,28 @@ def test_trivial_epsilon(trivial_model):
         assert W.eq(eps.t_squared_triple(rep), W.from_int(4))
 
 
-def test_epsilon_sign_flip(ref_torsion, ref_algebra):
+def test_epsilon_sign_flip(ref_torsion, ref_algebra, ref_curve, rng):
     """delta = 1, n = -1 forces exactly one flipped square root -- and then
     every scale factor t_I vanishes, whatever the sign choices: this pair has
-    no usable representative, so the model constructor must report it."""
+    no usable representative, so the model constructor must report all ten
+    partitions.  Where the t_I do not vanish, (delta, -n) flips the first
+    square root of (delta, n)."""
     td = TwistDatum(ref_algebra, [1, 0, 0, 0, 0, 0], -1)
-    ec = EpsilonChoice(ref_torsion, td, require_nonzero_t=False)
-    W = ec.field
-    signs = [1 if W.eq(e, W.one()) else -1 for e in ec.eps]
-    assert signs.count(-1) == 1
-    assert len(ec.vanishing_partitions) == 10
-    with pytest.raises(TIVanishes):
+    with pytest.raises(TIVanishes) as info:
         EpsilonChoice(ref_torsion, td)
+    assert len(info.value.partitions) == 10
+    F = ref_curve.field
+    flipped = 0
+    while flipped < 3:
+        td = TwistDatum.from_cassels(ref_algebra, random_point(ref_curve, F, rng))
+        try:
+            ec = EpsilonChoice(ref_torsion, td)
+            neg = EpsilonChoice(ref_torsion, TwistDatum(ref_algebra, td.delta.c, F.neg(td.n)))
+        except TIVanishes:
+            continue
+        W = ec.field
+        assert W.eq(neg.eps[0], W.neg(ec.eps[0])) and neg.eps[1:] == ec.eps[1:]
+        flipped += 1
 
 
 def test_epsilon_cassels_product(ref_torsion, ref_algebra, ref_curve, rng):
