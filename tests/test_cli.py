@@ -93,11 +93,20 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-model-ref", 1),
     (["search", "--field", "F11", "--curve", CURVE11, "--model-ref",
       '{"delta": ["0","0","0","0","0","0"], "matrices": []}'], "bad-model-ref", 1),
+    # (p^6 - 1)/(p - 1) points of P^5(F_p) pass the scan budget above p = 31,
+    # refused before the bundle is read; at p = 31 the missing bundle is the error
+    (["search", "--field", "F1009", "--curve", CURVE11, "--model-ref", "missing.json"],
+     "bad-field", 1),
+    (["search", "--field", "F37", "--curve", CURVE11, "--model-ref", "missing.json"],
+     "bad-field", 1),
+    (["search", "--field", "F31", "--curve", CURVE11, "--model-ref", "missing.json"],
+     "bad-model-ref", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
         "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
-        "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero"])
+        "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero",
+        "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code

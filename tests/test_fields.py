@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import random
 import tokenize
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import (Field, FieldElem, _ext_source, _has_irreducible_binomial,
-                                  _is_irreducible, find_irreducible, is_prime,
+                                  find_irreducible, is_irreducible, is_prime,
                                   parse_field_spec)
 from genus2covers.linalg import frobenius_fixed_values
 
@@ -293,7 +294,111 @@ def test_generated_source_holds_only_int_constants():
         assert names <= {"def", "return", "add", "sub", "neg", "mul", "a", "b"} | local
 
 
-# -- modulus search ---------------------------------------------------------------
+# -- plain references over F_p: coefficient lists, constant term first ------------
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def plain_divmod(a, b, p):
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv % p, len(a) - len(b)
+        q[shift] = c
+        for i, x in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * x) % p
+        _trim(a)
+    return _trim(q), a
+
+
+def plain_mul(a, b, p):
+    res = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] = (res[i + j] + x * y) % p
+    return _trim(res)
+
+
+def plain_sub(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+                  for i in range(n)])
+
+
+def plain_powmod(a, e, m, p):
+    result, base = [1], plain_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = plain_divmod(plain_mul(result, base, p), m, p)[1]
+        base = plain_divmod(plain_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def plain_is_irreducible(m, p):
+    """Rabin's test: x^(p^d) = x mod m, and gcd(x^(p^(d/l)) - x, m) = 1 for
+    every prime l | d."""
+    d = len(m) - 1
+    x = plain_divmod([0, 1], m, p)[1]
+    if d < 1 or plain_sub(plain_powmod(x, p ** d, m, p), x, p):
+        return False
+    for ell in (q for q in range(2, d + 1) if d % q == 0 and is_prime(q)):
+        a, b = list(m), plain_sub(plain_powmod(x, p ** (d // ell), m, p), x, p)
+        while b:
+            a, b = b, plain_divmod(a, b, p)[1]
+        if len(a) != 1:
+            return False
+    return True
+
+
+def plain_inv(F, a):
+    """a^-1 in F_p[t]/(m) by the extended Euclidean algorithm on a and m."""
+    p = F.p
+    r0, r1, s0, s1 = list(F.modulus), _trim(list(a)), [], [1]
+    while len(r1) > 1:
+        q, rem = plain_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, plain_sub(s0, plain_mul(q, s1, p), p)
+    c = pow(r1[0], p - 2, p)
+    return tuple([x * c % p for x in s1] + [0] * (F.deg - len(s1)))
+
+
+# -- irreducibility and the modulus search -------------------------------------
+
+
+def test_is_irreducible_matches_rabin_on_every_small_monic():
+    """Every monic of degree 2 to 4 over F_3 and F_5, squares of
+    irreducibles such as (x^2 + 1)^2 over F_3 among them; the irreducible
+    ones number (1/n) sum_(e | n) mu(e) q^(n/e)."""
+    counts = {(3, 2): 3, (3, 3): 8, (3, 4): 18, (5, 2): 10, (5, 3): 40, (5, 4): 150}
+    for (p, d), count in counts.items():
+        found = 0
+        for low in itertools.product(range(p), repeat=d):
+            m = list(low) + [1]
+            assert is_irreducible(m, p) == plain_is_irreducible(m, p), (p, m)
+            found += is_irreducible(m, p)
+        assert found == count, (p, d)
+    assert not is_irreducible([1, 0, 2, 0, 1], 3)      # (x^2 + 1)^2
+    assert is_irreducible([1, 0, 1], 3)
+
+
+@pytest.mark.parametrize("p, d", [(101, 8), (2 ** 31 - 1, 4)])
+def test_is_irreducible_matches_rabin_on_random_moduli(p, d):
+    """Seeded random monics of degree d, and the squares and products of
+    random irreducibles of degree d/2."""
+    rng = random.Random(p + d)
+    cases = [[rng.randrange(p) for _ in range(d)] + [1] for _ in range(60)]
+    halves = [m for m in ([rng.randrange(p) for _ in range(d // 2)] + [1] for _ in range(80))
+              if plain_is_irreducible(m, p)]
+    assert len(halves) >= 4
+    cases += [plain_mul(a, b, p) for a, b in zip(halves, halves[1:] + halves[:1])]
+    cases += [plain_mul(a, a, p) for a in halves]
+    verdicts = [plain_is_irreducible(m, p) for m in cases]
+    assert [is_irreducible(m, p) for m in cases] == verdicts
+    assert True in verdicts and False in verdicts
 
 
 def plain_find_irreducible(p, d):
@@ -303,7 +408,7 @@ def plain_find_irreducible(p, d):
         for _ in range(d):
             coeffs.append(c % p)
             c //= p
-        if _is_irreducible(coeffs + [1], p):
+        if plain_is_irreducible(coeffs + [1], p):
             return tuple(coeffs + [1])
 
 
@@ -317,7 +422,7 @@ def test_find_irreducible_matches_plain_scan():
 def test_binomial_criterion_matches_brute_force():
     for p in (q for q in range(3, 30) if is_prime(q)):
         for d in range(2, 7):
-            brute = any(_is_irreducible([c] + [0] * (d - 1) + [1], p) for c in range(p))
+            brute = any(is_irreducible([c] + [0] * (d - 1) + [1], p) for c in range(p))
             assert _has_irreducible_binomial(p, d) == brute, (p, d)
 
 
@@ -326,3 +431,30 @@ def test_degree4_modulus_for_p_3_mod_4_is_found_at_once(p):
     # p = 3 (mod 4): no x^4 + c is irreducible, and the scan starts at x^4 + x
     assert not _has_irreducible_binomial(p, 4)
     assert Field.extension(p, 4).modulus == (1, 1, 0, 0, 1)
+
+
+# -- inverses --------------------------------------------------------------------
+
+
+INV_FIELDS = [(p, d) for p in (3, 5, 101, 1999, 2 ** 31 - 1) for d in range(2, 10)] \
+    + [(4294967311, 2)]
+
+
+@pytest.mark.parametrize("p, d", INV_FIELDS)
+def test_inverse_matches_extended_euclid(p, d):
+    """The norm-chain inverse equals the extended-Euclid one on random
+    elements, the generator t and its top power, and the prime subfield;
+    zero still has none."""
+    F = Field.extension(p, d)
+    rng = random.Random(p * d)
+    t = (0, 1) + (0,) * (d - 2)
+    elems = [F.rand(rng) for _ in range(12)] + [t, F.pw(t, d - 1)]
+    elems += [F.from_int(c) for c in (1, 2, p - 1, rng.randrange(1, p))]
+    for a in elems:
+        if F.is_zero(a):
+            continue
+        inv = F.inv(a)
+        assert inv == plain_inv(F, a), (p, d, a)
+        assert F.mul(a, inv) == F.one()
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero())

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,21 @@ def test_fq_rref_matches_plain_rref_on_dense_matrices(p, d):
         rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
         R, piv = fq_rref(F, to_np(F, rows, d))
         assert (ext_rows(R), piv) == plain_rref(F, rows)
+
+
+@pytest.mark.parametrize("F", [Field.prime(101), Field.prime(4294967311), Field.rationals(),
+                               Field.extension(101, 3)], ids=repr)
+def test_rref_reduces_an_ndarray_in_place(F):
+    """fp_rref and fq_rref reduce an ndarray argument in place and return
+    it, here a row view of a stack as ``twist._kernel_pairs`` passes."""
+    rows = [[F.from_int(v) for v in row] for row in [[0, 2, 3], [2, 4, 7], [2, 6, 10]]]
+    read = ext_rows if F.kind == "ext" else np.ndarray.tolist
+    kernel, s = (fq_rref, F.deg) if F.kind == "ext" else (fp_rref, 2)
+    stack = np.stack([to_np(F, rows, s)] * 2)
+    R, piv = kernel(F, stack[0])
+    assert np.shares_memory(R, stack[0])
+    assert (read(stack[0]), piv) == plain_rref(F, rows)
+    assert read(stack[1]) == rows
 
 
 def plain_ext_mul(F, a, b):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genus2covers.errors import (Genus2Error, NotSeparable,
                                  RationalBaseUnsupported, WrongDegree)
-from genus2covers.fields import Field, _is_irreducible
+from genus2covers.fields import Field, is_irreducible
 from genus2covers.poly import (Poly, distinct_degree_profile,
                                lagrange_interpolate, resultant,
                                roots_in_field, splitting_field_and_roots)
@@ -234,7 +234,7 @@ def random_product(rng, p, pattern):
     for k in pattern:
         while k > 1:
             m = [rng.randrange(p) for _ in range(k)] + [1]
-            if m not in factors and _is_irreducible(m, p):
+            if m not in factors and is_irreducible(m, p):
                 factors.append(m)
                 break
     f = Poly(F, [1 + rng.randrange(p - 1)])
