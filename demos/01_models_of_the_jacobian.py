@@ -23,7 +23,7 @@ print("\nfamilies:")
 print("  rank conditions (Veronese):", len(jm.veronese))
 print("  Kummer-quartic quadric:    1")
 print("  odd quadrics:              ", len(jm.odd))
-print("  shifted odd quadrics:      ", len(jm.odd_shifted))
+print("  shifted odd quadrics:      ", len(jm.odd_b_shift))
 print("  hardcoded b_i b_j:         ", len(jm.listed_bb))
 print("  interpolated b_i b_j:      ", len(jm.interpolated_bb))
 print("  total:", len(jm.forms))

@@ -9,8 +9,9 @@ factor t_I, 5 verification failure.  Errors are JSON objects
 {"error": message, "kind": kind}; the input kinds are bad-field (exit 1,
 also for F<p>^<d>: curves over extension fields are not supported yet, for
 Q in model, twist and verify, and for search above p = 31), bad-curve
-(exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1)
-and bad-model-ref (exit 1).
+(exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1),
+bad-model-ref (exit 1) and bad-bound (exit 1, for search over Q above
+--bound 5).
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
                        independent_picks, kummer_image_quadric, sampling_field,
                        veronese_quadrics)
 from .torsion import TorsionActionCtx
-from .twist import (P5_SCAN_BUDGET, EpsilonChoice, TorsionContexts, TwistDatum,
-                    TwistModel, count_jacobian_points, search_twist_points,
+from .twist import (P5_SCAN_BUDGET, Q_SEARCH_BUDGET, EpsilonChoice,
+                    TorsionContexts, TwistDatum, TwistModel,
+                    count_jacobian_points, search_twist_points,
                     search_vdelta_points, search_vdelta_rational)
 
 EXIT_OK = 0
@@ -75,7 +77,8 @@ class BadInput(Exception):
     exit code."""
 
     CODES = {"bad-field": EXIT_INTERNAL, "bad-curve": EXIT_BAD_CURVE,
-             "bad-delta": EXIT_INTERNAL, "bad-model-ref": EXIT_INTERNAL}
+             "bad-delta": EXIT_INTERNAL, "bad-model-ref": EXIT_INTERNAL,
+             "bad-bound": EXIT_INTERNAL}
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -411,6 +414,10 @@ def cmd_search(args):
     if points > P5_SCAN_BUDGET:
         raise BadInput("bad-field", f"search would scan the {points} points of "
                        f"P^5(F_{field.p}), above its budget of {P5_SCAN_BUDGET}")
+    tuples = 0 if field.is_finite() else (2 * args.bound + 1) ** 6
+    if tuples > Q_SEARCH_BUDGET:
+        raise BadInput("bad-bound", f"search would walk the {tuples} integer 6-tuples "
+                       f"of height <= {args.bound}, above its budget of {Q_SEARCH_BUDGET}")
     ref = load_model_ref(args.model_ref, field)
     curve = load_curve(field, args.curve)
     if "matrices" in ref:

@@ -62,9 +62,10 @@ def is_prime(n: int) -> bool:
 
 def is_irreducible(m, p: int) -> bool:
     """Whether m (constant term first, leading coefficient nonzero) is
-    irreducible over F_p: its distinct-degree profile is [deg m]."""
-    from .poly import Poly, distinct_degree_profile   # poly imports this module
-    return distinct_degree_profile(Poly(Field.prime(p), m)) == [len(m) - 1]
+    irreducible over F_p: the first factor degree the distinct-degree sieve
+    finds is deg m."""
+    from .poly import Poly, factor_degrees   # poly imports this module
+    return next(factor_degrees(Poly(Field.prime(p), m)), None) == len(m) - 1
 
 
 def _has_irreducible_binomial(p: int, d: int) -> bool:

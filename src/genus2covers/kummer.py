@@ -23,8 +23,8 @@ from __future__ import annotations
 from .curve import DivisorClass, EVEN_PAIRS
 from .errors import BadGauge, BasePoint, Genus2Error, NonUnitDelta
 from .etale import EtaleAlgebra, LVec
-from .fields import Field, FieldElem
-from .linalg import Mat
+from .fields import Field
+from .linalg import Mat, solve_linear
 from .poly import Poly, _lift
 from .quadrics import QuadricForm, forms_vanish_at, kummer_image_quadric
 
@@ -189,33 +189,18 @@ class KummerModels:
         return self.algebra.elem(coeffs, F)
 
     def interpolating_cubic(self, D: DivisorClass) -> Poly:
-        """The cubic tangent to the curve at both points of D."""
+        """The cubic M tangent to the curve at both points of D: the Hermite
+        solve M(x_i) = y_i, M'(x_i) = f'(x_i) / (2 y_i)."""
         F = D.field
-        x1, y1 = D.p1
-        x2, y2 = D.p2
-        fK = self.curve.f.map_field(F)
-        dfK = fK.derivative()
-        el = lambda v: FieldElem(F, v)
-
-        def g_cd(c, d):
-            # (c-d)^-2 (X-c)^2 (X-d)
-            X = Poly(F, [F.zero(), F.one()])
-            num = (X - Poly(F, [c])) * (X - Poly(F, [c])) * (X - Poly(F, [d]))
-            return num * F.inv(F.mul(F.sub(c, d), F.sub(c, d)))
-
-        def h_cd(c, d):
-            # (c-d)^-3 (X-c)^2 (2X + c - 3d)
-            X = Poly(F, [F.zero(), F.one()])
-            num = (X - Poly(F, [c])) * (X - Poly(F, [c])) \
-                * (Poly(F, [F.sub(c, F.mul(F.from_int(3), d)), F.from_int(2)]))
-            dd = F.sub(c, d)
-            return num * F.inv(F.mul(F.mul(dd, dd), dd))
-
-        t1 = g_cd(x1, x2) * (el(dfK.evaluate(x2)) / (2 * el(y2))).v
-        t2 = g_cd(x2, x1) * (el(dfK.evaluate(x1)) / (2 * el(y1))).v
-        t3 = h_cd(x1, x2) * y2
-        t4 = h_cd(x2, x1) * y1
-        return t1 + t2 + t3 + t4
+        df = self.curve.f.map_field(F).derivative()
+        rows, rhs = [], []
+        for x, y in (D.p1, D.p2):
+            xx = F.mul(x, x)
+            rows += [[F.one(), x, xx, F.mul(xx, x)],
+                     [F.zero(), F.one(), F.add(x, x), F.mul(F.from_int(3), xx)]]
+            rhs += [y, F.div(df.evaluate(x), F.mul(F.from_int(2), y))]
+        X, _ = solve_linear(Mat(F, rows), Mat(F, [[v] for v in rhs]))
+        return Poly(F, X.col(0))
 
     def cassels_section(self, D: DivisorClass) -> LVec:
         """M(X) / ((X - x1)(X - x2)) as an element of L over D's field."""

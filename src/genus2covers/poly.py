@@ -236,14 +236,19 @@ def resultant(g: Poly, h: Poly):
 
 def distinct_degree_profile(f: Poly):
     """Degrees (with multiplicity) of the irreducible factors of a separable
-    polynomial over a prime field, via the distinct-degree sieve.  For any f
-    of degree n it is [n] exactly when f is irreducible: a reducible f has a
-    factor of degree <= n/2, which a gcd splits off before the sieve ends."""
+    polynomial over a prime field, via the distinct-degree sieve, sorted."""
+    return sorted(factor_degrees(f))
+
+
+def factor_degrees(f: Poly):
+    """The degrees of ``distinct_degree_profile`` in the order the sieve
+    finds them, nondecreasing for a separable f.  For any f of degree n the
+    first is n exactly when f is irreducible: a reducible f has a factor of
+    degree <= n/2, which a gcd splits off before the sieve ends."""
     F = f.field
     if F.kind == "rational":
         raise RationalBaseUnsupported("factor profile needs a finite base field")
     f = f.monic()
-    degrees = []
     x = Poly.x(F)
     xq = x
     d = 0
@@ -255,13 +260,12 @@ def distinct_degree_profile(f: Poly):
         xq = _powmod(xq, F.order, rem)
         g = rem.gcd(xq - x)
         if g.degree > 0:
-            degrees.extend([d] * (g.degree // d))
+            yield from [d] * (g.degree // d)
             rem = (rem // g).monic()
             xq = xq % rem if rem.degree > 0 else xq
         if 2 * (d + 1) > rem.degree and rem.degree > 0:
-            degrees.append(rem.degree)
+            yield rem.degree
             rem = Poly.const(F, 1)
-    return sorted(degrees)
 
 
 def _powmod(a: Poly, e: int, m: Poly) -> Poly:

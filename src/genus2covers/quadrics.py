@@ -10,7 +10,8 @@ The generators come in five families, kept in this fixed order:
    antisymmetric 4x4 matrix of odd linear forms applied to (k_1..k_4) and
    one product relation k_1 Q_1 + ... + k_4 Q_4 = 0 is discarded;
 4. 15 more from the same construction with every b_i replaced by b_{i-1},
-   where f_0 b_0 = -(f_1 b_1 + ... + f_6 b_6), cleared of denominators;
+   where f_0 b_0 = -(f_1 b_1 + ... + f_6 b_6): the candidates of family 3
+   composed with that substitution (``b_shift``), scaled by f_0;
 5. 21 forms expressing each product b_i b_j as a quadratic in the k_{uv}:
    seven are hard-coded, the remaining fourteen are read from the kernel of
    the quadrics vanishing at 150 sampled classes (``sampled_kernel``).
@@ -31,7 +32,7 @@ import numpy as np
 from .curve import COORD_NAMES, CurveData, even_slot, random_point
 from .errors import Genus2Error, InterpolationFailed
 from .fields import Field
-from .linalg import (Mat, ext_matmul_np, ext_mul_arrays, fp_rref,
+from .linalg import (Mat, block_diag, ext_matmul_np, ext_mul_arrays, fp_rref,
                      frobenius_fixed_values, from_np, mod_p, rank_rows,
                      rref_rows, to_np)
 
@@ -335,12 +336,16 @@ class JacobianModel:
         self.seed = seed
         self.veronese = veronese_quadrics(curve.field)
         self.kummer_even = kummer_image_quadric(curve)
-        self.odd = odd_quadrics(curve)
-        self.odd_shifted = odd_quadrics(curve, shifted=True)
+        odd = odd_quadrics(curve)
+        self.odd = select_independent(self.field, odd, 15)
+        # the second family, cleared of the denominator f_0
+        composed = compose_forms(odd, b_shift(curve))
+        self.odd_b_shift = select_independent(
+            self.field, [q.scaled(curve.coeffs[0]) for q in composed], 15)
         self.listed_bb = listed_bb_forms(curve)
         self.interpolated_bb, self.kernel_dimensions = sampled_kernel(curve, seed)
         self.forms = (self.veronese + [self.kummer_even] + self.odd
-                      + self.odd_shifted + self.listed_bb + self.interpolated_bb)
+                      + self.odd_b_shift + self.listed_bb + self.interpolated_bb)
         if len(self.forms) != 72:
             raise Genus2Error(f"expected 72 generators, built {len(self.forms)}")
         self.rank = rank_rows(self.field, [f.vector() for f in self.forms])
@@ -447,31 +452,17 @@ _KUMMER_EVEN_TERMS = [
 ]
 
 
-def odd_quadrics(curve: CurveData, shifted: bool = False):
-    """The 15 independent products k_j * Q_i (or the shifted variant)."""
+def odd_quadrics(curve: CurveData):
+    """The 16 products k_j * Q_i; the product relation leaves 15 independent."""
     F = curve.field
     f = curve.coeffs
     two = F.from_int(2)
 
-    def bl(*pairs):
-        """b-linear form as {index: coeff}, 1-based indices, 0 = b_0."""
-        d = {}
-        for idx, c in pairs:
-            d[idx] = F.add(d.get(idx, F.zero()), c)
-        return d
-
-    if not shifted:
-        e1 = bl((1, F.mul(two, f[0])), (2, f[1]))
-        e2 = bl((3, f[3]), (4, F.mul(two, f[4])), (5, F.mul(two, f[5])),
-                (6, F.mul(two, f[6])))
-        e3 = bl((4, f[5]), (5, F.mul(two, f[6])))
-        b2, b3, b4 = bl((2, F.one())), bl((3, F.one())), bl((4, F.one()))
-    else:
-        e1 = bl((0, F.mul(two, f[0])), (1, f[1]))
-        e2 = bl((2, f[3]), (3, F.mul(two, f[4])), (4, F.mul(two, f[5])),
-                (5, F.mul(two, f[6])))
-        e3 = bl((3, f[5]), (4, F.mul(two, f[6])))
-        b2, b3, b4 = bl((1, F.one())), bl((2, F.one())), bl((3, F.one()))
+    # b-linear forms as {index of b: coeff}
+    e1 = {1: F.mul(two, f[0]), 2: f[1]}
+    e2 = {3: f[3], 4: F.mul(two, f[4]), 5: F.mul(two, f[5]), 6: F.mul(two, f[6])}
+    e3 = {4: f[5], 5: F.mul(two, f[6])}
+    b2, b3, b4 = ({i: F.one()} for i in (2, 3, 4))
 
     def neg(d):
         return {i: F.neg(c) for i, c in d.items()}
@@ -483,32 +474,26 @@ def odd_quadrics(curve: CurveData, shifted: bool = False):
         {1: e2, 2: e3, 4: neg(b2)},
         {1: b4, 2: neg(b3), 3: b2},
     ]
-    if shifted:
-        # substitute f0 b0 = -(f1 b1 + ... + f6 b6) and clear the denominator
-        # by scaling every form by f0
-        inv0 = F.inv(f[0])
-        for row in q_rows:
-            for kidx, blin in row.items():
-                c0 = blin.pop(0, None)
-                if c0 is not None:
-                    fac = F.neg(F.mul(c0, inv0))
-                    for i in range(1, 7):
-                        blin[i] = F.add(blin.get(i, F.zero()), F.mul(fac, f[i]))
-
     cands = []
     for j in range(1, 5):
         for i in range(4):
             q = QuadricForm(F)
             for kidx, blin in q_rows[i].items():
-                slot = even_slot(j, kidx)
                 for bidx, c in blin.items():
-                    if not F.is_zero(c):
-                        q.add_term(slot, 9 + bidx, c)
-            if shifted:
-                q = q.scaled(f[0])
-            if not q.is_zero():
-                cands.append(q)
-    return select_independent(F, cands, 15)
+                    q.add_term(even_slot(j, kidx), 9 + bidx, c)
+            cands.append(q)
+    return cands
+
+
+def b_shift(curve: CurveData) -> Mat:
+    """The 16x16 substitution b_i -> b_{i-1}: the identity on the even
+    coordinates, b_1 -> b_0 = -(f_1 b_1 + ... + f_6 b_6) / f_0 and
+    b_i -> b_{i-1} for i > 1."""
+    F = curve.field
+    inv0 = F.inv(curve.coeffs[0])
+    odd = [[F.neg(F.mul(c, inv0)) for c in curve.coeffs[1:]]]
+    odd += [[F.one() if c == r else F.zero() for c in range(6)] for r in range(5)]
+    return block_diag(F, [Mat.identity(F, 10), Mat(F, odd)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ T10_P T10_Q = e_W(P, Q) T10_{P+Q}.
 The c-basis (one coordinate per partition of the six roots into two odd
 parts: ten 3|3 partitions and six 1|5 partitions) diagonalizes all of these
 matrices simultaneously, with eigenvalue (-1)^(#(I cap m)) on the
-coordinate labelled by I at the mask m.  The 72-dimensional vanishing ideal
-splits along this grading into a 12-dimensional piece at the identity and
-2+2 dimensions for each nonzero P.  ``invariant_generators(deltas, n)``
-builds the explicit generators once: with the twist data (delta_w, n) it
-weights their coefficients and gives the twisted ideal, without it the
-ideal of the Jacobian.
+coordinate labelled by I at the mask m.  The even block G of the change of
+basis is the paper's lambda table; its inverse is one inversion of G (the
+paper's closed-form kappa table is the tests' reference for it).  The
+72-dimensional vanishing ideal splits along this grading into a
+12-dimensional piece at the identity and 2+2 dimensions for each nonzero
+P.  ``invariant_generators(deltas, n)`` builds the explicit generators
+once: with the twist data (delta_w, n) it weights their coefficients and
+gives the twisted ideal, without it the ideal of the Jacobian.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class TorsionActionCtx:
     """All translation matrices and the diagonalizing change of basis.
 
     Everything is cached at construction against the splitting field K of
-    the curve and is immutable afterwards.
+    the curve and is immutable afterwards.  ``G`` (c_I from the k_{ij}) is
+    built from the lambda table and ``G_inv_kappa`` is ``G.inv()``.
     """
 
     def __init__(self, algebra: EtaleAlgebra):
@@ -95,9 +98,7 @@ class TorsionActionCtx:
             roots = [algebra.roots[i] for i in mask_bits(mask)]
             self._sigma_tau[mask] = _elementary_sym(K, roots)
         self.G = self._build_G()
-        self.G_inv_kappa = self._build_G_inv()
-        if (self.G * self.G_inv_kappa).rows != Mat.identity(K, 10).rows:
-            raise Genus2Error("kappa table does not invert the c_I table")
+        self.G_inv_kappa = self.G.inv()
         self.C = block_diag(K, [self.G, algebra.S_inv])
         self.C_inv = block_diag(K, [self.G_inv_kappa, algebra.S])
 
@@ -129,30 +130,6 @@ class TorsionActionCtx:
         }
         return [lam[p].v for p in EVEN_PAIRS]
 
-    def kappa_values(self, mask3: int):
-        """The ten kappa_{ij} values for a 3-subset, slot order."""
-        K = self.K
-        el = lambda v: FieldElem(K, v)
-        f6 = el(_lift(self.field, K, self.algebra.curve.coeffs[6]))
-        s1, s2, s3 = (el(v) for v in self._sigma_tau[mask3])
-        t1, t2, t3 = (el(v) for v in self._sigma_tau[mask3 ^ 0b111111])
-        kap = {
-            (1, 1): s1,
-            (1, 2): s2,
-            (1, 3): s3,
-            (1, 4): f6*(s1*t1*t3 + 2*s2*t3 + s3*t1**2),
-            (2, 2): s2*t1 + s3,
-            (2, 3): s3*t1,
-            (2, 4): f6*(s1*t2*t3 + s2*t1*t3 + s3**2),
-            (3, 3): s3*t2,
-            (3, 4): f6*(s2**2*t3 + s2*t2*t3 + 2*s3*t1*t3),
-            (4, 4): f6**2*(s1**2*s2*t2*t3 + 4*s1**2*s3*t1*t3 + s1*s2*s3*t1*t2
-                           + s1*s2*t3**2 + s1*s3**2*t2 + s1*s3*t1*t2**2
-                           + 3*s1*s3*t2*t3 + s2**2*t1**2*t3 + 4*s2*s3*t2**2
-                           + 4*s3**2*t3 + s3*t1*t2*t3),
-        }
-        return [kap[p].v for p in EVEN_PAIRS]
-
     def _normalizer(self, mask3: int):
         """4 * prod_{w in I} prod_{psi not in I} (psi - w)."""
         K = self.K
@@ -171,15 +148,6 @@ class TorsionActionCtx:
             inv = self.K.inv(self._normalizer(rep))
             rows.append([self.K.mul(inv, v) for v in self._lambda_row(rep)])
         return Mat(self.K, rows)
-
-    def _build_G_inv(self) -> Mat:
-        K = self.K
-        cols = []
-        for rep in self.reps:
-            plus = self.kappa_values(rep)
-            minus = self.kappa_values(rep ^ 0b111111)
-            cols.append([K.sub(p, q) for p, q in zip(plus, minus)])
-        return Mat(K, [list(r) for r in zip(*cols)])
 
     # -- translation matrices -----------------------------------------------
 

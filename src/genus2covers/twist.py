@@ -249,15 +249,15 @@ class TwistModel:
         W = self.ctx.K
         self.labelled = self.ctx.invariant_generators(self.eps.deltas, self.eps.n)
         self.forms = [q for _, q in self.labelled]
-        self.rank, self._odd_block = span_supported(
-            W, [q.vector() for q in self.forms], ODD_MONOMIALS)
+        self._vectors = [q.vector() for q in self.forms]
+        self.rank, self._odd_block = span_supported(W, self._vectors, ODD_MONOMIALS)
         if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
         base_deg = datum.algebra.splitting.deg
         if W.deg != base_deg and not frobenius_fixed_values(
-                W, [c for q in self.forms for c in q.coeffs.values()], base_deg):
+                W, [c for vec in self._vectors for c in vec], base_deg):
             raise Genus2Error("twisted coefficient outside k(Omega)")
 
     @property
@@ -322,8 +322,8 @@ class TwistModel:
         W = self.ctx.K
         k = self.datum.algebra.field
         if W.deg == 1:
-            return [QuadricForm.from_vector(k, q.vector()) for q in self.forms]
-        R, piv = fp_rref(k, trace_stack(W, [q.vector() for q in self.forms]))
+            return self.forms
+        R, piv = fp_rref(k, trace_stack(W, self._vectors))
         self._check_descent(R, piv)
         return [QuadricForm.from_vector(k, row) for row in from_np(k, R[:72])]
 
@@ -337,7 +337,7 @@ class TwistModel:
         W = self.ctx.K
         if len(piv) < 72:
             raise RankLoss("descended span has rank < 72")
-        V = to_np(W, [q.vector() for q in self.forms], 72).reshape(len(self.forms), -1, W.deg)
+        V = to_np(W, self._vectors, 72).reshape(len(self._vectors), -1, W.deg)
         B = to_np(W, R[:72], 72)
         at_pivots = V[:, piv[:72]]
         if not all(np.array_equal(at_pivots[..., t] @ B % W.p, V[..., t])
@@ -463,6 +463,10 @@ _SCAN_BLOCK = 4096
 # p <= 31.  The scan takes about 150 ns a point (2-core x86-64 host,
 # CPython 3.11), so 4.6 s at p = 31; p = 37 would take 8 s and p = 1009 years.
 P5_SCAN_BUDGET = 30_000_000
+# The most integer 6-tuples, (2B + 1)^6, that ``search`` over Q walks for a
+# height bound B: B <= 5.  The walk takes about 3 us a tuple (same host), so
+# 5.1 s at B = 5; B = 20 would take hours.
+Q_SEARCH_BUDGET = 2_000_000
 
 
 def p5_zeros(F: Field, mats):
@@ -571,7 +575,7 @@ def search_twist_points(model, descended=None):
     vecs = [q.vector() for q in forms]
     odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS)[1])[:, 10:, 10:]
     mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS)[1])[:, :10, 10:]
-    found = set(_node_pullbacks(model, forms))
+    found = set(_node_pullbacks(model, vecs))
     b = np.array(p5_zeros(k, odd), dtype=np.int64).reshape(-1, 6)
     # row i of survivor r's system: sum_j mixed[:, i, j] b_j (6 products)
     systems = np.einsum("mij,rj->rmi", mixed, b) % p
@@ -633,8 +637,9 @@ def _kernel_pairs(k: Field, systems, b):
     return np.concatenate(us), np.concatenate(bs)
 
 
-def _node_pullbacks(model, forms):
-    """F_p-rational points of the twist with zero odd part."""
+def _node_pullbacks(model, vecs):
+    """F_p-rational points of the twist with zero odd part, where the forms
+    of coefficient vectors `vecs` all vanish."""
     W = model.field
     k = model.datum.algebra.field
     alg = model.ctx.algebra
@@ -662,7 +667,7 @@ def _node_pullbacks(model, forms):
             rational.append(tuple(v[0] if W.kind == "ext" else v for v in norm))
     # every form at every rational node at once: sums of 136 products
     X = np.array(rational, dtype=np.int64).reshape(-1, 16)
-    C = np.array([q.vector() for q in forms], dtype=np.int64).reshape(-1, len(MONOMIALS))
+    C = np.array(vecs, dtype=np.int64).reshape(-1, len(MONOMIALS))
     values = C @ (X[:, _MONO_I] * X[:, _MONO_J] % k.p).T % k.p
     return [pt for pt, col in zip(rational, values.T) if not col.any()]
 

@@ -101,12 +101,19 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-field", 1),
     (["search", "--field", "F31", "--curve", CURVE11, "--model-ref", "missing.json"],
      "bad-model-ref", 1),
+    # over Q the (2B + 1)^6 tuples pass the walk's budget above B = 5, refused
+    # before the bundle is read; at B = 5 the missing bundle is the error
+    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json",
+      "--bound", "6"], "bad-bound", 1),
+    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json",
+      "--bound", "5"], "bad-model-ref", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
         "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
         "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero",
-        "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31"])
+        "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31",
+        "search-Q-above-bound-5", "search-Q-at-bound-5"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
@@ -208,10 +215,11 @@ def test_verify_suites(capsys):
 def test_verify_diagonal_ranks_generators_in_one_reduction(capsys, rref_calls):
     """The independence of the 72 untwisted generators and their span of
     the lifted Jacobian forms come from one reduction; the etale algebra
-    inverts only the Vandermonde matrix S."""
+    inverts only the Vandermonde matrix S, and the torsion context inverts
+    the c-basis change G once."""
     assert main(["verify", "--field", "F101", "--curve", CURVE, "--suite", "diagonal"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert len(rref_calls) == 8
+    assert len(rref_calls) == 9
 
 
 def pairwise_group_law(ctx, pts):

@@ -9,7 +9,7 @@ from genus2covers.errors import BadGauge, NonUnitDelta
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, MultiPoly, veronese_quartic
 from genus2covers.linalg import Mat, rank_rows
-from genus2covers.poly import _lift
+from genus2covers.poly import Poly, _lift
 from conftest import basis_change, rand_elem
 
 
@@ -192,6 +192,40 @@ def test_rho_j_and_cassels_section(km, ref_curve, ref_field, rng):
         assert (xi * y1y2).c == z.c
         zneg = km.rho_J(D.negate())
         assert zneg.c == [F.neg(v) for v in z.c]
+
+
+def closed_form_cubic(curve, D):
+    """The reference for ``interpolating_cubic``: the Hermite basis written
+    out, g_cd = (X-c)^2 (X-d) / (c-d)^2 and h_cd = (X-c)^2 (2X + c - 3d) /
+    (c-d)^3, weighted by the slopes f'(x) / (2y) and the values y."""
+    F = D.field
+    (x1, y1), (x2, y2) = D.p1, D.p2
+    df = curve.f.map_field(F).derivative()
+    X = Poly(F, [F.zero(), F.one()])
+
+    def g_cd(c, d):
+        num = (X - Poly(F, [c])) * (X - Poly(F, [c])) * (X - Poly(F, [d]))
+        return num * F.inv(F.mul(F.sub(c, d), F.sub(c, d)))
+
+    def h_cd(c, d):
+        num = (X - Poly(F, [c])) * (X - Poly(F, [c])) \
+            * Poly(F, [F.sub(c, F.mul(F.from_int(3), d)), F.from_int(2)])
+        dd = F.sub(c, d)
+        return num * F.inv(F.mul(F.mul(dd, dd), dd))
+
+    slope = lambda x, y: F.div(df.evaluate(x), F.mul(F.from_int(2), y))
+    return (g_cd(x1, x2) * slope(x2, y2) + g_cd(x2, x1) * slope(x1, y1)
+            + h_cd(x1, x2) * y2 + h_cd(x2, x1) * y1)
+
+
+@pytest.mark.parametrize("K", [Field.prime(101), Field.extension(101, 2)], ids=["F101", "F101^2"])
+def test_interpolating_cubic_matches_closed_form(km, ref_curve, K, rng):
+    for _ in range(40):
+        D = random_point(ref_curve, K, rng)
+        M = km.interpolating_cubic(D)
+        assert M == closed_form_cubic(ref_curve, D)
+        for x, y in (D.p1, D.p2):
+            assert K.eq(M.evaluate(x), y)
 
 
 def test_map_y_to_x(km, ref_curve, ref_field, rng):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from genus2covers.errors import (Genus2Error, NotSeparable,
                                  RationalBaseUnsupported, WrongDegree)
 from genus2covers.fields import Field, is_irreducible
-from genus2covers.poly import (Poly, distinct_degree_profile,
+from genus2covers.poly import (Poly, distinct_degree_profile, factor_degrees,
                                lagrange_interpolate, resultant,
                                roots_in_field, splitting_field_and_roots)
 
@@ -121,6 +121,7 @@ def test_splitting_random_sextics_lcm_and_evaluation():
             continue
         done += 1
         degs = distinct_degree_profile(f)
+        assert list(factor_degrees(f)) == degs   # found in order when separable
         K, roots = splitting_field_and_roots(f)
         import math
         expect = 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus2covers.curve import CurveData, random_point
+from genus2covers.curve import CurveData, even_slot, random_point
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field
 from genus2covers.linalg import (Mat, block_diag, ext_mul_arrays, from_np, mod_p,
@@ -24,7 +24,7 @@ from conftest import in_row_span
 def test_counts_and_rank(ref_jacobian, ref_field):
     jm = ref_jacobian
     assert len(jm.veronese) == 20
-    assert len(jm.odd) == 15 and len(jm.odd_shifted) == 15
+    assert len(jm.odd) == 15 and len(jm.odd_b_shift) == 15
     assert len(jm.listed_bb) == 7 and len(jm.interpolated_bb) == 14
     assert len(jm.forms) == 72
     assert rank_rows(ref_field, [q.vector() for q in jm.forms]) == 72
@@ -98,6 +98,67 @@ def test_sampled_kernel_forms_match_reference_interpolation(p):
         assert dims == (72, 21)
         want = reference_interpolation(curve, seed, UNLISTED_BB_PAIRS)
         assert [q.coeffs for q in forms] == [q.coeffs for q in want]
+
+
+def hand_shifted_odd_quadrics(curve):
+    """The reference for ``JacobianModel.odd_b_shift``: the products
+    k_j * Q_i written out with every b_i replaced by b_{i-1}, then
+    f0 b0 = -(f1 b1 + ... + f6 b6) substituted by hand and every form
+    scaled by f0."""
+    F = curve.field
+    f = curve.coeffs
+    two = F.from_int(2)
+
+    def bl(*pairs):
+        """b-linear form as {index: coeff}, 1-based indices, 0 = b_0."""
+        return {idx: c for idx, c in pairs}
+
+    e1 = bl((0, F.mul(two, f[0])), (1, f[1]))
+    e2 = bl((2, f[3]), (3, F.mul(two, f[4])), (4, F.mul(two, f[5])),
+            (5, F.mul(two, f[6])))
+    e3 = bl((3, f[5]), (4, F.mul(two, f[6])))
+    b2, b3, b4 = bl((1, F.one())), bl((2, F.one())), bl((3, F.one()))
+
+    def neg(d):
+        return {i: F.neg(c) for i, c in d.items()}
+
+    q_rows = [
+        {2: e1, 3: neg(e2), 4: neg(b4)},
+        {1: neg(e1), 3: neg(e3), 4: b3},
+        {1: e2, 2: e3, 4: neg(b2)},
+        {1: b4, 2: neg(b3), 3: b2},
+    ]
+    inv0 = F.inv(f[0])
+    for row in q_rows:
+        for blin in row.values():
+            c0 = blin.pop(0, None)
+            if c0 is not None:
+                fac = F.neg(F.mul(c0, inv0))
+                for i in range(1, 7):
+                    blin[i] = F.add(blin.get(i, F.zero()), F.mul(fac, f[i]))
+    cands = []
+    for j in range(1, 5):
+        for i in range(4):
+            q = QuadricForm(F)
+            for kidx, blin in q_rows[i].items():
+                for bidx, c in blin.items():
+                    q.add_term(even_slot(j, kidx), 9 + bidx, c)
+            cands.append(q.scaled(f[0]))
+    return select_independent(F, cands, 15)
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    (3, [2, 2, 0, 2, 0, 1, 1]),
+    (101, [5, 1, 2, 1, 1, 3, 1]),
+    (2 ** 31 - 1, [35, 0, 0, 2 ** 31 - 13, 0, 0, 1]),
+    (4294967311, [5, 1, 2, 1, 1, 3, 1]),
+])
+def test_shifted_odd_quadrics_match_hand_substitution(p, coeffs):
+    """The second odd family, the first composed with the b-shift, equals
+    the family substituted by hand."""
+    jm = JacobianModel(CurveData(Field.prime(p), coeffs), seed=1)
+    assert [q.coeffs for q in jm.odd_b_shift] == [
+        q.coeffs for q in hand_shifted_odd_quadrics(jm.curve)]
 
 
 def test_two_uple_holds_identically(ref_curve, ref_field, rng):

@@ -16,6 +16,7 @@ from genus2covers.kummer import KummerModels
 from genus2covers.poly import Poly
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import TwistDatum
+from test_kummer import closed_form_cubic
 
 ROOTS = [1, -1, 2, -2, 3, 12]
 
@@ -59,11 +60,12 @@ def test_kummer_tower_over_q(q_setup):
     z = km.rho_J(D)
     xi = km.cassels_section(D)
     assert (xi * Fraction(720)).c == z.c  # y1 y2 = 720
+    assert km.interpolating_cubic(D) == closed_form_cubic(curve, D)
 
 
 def test_torsion_over_q(q_setup):
     Q, curve, alg, D = q_setup
-    ctx = TorsionActionCtx(alg)  # G G^{-1} = Id asserted inside
+    ctx = TorsionActionCtx(alg)
     for P in all_two_torsion()[:5]:
         M = ctx.mp_matrix(P)
         res = ctx.res_gh(P)

@@ -1,15 +1,52 @@
 import pytest
 
-from genus2covers.curve import random_point
+from genus2covers.curve import EVEN_PAIRS, CurveData, random_point
 from genus2covers.errors import IdentityPoint, NotDiagonal, NotGeneric, OddMask
-from genus2covers.etale import (TwoTorsionPoint, all_two_torsion, alpha_sign,
+from genus2covers.etale import (EtaleAlgebra, TwoTorsionPoint, all_two_torsion, alpha_sign,
                                 even_masks, mask_of, weil_pairing)
+from genus2covers.fields import Field, FieldElem
 from genus2covers.kummer import KummerModels
 from genus2covers.linalg import Mat, rank_rows
 from genus2covers.poly import Poly, _lift
 from genus2covers.quadrics import compose_forms, forms_vanish_at
+from genus2covers.torsion import TorsionActionCtx
 from conftest import add_two_torsion, in_row_span
 from test_kummer import plain_compose_linear, scaled_terms
+
+
+def kappa_values(ctx, mask3: int):
+    """The paper's ten kappa_{ij} values for a 3-subset, slot order."""
+    K = ctx.K
+    el = lambda v: FieldElem(K, v)
+    f6 = el(_lift(ctx.field, K, ctx.algebra.curve.coeffs[6]))
+    s1, s2, s3 = (el(v) for v in ctx._sigma_tau[mask3])
+    t1, t2, t3 = (el(v) for v in ctx._sigma_tau[mask3 ^ 0b111111])
+    kap = {
+        (1, 1): s1,
+        (1, 2): s2,
+        (1, 3): s3,
+        (1, 4): f6*(s1*t1*t3 + 2*s2*t3 + s3*t1**2),
+        (2, 2): s2*t1 + s3,
+        (2, 3): s3*t1,
+        (2, 4): f6*(s1*t2*t3 + s2*t1*t3 + s3**2),
+        (3, 3): s3*t2,
+        (3, 4): f6*(s2**2*t3 + s2*t2*t3 + 2*s3*t1*t3),
+        (4, 4): f6**2*(s1**2*s2*t2*t3 + 4*s1**2*s3*t1*t3 + s1*s2*s3*t1*t2
+                       + s1*s2*t3**2 + s1*s3**2*t2 + s1*s3*t1*t2**2
+                       + 3*s1*s3*t2*t3 + s2**2*t1**2*t3 + 4*s2*s3*t2**2
+                       + 4*s3**2*t3 + s3*t1*t2*t3),
+    }
+    return [kap[p].v for p in EVEN_PAIRS]
+
+
+def kappa_inverse(ctx) -> Mat:
+    """G^-1 from the paper's kappa table: the column of a partition rep I is
+    kappa(I) - kappa(complement of I)."""
+    K = ctx.K
+    cols = [[K.sub(a, b) for a, b in zip(kappa_values(ctx, rep),
+                                         kappa_values(ctx, rep ^ 0b111111))]
+            for rep in ctx.reps]
+    return Mat(K, [list(r) for r in zip(*cols)])
 
 
 def mu2_elem(alg, m: int):
@@ -328,3 +365,36 @@ def test_not_diagonal_on_wrong_basis(ref_torsion):
     with pytest.raises((NotDiagonal, OddMask)):
         # odd mask is rejected before any conjugation
         ref_torsion.verify_diagonal(0b1)
+
+
+@pytest.mark.parametrize("p, coeffs, quadratic", [
+    (31, [720, -1764, 1624, -735, 175, -21, 1], False),   # split: the roots 1..6
+    (101, [5, 1, 2, 1, 1, 3, 1], False),
+    (101, [5, 1, 2, 1, 1, 3, 1], True),
+    (1009, [400, 414, 335, 194, 623, 440, 63], True),
+    (1999, [1172, 1636, 510, 880, 1973, 1309, 1170], False),
+    (1999, [1172, 1636, 510, 880, 1973, 1309, 1170], True),
+], ids=["F31-degree1", "F101-degree4", "F101-degree8", "F1009-degree8",
+        "F1999-degree6", "F1999-degree12"])
+def test_inverse_change_matches_kappa_table(p, coeffs, quadratic):
+    """G_inv_kappa, one inversion of G, equals the paper's closed-form kappa
+    table, over the splitting field and over its quadratic extension."""
+    alg = EtaleAlgebra(CurveData(Field.prime(p), coeffs))
+    if quadratic:
+        K = alg.splitting
+        alg = EtaleAlgebra(alg.curve, splitting=Field.extension(p, 2 * K.deg))
+    ctx = TorsionActionCtx(alg)
+    assert ctx.K.deg == alg.splitting.deg
+    assert ctx.G_inv_kappa.rows == kappa_inverse(ctx).rows
+
+
+def test_inverse_change_matches_kappa_table_over_q():
+    Q = Field.rationals()
+    roots = [1, -1, 2, -2, 3, 12]
+    f = Poly(Q, [1])
+    for a in roots:
+        f = f * Poly(Q, [Q.from_int(-a), Q.one()])
+    alg = EtaleAlgebra(CurveData(Q, [f.coeff(i) for i in range(7)]),
+                       roots=[Q.from_int(a) for a in roots])
+    ctx = TorsionActionCtx(alg)
+    assert ctx.G_inv_kappa.rows == kappa_inverse(ctx).rows

@@ -589,7 +589,7 @@ def scalar_twist_search(model, forms):
     vecs = [q.vector() for q in forms]
     odd_blk = span_supported(k, vecs, ODD_MONOMIALS)[1]
     mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)[1]
-    found = set(_node_pullbacks(model, forms))
+    found = set(_node_pullbacks(model, vecs))
     for b in projective_reps(k, 6):
         ok = True
         for row in odd_blk:
@@ -745,7 +745,7 @@ def test_node_pullbacks_keep_the_nodes_on_the_forms(curve_2211_f7, rng):
     for forms in (tm.descend_to_ground(), _cassels_twist(alg, rng).descend_to_ground()):
         want = [pt for pt in nodes if all(
             sum(c * pt[i] * pt[j] for (i, j), c in q.coeffs.items()) % 7 == 0 for q in forms)]
-        assert _node_pullbacks(tm, forms) == want
+        assert _node_pullbacks(tm, [q.vector() for q in forms]) == want
 
 
 @settings(max_examples=40, deadline=None)
