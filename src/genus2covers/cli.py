@@ -10,8 +10,8 @@ factor t_I, 5 verification failure.  Errors are JSON objects
 also for F<p>^<d>: curves over extension fields are not supported yet, for
 Q in model, twist and verify, and for search above p = 31), bad-curve
 (exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1),
-bad-model-ref (exit 1) and bad-bound (exit 1, for search over Q above
---bound 5).
+bad-model-ref (exit 1, also for a bundle from another field) and
+bad-bound (exit 1, for search over Q below --bound 0 or above 5).
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from itertools import islice
 import numpy as np
 
 from .curve import CurveData, random_point
-from .errors import GammaViolation, Genus2Error, NonUnitDelta, TIVanishes
+from .errors import (ExhaustedAttempts, GammaViolation, Genus2Error, NonUnitDelta,
+                     TIVanishes)
 from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
-from .fields import parse_field_spec
+from .fields import Field, parse_field_spec
 from .kummer import KummerModels, even_matrix, veronese_quartic
 from .linalg import Mat, ext_matmul_np, rank_rows, to_np
 from .poly import Poly, _lift
@@ -354,8 +355,7 @@ def cmd_twist(args):
             q.frobenius_fixed() for q in descended)
     if args.check:
         W = model.field
-        rng = random.Random(args.seed * 2029 + 3)
-        divs = [random_point(curve, W, rng) for _ in range(30)]
+        divs = _classes(curve, W, random.Random(args.seed * 2029 + 3), 30)
         bundle["check"] = {
             "vanish_at_pullbacks": model.vanish_at_pullbacks(divs),
             "galois_t_equivariance": equivariant,
@@ -364,6 +364,16 @@ def cmd_twist(args):
             "rank": model.rank,
         }
     return bundle
+
+
+def _classes(curve, W, rng, count):
+    """`count` sampled classes over W, or over its quadratic extension when W
+    holds no generic class (F_7 with f split: one x has f(x) != 0)."""
+    try:
+        return [random_point(curve, W, rng) for _ in range(count)]
+    except ExhaustedAttempts:
+        return [random_point(curve, Field.extension(W.p, 2 * W.deg), rng)
+                for _ in range(count)]
 
 
 def load_model_ref(raw: str, field) -> dict:
@@ -380,6 +390,12 @@ def load_model_ref(raw: str, field) -> dict:
         raise BadInput("bad-model-ref", f"cannot read model-ref: {exc}") from exc
     if not isinstance(bundle, dict):
         raise BadInput("bad-model-ref", "model-ref must be a JSON object")
+    # a bundle's "field" is its working field: F<p>, F<p>^<d> (over F<p>) or Q
+    spec = str(bundle.get("field", field.spec_string()))
+    if spec.split("^")[0] != field.spec_string():
+        raise BadInput("bad-model-ref", f"model-ref is over {spec}, not {field}")
+    if "quadrics_ground" in bundle and not field.is_finite():
+        raise BadInput("bad-model-ref", "a twist bundle is searched over its finite field")
     if "quadrics_ground" in bundle:
         need = ("delta", "n")
     else:
@@ -414,6 +430,8 @@ def cmd_search(args):
     if points > P5_SCAN_BUDGET:
         raise BadInput("bad-field", f"search would scan the {points} points of "
                        f"P^5(F_{field.p}), above its budget of {P5_SCAN_BUDGET}")
+    if not field.is_finite() and args.bound < 0:
+        raise BadInput("bad-bound", f"--bound must be at least 0, not {args.bound}")
     tuples = 0 if field.is_finite() else (2 * args.bound + 1) ** 6
     if tuples > Q_SEARCH_BUDGET:
         raise BadInput("bad-bound", f"search would walk the {tuples} integer 6-tuples "
@@ -427,7 +445,7 @@ def cmd_search(args):
     alg = EtaleAlgebra(curve, seed=args.seed)
     try:
         if "forms" in ref:
-            # the search reads the covering matrix, so no TwistModel is built
+            # the search reads the scale factors t_I, so no TwistModel is built
             datum = TwistDatum(alg, ref["delta"], ref["n"])
             eps = EpsilonChoice(TorsionContexts(alg), datum, seed=args.seed)
             pts = search_twist_points(eps, descended=ref["forms"])
@@ -605,7 +623,7 @@ def _verify_twist(curve, alg, ctx, seed):
             continue
         built += 1
         W = tm.field
-        divs = [random_point(curve, W, rng) for _ in range(20)]
+        divs = _classes(curve, W, rng, 20)
         vanished += tm.vanish_at_pullbacks(divs)
         equiv += tm.eps.galois_t_equivariance()
         cocycle += tm.cocycle_matches_action()

@@ -9,6 +9,7 @@ polynomial has an empty coefficient list.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -186,15 +187,24 @@ class Poly:
 
 
 def _lift(F: Field, G: Field, a):
-    """Lift a raw value of F into G. Supported: F == G, or F prime / Q
-    constants into an extension or larger context of the same characteristic."""
+    """Lift a raw value of F into G. Supported: F == G, F prime / Q
+    constants into an extension or larger context of the same characteristic,
+    and F_{p^a} into F_{p^b}, a | b, with t sent to ``_modulus_root(F, G)``."""
     if F == G:
         return a
     if F.kind == "prime" and G.kind == "ext" and F.p == G.p:
         return G.from_int(a)
     if F.kind == "prime" and G.kind == "prime" and F.p == G.p:
         return a
+    if F.kind == G.kind == "ext" and F.p == G.p and G.deg % F.deg == 0:
+        return Poly(G, [G.from_int(c) for c in a]).evaluate(_modulus_root(F, G))
     raise Genus2Error(f"cannot lift element of {F} into {G}")
+
+
+@functools.cache
+def _modulus_root(F: Field, G: Field):
+    """The first root in G of the modulus of F (``roots_in_field``)."""
+    return roots_in_field(Poly(Field.prime(F.p), list(F.modulus)), G)[0]
 
 
 # ---------------------------------------------------------------------------

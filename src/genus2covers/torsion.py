@@ -19,9 +19,10 @@ basis is the paper's lambda table; its inverse is one inversion of G (the
 paper's closed-form kappa table is the tests' reference for it).  The
 72-dimensional vanishing ideal splits along this grading into a
 12-dimensional piece at the identity and 2+2 dimensions for each nonzero
-P.  ``invariant_generators(deltas, n)`` builds the explicit generators
-once: with the twist data (delta_w, n) it weights their coefficients and
-gives the twisted ideal, without it the ideal of the Jacobian.
+P.  ``c_generators`` builds explicit generators of the pieces in the
+c-variables once per context, with no twist data.  Composed with C they
+generate the ideal of the Jacobian (``invariant_generators``); a
+two-covering composes them with diag(t_I, eps_w) C (``twist.TwistModel``).
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .errors import Genus2Error, IdentityPoint, NotDiagonal, OddMask
 from .etale import (EtaleAlgebra, TwoTorsionPoint, alpha_sign, character_chi,
                     mask_bits, mask_of, popcount)
 from .fields import Field, FieldElem
-from .linalg import Mat, block_diag
+from .linalg import Mat, block_diag, kernel_rows
 from .poly import Poly, _lift, resultant
 from .quadrics import (QuadricForm, compose_forms, independent_picks,
-                       kummer_image_quadric, listed_bb_forms)
+                       kummer_image_quadric, listed_bb_forms, veronese_quadrics)
 
 
 def partition_reps():
@@ -78,9 +79,10 @@ class DiagonalCoords:
 class TorsionActionCtx:
     """All translation matrices and the diagonalizing change of basis.
 
-    Everything is cached at construction against the splitting field K of
-    the curve and is immutable afterwards.  ``G`` (c_I from the k_{ij}) is
-    built from the lambda table and ``G_inv_kappa`` is ``G.inv()``.
+    Everything is cached against the splitting field K of the curve, at
+    construction or on first use (the M_P, the c-basis generators), and is
+    shared and immutable afterwards.  ``G`` (c_I from the k_{ij}) is built
+    from the lambda table and ``G_inv_kappa`` is ``G.inv()``.
     """
 
     def __init__(self, algebra: EtaleAlgebra):
@@ -101,6 +103,7 @@ class TorsionActionCtx:
         self.G_inv_kappa = self.G.inv()
         self.C = block_diag(K, [self.G, algebra.S_inv])
         self.C_inv = block_diag(K, [self.G_inv_kappa, algebra.S])
+        self._c_generators = None
 
     # -- tables ---------------------------------------------------------------
 
@@ -276,29 +279,19 @@ class TorsionActionCtx:
 
     # -- generators of the graded pieces of the ideal -------------------------
 
-    def o_plus_candidates(self, deltas=None, n=None):
+    def o_plus_candidates(self):
         """The sixteen candidate forms spanning the 12-dimensional identity
         piece, as quadrics in the c-variables (internal order).  Each is
-        diagonal; with twist data (deltas, n) over K the coefficient of c_w^2
-        is scaled by delta_w and that of c_I^2 by t_I^2 (``t_squared``)."""
+        diagonal."""
         K = self.K
-        one, zero = K.one(), K.zero()
+        zero = K.zero()
         roots = self.algebra.roots
-        if deltas is None:
-            wr, wp = [one] * 6, [one] * 10
-        else:
-            wr, wp = deltas, [t_squared(K, deltas, n, rep) for rep in self.reps]
         # the k-values at c = e_I, one row per partition rep; a form's k-part
         # at them gives its c_I^2 coefficients
         mu = [row + [zero] * 6 for row in self.G_inv_kappa.transpose().rows]
 
         def diagonal(odd, even):
-            q = QuadricForm(K)
-            for i in range(6):
-                q.add_term(10 + i, 10 + i, K.mul(odd[i], wr[i]))
-            for r in range(10):
-                q.add_term(r, r, K.mul(even[r], wp[r]))
-            return q
+            return QuadricForm(K, {(r, r): v for r, v in enumerate(even + odd)})
 
         # three diagonal forms sum w^j lambda_w c_w^2
         forms = [diagonal([K.mul(K.pw(w, j), lam)
@@ -322,35 +315,38 @@ class TorsionActionCtx:
                                   [K.div(q.evaluate(m), mult) for m in mu]))
         return forms
 
-    def pair_generators(self, pair, deltas=None, n=None):
-        """The four c-variable forms attached to one root pair (i, j): two
-        odd (l = 0, 1) and two even.  With twist data (deltas, n) over K the
-        odd term at theta is scaled by delta_theta + n / (delta_i delta_j)
-        and the even terms at the partition {t1 t2 | p1 p2} of the other four
-        roots by delta_t1 delta_t2 + delta_p1 delta_p2
-        + n (1/delta_i + 1/delta_j)."""
+    def even_diagonal_forms(self):
+        """The forms sum a_I c_I^2 in the span of the 21 even quadrics
+        composed with block_diag(G^-1, I): the combinations whose 45
+        off-diagonal coefficients vanish, one kernel over K.  In
+        characteristic 3 they complete the identity piece."""
         K = self.K
-        one = K.one()
+        curve = self.algebra.curve
+        even = [q.map_field(K) for q in veronese_quadrics(curve.field)
+                + [kummer_image_quadric(curve)]]
+        even = compose_forms(even, block_diag(K, [self.G_inv_kappa, Mat.identity(K, 6)]))
+        at = lambda monos: Mat(K, [[q.coeffs.get(m, K.zero()) for q in even] for m in monos])
+        squares = [(r, r) for r in range(10)]
+        diag = at(squares)
+        off = at([(a, b) for a in range(10) for b in range(a + 1, 10)])
+        return [QuadricForm(K, dict(zip(squares, diag.matvec(x))))
+                for x in kernel_rows(K, off.rows)]
+
+    def pair_generators(self, pair):
+        """The four c-variable forms attached to one root pair (i, j): two
+        odd (l = 0, 1) and two even."""
+        K = self.K
         i, j = pair
         roots = self.algebra.roots
         comp = [t for t in range(6) if t not in (i, j)]
         partitions = [((comp[0], comp[1]), (comp[2], comp[3])),
                       ((comp[0], comp[2]), (comp[1], comp[3])),
                       ((comp[0], comp[3]), (comp[1], comp[2]))]
-        if deltas is None:
-            w_odd, w_even = [one] * 6, [one] * 3
-        else:
-            d = deltas
-            r = K.div(n, K.mul(d[i], d[j]))
-            w_odd = [K.add(dt, r) for dt in d]
-            w_even = [K.add(K.add(K.mul(d[t1], d[t2]), K.mul(d[p1], d[p2])),
-                            K.mul(r, K.add(d[i], d[j])))
-                      for (t1, t2), (p1, p2) in partitions]
         out = []
         for l in (0, 1):
             q = QuadricForm(K)
             for theta in comp:
-                coef = K.mul(K.pw(roots[theta], l), w_odd[theta])
+                coef = K.pw(roots[theta], l)
                 for psi in comp:
                     if psi != theta:
                         coef = K.mul(coef, K.sub(roots[theta], roots[psi]))
@@ -358,47 +354,49 @@ class TorsionActionCtx:
                 q.add_term(rep, 10 + theta, coef if sign > 0 else K.neg(coef))
             out.append(q)
         q1, q2 = QuadricForm(K), QuadricForm(K)
-        q2.add_term(10 + i, 10 + j, one)
+        q2.add_term(10 + i, 10 + j, K.one())
         f6 = _lift(self.field, K, self.algebra.curve.coeffs[6])
-        for ((t1, t2), (p1, p2)), w in zip(partitions, w_even):
+        for (t1, t2), (p1, p2) in partitions:
             r1, s1 = partition_rep_and_sign(mask_of([t1, t2, i]), self.reps)
             r2, s2 = partition_rep_and_sign(mask_of([t1, t2, j]), self.reps)
-            coef = w
+            coef = K.one() if s1 * s2 > 0 else K.neg(K.one())
             for a in (t1, t2):
                 for b in (p1, p2):
                     coef = K.mul(coef, K.sub(roots[a], roots[b]))
-            if s1 * s2 < 0:
-                coef = K.neg(coef)
             q1.add_term(r1, r2, coef)
             extra = K.mul(f6, K.mul(K.add(roots[t1], roots[t2]),
                                     K.add(roots[p1], roots[p2])))
             q2.add_term(r1, r2, K.mul(coef, extra))
         return out + [q1, q2]
 
-    def invariant_generators(self, deltas=None, n=None):
-        """72 labelled generators of the (possibly twisted) vanishing ideal.
+    def c_generators(self):
+        """72 labelled generators of the vanishing ideal in the c-variables,
+        built once: (label, form) with labels ("O", n) for the identity
+        piece and ((i, j), kind, l) with kind "odd"/"even" for the pair
+        pieces.  The identity piece is the first twelve independent
+        candidates, taken from ``even_diagonal_forms`` as well when the
+        sixteen of ``o_plus_candidates`` span less (characteristic 3)."""
+        if self._c_generators is None:
+            cands = self.o_plus_candidates()
+            picked = independent_picks(self.K, [q.vector() for q in cands])
+            if len(picked) < 12:
+                cands += self.even_diagonal_forms()
+                picked = independent_picks(self.K, [q.vector() for q in cands])
+            if len(picked) < 12:
+                raise Genus2Error("identity piece has rank < 12")
+            labelled = [(("O", k), cands[idx]) for k, idx in enumerate(picked[:12])]
+            for P in _all_pairs():
+                labelled += zip([(P, "odd", 0), (P, "odd", 1), (P, "even", 1), (P, "even", 2)],
+                                self.pair_generators(P))
+            self._c_generators = labelled
+        return self._c_generators
 
-        Returns a list of (label, form) with forms over the splitting field
-        expressed in Coords16; labels are ("O", n) for the identity piece and
-        ((i, j), kind, l) with kind "odd"/"even" for the pair pieces.  Twist
-        data (deltas, n) over K, the six delta_w and n, weight the
-        coefficients and give the twisted ideal; without it this is the
-        ideal of the Jacobian itself.  Nonzero weights only rescale the
-        coordinates c_w^2 and c_I^2 of the identity-piece candidates, so the
-        twelve picked are the same with and without them.
-        """
-        cands = self.o_plus_candidates(deltas, n)
-        picked = independent_picks(self.K, [q.vector() for q in cands])
-        if len(picked) < 12:
-            raise Genus2Error("identity piece has rank < 12")
-        labelled = [(("O", k), cands[idx]) for k, idx in enumerate(picked[:12])]
-        for P in _all_pairs():
-            four = self.pair_generators(P, deltas, n)
-            labelled += [((P, "odd", 0), four[0]), ((P, "odd", 1), four[1]),
-                         ((P, "even", 1), four[2]), ((P, "even", 2), four[3])]
-        # v -> Q(C v) for all 72 forms in one batched product
-        forms = compose_forms([q for _, q in labelled], self.C)
-        return [(label, q) for (label, _), q in zip(labelled, forms)]
+    def invariant_generators(self):
+        """The 72 ``c_generators`` composed with C, v -> Q(C v) in one
+        batched product: (label, form) over the splitting field in Coords16,
+        generators of the vanishing ideal of the Jacobian."""
+        labels, forms = zip(*self.c_generators())
+        return list(zip(labels, compose_forms(forms, self.C)))
 
     # -- field-of-definition tags ---------------------------------------------
 
@@ -411,24 +409,6 @@ class TorsionActionCtx:
 
 def _all_pairs():
     return [(i, j) for i in range(6) for j in range(i + 1, 6)]
-
-
-def split_product(K: Field, values, mask: int):
-    """(product of values[i] over the bits i of mask, product over the rest)."""
-    inside = outside = K.one()
-    for i, v in enumerate(values):
-        if mask >> i & 1:
-            inside = K.mul(inside, v)
-        else:
-            outside = K.mul(outside, v)
-    return inside, outside
-
-
-def t_squared(K: Field, deltas, n, mask3: int):
-    """t_I^2 from the twist data alone: prod_{w in I} delta_w
-    + prod_{w not in I} delta_w + 2n."""
-    inside, outside = split_product(K, deltas, mask3)
-    return K.add(K.add(inside, outside), K.mul(K.from_int(2), n))
 
 
 def _elementary_sym(K: Field, roots):

@@ -6,20 +6,19 @@ Pipeline: choose epsilon_w with epsilon_w^2 = delta(w_w) and prod = n (over
 the splitting field, or its quadratic extension when some delta_w is a
 non-square, in which case the root/torsion context is built there instead:
 ``TorsionContexts`` builds only the context of the working field).
-The twisted ideal needs only delta_w and n: it is the weighted variant of
-the 72 diagonal-basis generators, which
-``TorsionActionCtx.invariant_generators(deltas, n)`` builds, with weights
+In the c-basis the covering map g is diagonal, t_I = prod_{w in I} eps_w
++ prod_{w not in I} eps_w on c_I and eps_w on c_w, so g = C^-1 diag(t_I,
+eps_w) C.  The twisted ideal is the Jacobian's pulled back by g: the 72
+c-basis generators of ``TorsionActionCtx.c_generators`` composed with
+diag(t_I, eps_w) C, each generator of the pair (w1, w2) divided by
+eps_{w1} eps_{w2}.  That division leaves the coefficients in the splitting
+field's image, and the paper writes them there as weights in delta_w and n:
 
     odd piece at the pair (w1, w2):  delta_t + n / (delta_{w1} delta_{w2})
     even piece:  delta_{t1} delta_{t2} + delta_{p1} delta_{p2}
                  + n (1/delta_{w1} + 1/delta_{w2})
     identity piece:  delta_w on c_w^2 and t_I^2 on c_I^2,
                      t_I^2 = prod_{w in I} delta_w + prod_{w not in I} delta_w + 2n
-
-so its coefficients always lie in the splitting field's image.  The scale
-factors t_I themselves (needing epsilon) enter only the covering map
-g = (G^-1 T1 G) on the even block and (S T2 S^-1) on the odd block, which
-``EpsilonChoice`` builds on its own.
 
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
@@ -28,8 +27,8 @@ of them in one product with the Hankel matrix of traces of t^k.  One row
 reduction of the traces gives the 72 descended forms and certifies their
 span, as the one that certifies the twisted rank 72 gives the odd block.
 
-The point search over F_p reads the descended forms and the covering map
-only, so it runs from an ``EpsilonChoice`` without the twisted model: a
+The point search over F_p reads the descended forms and the scale factors
+t_I only, so it runs from an ``EpsilonChoice`` without the twisted model: a
 numpy scan of P^5(F_p) for the odd block, then one numpy pass that lifts
 every survivor through the linear mixed forms and the scale c.
 """
@@ -38,19 +37,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import CurveData, DivisorClass, k4_numerator
+from .curve import CurveData, DivisorClass, even_slot
 from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
                      TIVanishes)
 from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, block_diag, fp_rref, from_np, frobenius_fixed_values,
+from .linalg import (Mat, fp_rref, from_np, frobenius_fixed_values,
                      int64_exact, kernel_from_rref, span_supported, to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
-                       ODD_MONOMIALS, QuadricForm, forms_vanish_at,
-                       independent_picks)
-from .torsion import TorsionActionCtx, split_product, t_squared
+                       ODD_MONOMIALS, QuadricForm, compose_forms,
+                       forms_vanish_at, independent_picks)
+from .torsion import TorsionActionCtx, _all_pairs
 
 
 class TwistDatum:
@@ -160,41 +159,34 @@ class EpsilonChoice:
         for m in range(64):
             if popcount(m) != 3:
                 continue
-            self.t3[m] = W.add(*split_product(W, eps, m))
+            prods = [W.one(), W.one()]   # over the roots outside m, inside m
+            for i, e in enumerate(eps):
+                prods[m >> i & 1] = W.mul(prods[m >> i & 1], e)
+            self.t3[m] = W.add(*prods)
             if W.is_zero(self.t3[m]) and m in self.ctx.reps:
                 vanish.append(sorted(i + 1 for i in mask_bits(m)))
         if vanish:
             raise TIVanishes(vanish)
-        self._gmat = None
-        self._ginv = None
+        # g in the c-basis is diag(t_I, eps_w)
+        self.c_scale = [self.t3[rep] for rep in self.ctx.reps] + eps
 
     @property
     def field(self) -> Field:
         return self.ctx.K
 
     def covering_matrix(self) -> Mat:
-        """16x16 block matrix of g: twist coordinates -> Jacobian coordinates."""
-        if self._gmat is None:
-            W = self.ctx.K
-            T1 = Mat.diagonal(W, [self.t_triple(rep) for rep in self.ctx.reps])
-            even = self.ctx.G_inv_kappa * T1 * self.ctx.G
-            alg = self.ctx.algebra
-            odd = alg.S * Mat.diagonal(W, self.eps) * alg.S_inv
-            self._gmat = block_diag(W, [even, odd])
-        return self._gmat
+        """16x16 block matrix of g = C^-1 diag(t_I, eps_w) C: twist
+        coordinates -> Jacobian coordinates."""
+        return self.ctx.C_inv * Mat.diagonal(self.field, self.c_scale) * self.ctx.C
 
     def covering_inverse(self) -> Mat:
-        """g^{-1}: Jacobian coordinates -> twist coordinates, inverted once."""
-        if self._ginv is None:
-            self._ginv = self.covering_matrix().inv()
-        return self._ginv
-
-    def t_triple(self, mask3: int):
-        return self.t3[mask3]
+        """g^{-1} = C^-1 diag(1/t_I, 1/eps_w) C: Jacobian coordinates -> twist
+        coordinates."""
+        W = self.field
+        return self.ctx.C_inv * Mat.diagonal(W, [W.inv(s) for s in self.c_scale]) * self.ctx.C
 
     def t_squared_triple(self, mask3: int):
-        """t_I^2 from ground data only (``torsion.t_squared``)."""
-        return t_squared(self.ctx.K, self.deltas, self.n, mask3)
+        return self.ctx.K.mul(self.t3[mask3], self.t3[mask3])
 
     def cocycle_mask(self) -> int:
         """Root mask of sigma(epsilon)/epsilon for the Frobenius generator."""
@@ -247,8 +239,14 @@ class TwistModel:
         self.eps = EpsilonChoice(contexts, datum, seed=seed)
         self.ctx = self.eps.ctx
         W = self.ctx.K
-        self.labelled = self.ctx.invariant_generators(self.eps.deltas, self.eps.n)
-        self.forms = [q for _, q in self.labelled]
+        # the Jacobian's c-basis generators pulled back by g; those of the
+        # pair (i, j), divided by eps_i eps_j, have coefficients in k(Omega)
+        e = self.eps.eps
+        labels, forms = zip(*self.ctx.c_generators())
+        forms = [q if lab[0] == "O" else q.scaled(W.inv(W.mul(e[lab[0][0]], e[lab[0][1]])))
+                 for lab, q in zip(labels, forms)]
+        self.forms = compose_forms(forms, Mat.diagonal(W, self.eps.c_scale) * self.ctx.C)
+        self.labelled = list(zip(labels, self.forms))
         self._vectors = [q.vector() for q in self.forms]
         self.rank, self._odd_block = span_supported(W, self._vectors, ODD_MONOMIALS)
         if self.rank != 72:
@@ -269,32 +267,29 @@ class TwistModel:
     def covering_matrix(self) -> Mat:
         return self.eps.covering_matrix()
 
-    def covering_inverse(self) -> Mat:
-        return self.eps.covering_inverse()
-
     def covering_blocks(self):
         g = self.covering_matrix()
         even = Mat(g.field, [row[:10] for row in g.rows[:10]])
         odd = Mat(g.field, [row[10:] for row in g.rows[10:]])
         return even, odd
 
-    def _lift_coords(self, coords):
-        W = self.ctx.K
-        return [_lift(coords.field, W, v) for v in coords.v]
-
     def vanish_at_pullbacks(self, divisors) -> bool:
         """Every twisted form vanishes at g^{-1} of each divisor's point; the
-        points are pulled back as the columns of one 16 x N matrix."""
+        divisors lie over one field, a subfield of the working field W or an
+        extension E of it that g^{-1} and the forms are lifted into, and
+        their points are pulled back as the columns of one 16 x N matrix."""
         W = self.ctx.K
-        X = Mat(W, [self._lift_coords(D.coords()) for D in divisors]).transpose()
-        pulled = (self.covering_inverse() * X).transpose().rows
-        return forms_vanish_at(self.forms, [(vec, W) for vec in pulled])
+        E = divisors[0].field if divisors and divisors[0].field.deg > W.deg else W
+        ginv = Mat(E, [[_lift(W, E, v) for v in row] for row in self.eps.covering_inverse().rows])
+        X = Mat(E, [[_lift(D.field, E, v) for v in D.coords().v] for D in divisors]).transpose()
+        pulled = (ginv * X).transpose().rows
+        return forms_vanish_at([q.map_field(E) for q in self.forms], [(vec, E) for vec in pulled])
 
     def cocycle_matches_action(self) -> bool:
         """sigma(g) g^{-1} is projectively the mask action of sigma(eps)/eps."""
         W = self.ctx.K
         sg = self.covering_matrix().map_entries(W.frobenius)
-        A = sg * self.covering_inverse()
+        A = sg * self.eps.covering_inverse()
         R = self.ctx.rho_matrix(self.eps.cocycle_mask())
         scale = None
         for i in range(16):
@@ -362,16 +357,15 @@ class TwistModel:
 
     def to_json(self, descended=None):
         W = self.field
+        even, odd = self.covering_blocks()
         data = {
             "field": W.spec_string(),
             "delta": self.datum.delta.to_strings(),
             "n": self.datum.algebra.field.fmt(self.datum.n),
             "quadrics_splitting": [q.to_json() for q in self.forms],
             "covering_map": {
-                "even": [[W.fmt(v) for v in row]
-                         for row in self.covering_blocks()[0].rows],
-                "odd": [[W.fmt(v) for v in row]
-                        for row in self.covering_blocks()[1].rows],
+                "even": [[W.fmt(v) for v in row] for row in even.rows],
+                "odd": [[W.fmt(v) for v in row] for row in odd.rows],
             },
             "t_squared": {
                 "-".join(str(i + 1) for i in mask_bits(rep)):
@@ -553,13 +547,13 @@ def search_twist_points(model, descended=None):
 
     ``model`` is a TwistModel, or just its EpsilonChoice when ``descended``
     is given: the search reads only the datum, the working field and the
-    covering matrix.  The zeros b of the three odd-block quadrics in
+    scale factors t_I.  The zeros b of the three odd-block quadrics in
     P^5(F_p) (``p5_zeros``) are lifted together: one einsum builds every
     b's linear system in the even block from the 30 odd bilinear forms,
     whose kernel points u0 give the lines (c u0 : b), and ``_scale_points``
     keeps the c in F_p^* on which all 72 forms vanish.  The sixteen points
     with vanishing odd part, the pullbacks of the Kummer nodes under the
-    covering map, are added.  Prime fields only; the longest int64 sum is
+    covering map (``_node_pullbacks``), are added.  Prime fields only; the longest int64 sum is
     the 136 products of a form at a node, so p must pass
     ``int64_exact(field, 136)``.
     """
@@ -575,7 +569,7 @@ def search_twist_points(model, descended=None):
     vecs = [q.vector() for q in forms]
     odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS)[1])[:, 10:, 10:]
     mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS)[1])[:, :10, 10:]
-    found = set(_node_pullbacks(model, vecs))
+    found = set(_node_pullbacks(model.eps if isinstance(model, TwistModel) else model, vecs))
     b = np.array(p5_zeros(k, odd), dtype=np.int64).reshape(-1, 6)
     # row i of survivor r's system: sum_j mixed[:, i, j] b_j (6 products)
     systems = np.einsum("mij,rj->rmi", mixed, b) % p
@@ -637,31 +631,21 @@ def _kernel_pairs(k: Field, systems, b):
     return np.concatenate(us), np.concatenate(bs)
 
 
-def _node_pullbacks(model, vecs):
+def _node_pullbacks(eps: EpsilonChoice, vecs):
     """F_p-rational points of the twist with zero odd part, where the forms
-    of coefficient vectors `vecs` all vanish."""
-    W = model.field
-    k = model.datum.algebra.field
-    alg = model.ctx.algebra
-    curve = alg.curve
-    ginv = model.covering_inverse()
-    from .curve import EVEN_PAIRS
-    f = [_lift(k, W, c) for c in curve.coeffs]
-    kvectors = [[W.zero(), W.zero(), W.zero(), W.one()]]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            wi, wj = alg.roots[i], alg.roots[j]
-            k2 = W.add(wi, wj)
-            k3 = W.mul(wi, wj)
-            dx = W.sub(wi, wj)
-            k4 = W.div(k4_numerator(W, f, k2, k3), W.mul(dx, dx))
-            kvectors.append([W.one(), k2, k3, k4])
-    nodes = Mat(W, [[W.mul(kv[a - 1], kv[b - 1]) for (a, b) in EVEN_PAIRS]
-                    + [W.zero()] * 6 for kv in kvectors])
+    of coefficient vectors `vecs` all vanish: the pullbacks of the sixteen
+    Kummer nodes, read off the c-basis.  The node (0:0:0:1) is G[I, k44]
+    there, the node of the pair (i, j) is (chi_I(m) G[I, k44])_I with m
+    its mask, and g^-1 divides c_I by t_I before G^-1 maps it back."""
+    ctx, W = eps.ctx, eps.field
+    k = eps.datum.algebra.field
+    k44 = even_slot(4, 4)
+    node = [W.div(row[k44], eps.t3[rep]) for row, rep in zip(ctx.G.rows, ctx.reps)]
     rational = []
-    for pulled in (ginv * nodes.transpose()).transpose().rows:
-        lead = next(v for v in pulled if not W.is_zero(v))
-        inv = W.inv(lead)
+    for m in [0] + [1 << i | 1 << j for i, j in _all_pairs()]:
+        pulled = ctx.G_inv_kappa.matvec([v if character_chi(rep, m) > 0 else W.neg(v)
+                                         for v, rep in zip(node, ctx.reps)]) + [W.zero()] * 6
+        inv = W.inv(next(v for v in pulled if not W.is_zero(v)))
         norm = [W.mul(v, inv) for v in pulled]
         if all(W.eq(W.frobenius(v), v) for v in norm):
             rational.append(tuple(v[0] if W.kind == "ext" else v for v in norm))
@@ -670,4 +654,3 @@ def _node_pullbacks(model, vecs):
     C = np.array(vecs, dtype=np.int64).reshape(-1, len(MONOMIALS))
     values = C @ (X[:, _MONO_I] * X[:, _MONO_J] % k.p).T % k.p
     return [pt for pt, col in zip(rational, values.T) if not col.any()]
-

@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from genus2covers.cli import _group_law_pairs, emit, main
-from genus2covers.curve import CurveData
+from genus2covers.curve import CurveData, cassels_image, random_point
+from genus2covers.errors import ExhaustedAttempts, Genus2Error
 from genus2covers.etale import EtaleAlgebra, all_two_torsion, weil_pairing
 from genus2covers.fields import Field
 from genus2covers.torsion import TorsionActionCtx
@@ -107,13 +113,15 @@ def test_curve_info_rejects_eight_coefficients(capsys):
       "--bound", "6"], "bad-bound", 1),
     (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json",
       "--bound", "5"], "bad-model-ref", 1),
+    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", '{"matrices": []}',
+      "--bound", "-1"], "bad-bound", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
         "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
         "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero",
         "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31",
-        "search-Q-above-bound-5", "search-Q-at-bound-5"])
+        "search-Q-above-bound-5", "search-Q-at-bound-5", "search-Q-negative-bound"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
@@ -202,6 +210,61 @@ def test_twist_command_and_exit_codes(capsys, tmp_path):
                      "--delta", '["1","0","0","0","0","0"]', "--n", "-1")
     assert code == 4
     assert data["partitions"]
+
+
+def test_char3_twist_completes_the_identity_piece(capsys):
+    """Over F_3 the sixteen identity-piece candidates of this curve span 11
+    dimensions; the even diagonal slice completes them to 12, and the
+    trivial twist descends with every check true."""
+    code, data = run(capsys, "twist", "--field", "F3", "--curve", "[2,2,0,2,0,1,1]",
+                     "--delta", DELTA1, "--n", "1", "--descend", "--check")
+    assert code == 0, data
+    assert len(data["quadrics_ground"]) == 72
+    assert data["check"]["rank"] == 72 and all(data["check"].values())
+
+
+@pytest.mark.parametrize("field, curve", [("F7", "[4,0,0,0,0,0,3]"),
+                                          ("F3", "[1,1,2,0,2,2,1]")])
+def test_twist_checks_sample_past_a_working_field_without_generic_classes(
+        capsys, field, curve):
+    """3x^6 + 4 splits over F_7 with f(x) = 0 at every x but 0, and the F_3
+    curve's splitting field F_9 has no two x with f(x) a nonzero square: no
+    class over the working field is generic, so the checks sample over its
+    quadratic extension."""
+    code, data = run(capsys, "twist", "--field", field, "--curve", curve, "--delta", DELTA1,
+                     "--n", "1", "--descend", "--check")
+    assert code == 0 and all(data["check"].values()), data
+    code, data = run(capsys, "verify", "--field", field, "--curve", curve, "--suite", "twist")
+    assert code == 0 and data["ok"], data
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), cassels=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_small_characteristic_twists_end_in_a_documented_outcome(p, data, cassels, seed):
+    """`twist --descend --check` at p = 3, 5 and 7, on the trivial datum or
+    a Cassels datum: every check true, or a vanishing t_I (exit 4), never
+    an internal error."""
+    F = Field.prime(p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=6, max_size=6))
+    coeffs.append(data.draw(st.integers(1, p - 1)))
+    try:
+        curve = CurveData(F, coeffs)
+        delta, n = ([1, 0, 0, 0, 0, 0], 1) if not cassels else cassels_image(
+            random_point(curve, F, random.Random(seed)))
+    except (ExhaustedAttempts, Genus2Error):   # f not separable, or too few points
+        assume(False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["twist", "--field", f"F{p}", "--curve", json.dumps(coeffs),
+                     "--delta", json.dumps([F.fmt(c) for c in delta]), "--n", F.fmt(n),
+                     "--descend", "--check"])
+    data = json.loads(out.getvalue())
+    if code == 4:
+        assert data["kind"] == "t-vanishes" and data["partitions"]
+    else:
+        assert code == 0, data
+        assert all(data["check"].values())
 
 
 def test_verify_suites(capsys):
@@ -352,8 +415,13 @@ def test_search_vdelta_bundle(capsys, tmp_path):
     ("F11", '{"matrices": [], "delta": 5}'),
     ("F11", '{"quadrics_ground": [{}], "delta": ' + DELTA1 + ', "n": "1"}'),
     ("Q", '{"matrices": [[["1"]]]}'),
+    ("F13", '{"field": "F11", "matrices": [], "delta": ' + DELTA1 + '}'),
+    ("F11", '{"field": "F13^2", "matrices": [], "delta": ' + DELTA1 + '}'),
+    ("Q", '{"field": "F11", "matrices": []}'),
+    ("F11", '{"field": "Q", "matrices": [], "delta": ' + DELTA1 + '}'),
 ], ids=["missing-file", "malformed-json", "no-delta", "delta-not-a-list",
-        "form-without-entries", "matrix-not-6x6"])
+        "form-without-entries", "matrix-not-6x6", "vdelta-from-F11-at-F13",
+        "bundle-from-F13^2-at-F11", "vdelta-from-F11-at-Q", "bundle-from-Q-at-F11"])
 def test_search_bad_model_ref(capsys, tmp_path, field, content):
     ref = tmp_path / "ref.json"
     if content is not None:
@@ -362,6 +430,30 @@ def test_search_bad_model_ref(capsys, tmp_path, field, content):
                      "--model-ref", str(ref), "--bound", "1")
     assert code == 1
     assert data["kind"] == "bad-model-ref"
+
+
+def test_search_refuses_a_bundle_from_another_field(capsys, tmp_path):
+    """Real F_11 bundles, twist and V_delta, are refused at F_13, F_7 and
+    Q, and so is the twist bundle at Q without its "field"; at F_11 it
+    gives #J(F_11) = 176 points."""
+    for which, argv in (("twist", ["--delta", DELTA1, "--n", "1", "--descend"]),
+                        ("vdelta", ["--which", "vdelta", "--delta", DELTA1])):
+        bundle = tmp_path / f"{which}.json"
+        cmd = "twist" if which == "twist" else "model"
+        assert main([cmd, "--field", "F11", "--curve", CURVE11, *argv,
+                     "--out", str(bundle)]) == 0
+        for field in ("F13", "F7", "Q"):
+            code, data = run(capsys, "search", "--field", field, "--curve", CURVE11,
+                             "--model-ref", str(bundle))
+            assert (code, data["kind"]) == (1, "bad-model-ref")
+    bundle = json.loads((tmp_path / "twist.json").read_text())
+    del bundle["field"]
+    code, data = run(capsys, "search", "--field", "Q", "--curve", CURVE11,
+                     "--model-ref", json.dumps(bundle))
+    assert (code, data["kind"]) == (1, "bad-model-ref")
+    code, data = run(capsys, "search", "--field", "F11", "--curve", CURVE11,
+                     "--model-ref", json.dumps(bundle))
+    assert (code, data["count"]) == (0, 176)
 
 
 def test_search_rational_bound_zero(capsys, tmp_path):

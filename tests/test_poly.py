@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from genus2covers.errors import (Genus2Error, NotSeparable,
                                  RationalBaseUnsupported, WrongDegree)
 from genus2covers.fields import Field, is_irreducible
-from genus2covers.poly import (Poly, distinct_degree_profile, factor_degrees,
+from genus2covers.poly import (Poly, _lift, distinct_degree_profile, factor_degrees,
                                lagrange_interpolate, resultant,
                                roots_in_field, splitting_field_and_roots)
 
@@ -285,3 +285,26 @@ def test_roots_in_field_refuses_a_non_separable_polynomial():
     f = Poly(F, [-1, 1]) * Poly(F, [-1, 1]) * Poly(F, [-2, 1])
     with pytest.raises(Genus2Error, match="does not split"):
         roots_in_field(f, F)
+
+
+@pytest.mark.parametrize("p, a, b", [(3, 2, 4), (7, 3, 6), (101, 2, 8), (2 ** 31 - 1, 2, 4)])
+def test_lift_embeds_a_subfield(p, a, b):
+    """_lift of F_{p^a} into F_{p^b}, a | b, is a field map: it keeps sums,
+    products and the Frobenius, fixes F_p, and lands in the elements fixed
+    by the a-th power of the Frobenius."""
+    F, G = Field.extension(p, a), Field.extension(p, b)
+    rng = random.Random(p)
+    lift = lambda x: _lift(F, G, x)
+    for _ in range(10):
+        x, y = F.rand(rng), F.rand(rng)
+        assert lift(F.add(x, y)) == G.add(lift(x), lift(y))
+        assert lift(F.mul(x, y)) == G.mul(lift(x), lift(y))
+        assert lift(F.frobenius(x)) == G.frobenius(lift(x))
+        z = lift(x)
+        for _ in range(a):
+            z = G.frobenius(z)
+        assert z == lift(x)
+    assert lift(F.from_int(5)) == G.from_int(5)
+    with pytest.raises(Genus2Error, match="cannot lift"):
+        _lift(G, F, G.one())
+

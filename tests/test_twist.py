@@ -4,10 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus2covers.curve import CurveData, random_point
+from genus2covers import twist
+from genus2covers.curve import EVEN_PAIRS, CurveData, k4_numerator, random_point
 from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
                                  RankLoss, TIVanishes)
 from genus2covers.etale import EtaleAlgebra, LVec
@@ -15,10 +16,10 @@ from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
 from genus2covers.linalg import (Mat, ext_mul_arrays, kernel_rows, rank_rows,
                                  rref_rows, to_np)
-from genus2covers.poly import Poly
+from genus2covers.poly import Poly, _lift
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
-                                   QuadricForm, independent_picks)
-from genus2covers.torsion import TorsionActionCtx, t_squared
+                                   QuadricForm, compose_forms)
+from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 projective_reps, search_twist_points,
@@ -65,7 +66,7 @@ def test_trivial_epsilon(trivial_model):
     eps = trivial_model.eps
     assert all(W.eq(e, W.one()) for e in eps.eps)
     for rep in trivial_model.ctx.reps:
-        assert W.eq(eps.t_triple(rep), W.from_int(2))
+        assert W.eq(eps.t3[rep], W.from_int(2))
         assert W.eq(eps.t_squared_triple(rep), W.from_int(4))
 
 
@@ -125,14 +126,13 @@ def test_t_product_identities(ref_torsion, ref_algebra, ref_curve, rng):
     for t in range(2, 6):
         i, j = 0, 1
         mask = (1 << i) | (1 << j) | (1 << t)
-        lhs = W.mul(eps[t], ec.t_triple(mask))
+        lhs = W.mul(eps[t], ec.t3[mask])
         rhs = W.mul(W.mul(eps[i], eps[j]),
                     W.add(deltas[t], W.div(n, W.mul(deltas[i], deltas[j]))))
         assert W.eq(lhs, rhs)
     # t_I^2 agrees with the delta-only expression
     for rep in ref_torsion.reps:
-        tval = ec.t_triple(rep)
-        assert W.eq(W.mul(tval, tval), ec.t_squared_triple(rep))
+        assert W.eq(paper_t_squared(W, deltas, n, rep), ec.t_squared_triple(rep))
 
 
 def test_galois_t_equivariance(trivial_model, ref_torsion, ref_algebra, ref_curve, rng):
@@ -169,10 +169,13 @@ def test_cocycle_matches_action(trivial_model, ref_torsion, ref_algebra,
 
 def pull_back(model, coords):
     """g^{-1} of a point of the Jacobian, as a 16-vector over the model's field."""
-    return model.covering_inverse().matvec(model._lift_coords(coords))
+    return model.eps.covering_inverse().matvec([_lift(coords.field, model.field, v)
+                                            for v in coords.v])
 
 
-def test_covering_roundtrip(trivial_model, ref_curve, rng):
+def test_covering_roundtrip(trivial_model, ref_torsion, ref_algebra, ref_curve, rng):
+    """g^{-1}, composed from diag(1/t_I, 1/eps_w), is the inverse of g, on
+    the trivial twist and on a Cassels twist."""
     W = trivial_model.field
     g = trivial_model.covering_matrix()
     gi = g.inv()
@@ -181,6 +184,9 @@ def test_covering_roundtrip(trivial_model, ref_curve, rng):
     pulled = pull_back(trivial_model, D.coords())
     back = g.matvec(pulled)
     assert back == D.coords().v
+    tm = TwistModel(ref_torsion, TwistDatum.from_cassels(
+        ref_algebra, random_point(ref_curve, ref_curve.field, rng)))
+    assert tm.eps.covering_inverse() == tm.covering_matrix().inv()
 
 
 # Reference for the trace descent: an independently assembled descent that
@@ -423,35 +429,107 @@ def test_quadratic_extension_path(split_curve_f31):
     assert rank_rows(F, [q.vector() for q in des]) == 72
 
 
-@pytest.fixture(scope="module")
-def pick_contexts(ref_torsion, split_curve_f31):
-    """The F_101 reference context, and the F_31 split curve's context over
-    F_{31^2}, the working field of a non-square datum."""
-    alg = EtaleAlgebra(split_curve_f31)
-    eps = EpsilonChoice(TorsionActionCtx(alg), _nonsquare_scalar_datum(alg, random.Random(3)))
-    assert eps.field.deg == 2
-    return {"F101": ref_torsion, "F31": eps.ctx}
+# The paper's form of the twisted generators: the c-basis generators with
+# coefficients weighted by delta_w and n alone, then composed with C.  The
+# library composes with diag(t_I, eps_w) C instead; the two must agree.
 
 
-@pytest.mark.parametrize("curve", ["F101", "F31"])
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_weights_keep_the_identity_piece_picks(pick_contexts, curve, data):
-    """Nonzero twist weights only rescale the coordinates c_w^2 and c_I^2
-    of the identity-piece candidates, so the greedy picks among the weighted
-    candidates are the unweighted ones."""
-    ctx = pick_contexts[curve]
+def paper_t_squared(K, deltas, n, mask3):
+    """t_I^2 from the twist data alone: prod_{w in I} delta_w
+    + prod_{w not in I} delta_w + 2n."""
+    prods = [K.one(), K.one()]
+    for i, d in enumerate(deltas):
+        prods[mask3 >> i & 1] = K.mul(prods[mask3 >> i & 1], d)
+    return K.add(K.add(*prods), K.mul(K.from_int(2), n))
+
+
+def paper_twisted_generators(ctx, deltas, n):
+    """(label, form) for the twisted ideal from (delta_w, n) over ctx.K:
+
+        identity piece:  delta_w on c_w^2 and t_I^2 on c_I^2
+        odd piece at the pair (i, j), term c_I c_t:  delta_t + n / (delta_i delta_j)
+        even piece, term c_{t1 t2 i} c_{t1 t2 j}:  delta_t1 delta_t2
+            + delta_p1 delta_p2 + n (1/delta_i + 1/delta_j); 1 on c_i c_j
+    """
     K = ctx.K
-    entry = st.integers(0, K.p - 1)
-    elem = st.tuples(*[entry] * K.deg) if K.kind == "ext" else entry
-    deltas = data.draw(st.lists(elem.filter(lambda v: not K.is_zero(v)),
-                                min_size=6, max_size=6))
-    n = data.draw(elem)
-    assume(not any(K.is_zero(t_squared(K, deltas, n, rep)) for rep in ctx.reps))
+    prod = lambda pair: K.mul(deltas[pair[0]], deltas[pair[1]])
 
-    def picks(*twist):
-        return independent_picks(K, [q.vector() for q in ctx.o_plus_candidates(*twist)])
-    assert picks(deltas, n) == picks()
+    def weight(label, a, b):
+        if label[0] == "O":
+            return deltas[a - 10] if a >= 10 else paper_t_squared(K, deltas, n, ctx.reps[a])
+        (i, j), kind, _ = label
+        r = K.div(n, K.mul(deltas[i], deltas[j]))
+        if kind == "odd":
+            return K.add(deltas[b - 10], r)
+        if a >= 10:
+            return K.one()
+        mask = ctx.reps[a] if ctx.reps[a] >> i & 1 else ctx.reps[a] ^ 0b111111
+        t = [w for w in range(6) if mask >> w & 1 and w != i]
+        p = [w for w in range(6) if w not in t + [i, j]]
+        return K.add(K.add(prod(t), prod(p)), K.mul(r, K.add(deltas[i], deltas[j])))
+
+    labels, forms = zip(*ctx.c_generators())
+    weighted = [QuadricForm(K, {(a, b): K.mul(c, weight(lab, a, b))
+                                for (a, b), c in q.coeffs.items()})
+                for lab, q in zip(labels, forms)]
+    return list(zip(labels, compose_forms(weighted, ctx.C)))
+
+
+def _datum_of_degree(alg, ctx, degree, seed):
+    """A Cassels datum whose working field has the given degree."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        datum = TwistDatum.from_cassels(alg, random_point(alg.curve, alg.field, rng))
+        try:
+            if EpsilonChoice(ctx, datum).field.deg == degree:
+                return datum
+        except TIVanishes:
+            continue
+    pytest.fail(f"no Cassels datum of working degree {degree}")
+
+
+@pytest.mark.parametrize("p, degree", [(101, 4), (101, 8), (1999, 6), (31, 2),
+                                       (2 ** 31 - 1, 3)])
+def test_twisted_generators_are_the_paper_weighted_ones(p, degree, ref_curve,
+                                                        split_curve_f31):
+    """TwistModel.labelled, the c-basis generators composed with
+    diag(t_I, eps_w) C, equals the paper's delta-weighted generators
+    composed with C, and t_I t_I the delta-only t_I^2: Cassels data at
+    F_101 and F_1999, the quadratic rebuild over F_31, and the trivial
+    datum at 2^31 - 1, whose arrays hold Python ints."""
+    F = Field.prime(p)
+    curve = {101: ref_curve, 31: split_curve_f31,
+             1999: CurveData(F, [1172, 1636, 510, 880, 1973, 1309, 1170]),
+             2 ** 31 - 1: CurveData(F, [35, 0, 0, F.neg(12), 0, 0, 1])}[p]
+    alg = EtaleAlgebra(curve)
+    ctx = TorsionActionCtx(alg)
+    if p == 31:
+        datum = _nonsquare_scalar_datum(alg, random.Random(3))
+    elif p == 2 ** 31 - 1:
+        datum = TwistDatum.trivial(alg)
+    else:
+        datum = _datum_of_degree(alg, ctx, degree, seed=5)
+    tm = TwistModel(ctx, datum)
+    assert tm.field.deg == degree
+    W, eps = tm.field, tm.eps
+    want = paper_twisted_generators(tm.ctx, eps.deltas, eps.n)
+    assert [lab for lab, _ in tm.labelled] == [lab for lab, _ in want]
+    assert all(q.coeffs == r.coeffs for (_, q), (_, r) in zip(tm.labelled, want))
+    for rep in tm.ctx.reps:
+        assert W.eq(eps.t_squared_triple(rep), paper_t_squared(W, eps.deltas, eps.n, rep))
+
+
+def test_two_twists_reduce_the_identity_candidates_once(ref_curve, rref_calls):
+    """The c-basis generators are built once per context: a second twist on
+    the same context makes one reduction fewer, the identity-piece picks."""
+    alg = EtaleAlgebra(ref_curve)
+    ctx = TorsionActionCtx(alg)
+    counts = []
+    for datum in (TwistDatum.trivial(alg), _datum_of_degree(alg, ctx, 4, seed=5)):
+        before = len(rref_calls)
+        TwistModel(ctx, datum)
+        counts.append(len(rref_calls) - before)
+    assert counts[0] == counts[1] + 1
 
 
 def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch):
@@ -460,14 +538,13 @@ def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch)
     alg = EtaleAlgebra(split_curve_f31)
     ctx = TorsionActionCtx(alg)
     datum = _nonsquare_scalar_datum(alg, random.Random(3))
-    generators = TorsionActionCtx.invariant_generators
 
-    def planted(self, *args, **kwargs):
-        out = generators(self, *args, **kwargs)
-        out[-1][1].add_term(10, 15, (0, 1))  # t is in F_31^2 but not in F_31
+    def planted(forms, M):
+        out = compose_forms(forms, M)
+        out[-1].add_term(10, 15, (0, 1))  # t is in F_31^2 but not in F_31
         return out
 
-    monkeypatch.setattr(TorsionActionCtx, "invariant_generators", planted)
+    monkeypatch.setattr(twist, "compose_forms", planted)
     with pytest.raises(Genus2Error, match="outside k\\(Omega\\)"):
         TwistModel(ctx, datum)
 
@@ -589,7 +666,7 @@ def scalar_twist_search(model, forms):
     vecs = [q.vector() for q in forms]
     odd_blk = span_supported(k, vecs, ODD_MONOMIALS)[1]
     mixed_blk = span_supported(k, vecs, MIXED_MONOMIALS)[1]
-    found = set(_node_pullbacks(model, vecs))
+    found = set(_node_pullbacks(model.eps, vecs))
     for b in projective_reps(k, 6):
         ok = True
         for row in odd_blk:
@@ -740,12 +817,63 @@ def test_node_pullbacks_keep_the_nodes_on_the_forms(curve_2211_f7, rng):
     on its own forms but not on those of a Cassels twist."""
     alg = EtaleAlgebra(curve_2211_f7)
     tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
-    nodes = _node_pullbacks(tm, [])
+    nodes = _node_pullbacks(tm.eps, [])
     assert nodes
     for forms in (tm.descend_to_ground(), _cassels_twist(alg, rng).descend_to_ground()):
         want = [pt for pt in nodes if all(
             sum(c * pt[i] * pt[j] for (i, j), c in q.coeffs.items()) % 7 == 0 for q in forms)]
-        assert _node_pullbacks(tm, [q.vector() for q in forms]) == want
+        assert _node_pullbacks(tm.eps, [q.vector() for q in forms]) == want
+
+
+def root_node_pullbacks(model, vecs):
+    """The reference for ``_node_pullbacks``: the sixteen Kummer nodes built
+    from the roots, (0:0:0:1) and (1 : w_i + w_j : w_i w_j : k_4) with k_4
+    from ``k4_numerator``, mapped by the inverted 16x16 covering matrix."""
+    W = model.field
+    k = model.datum.algebra.field
+    alg = model.ctx.algebra
+    f = [_lift(k, W, c) for c in alg.curve.coeffs]
+    kvectors = [[W.zero(), W.zero(), W.zero(), W.one()]]
+    for i, j in itertools.combinations(range(6), 2):
+        wi, wj = alg.roots[i], alg.roots[j]
+        k2, k3, dx = W.add(wi, wj), W.mul(wi, wj), W.sub(wi, wj)
+        kvectors.append([W.one(), k2, k3, W.div(k4_numerator(W, f, k2, k3), W.mul(dx, dx))])
+    nodes = Mat(W, [[W.mul(kv[a - 1], kv[b - 1]) for (a, b) in EVEN_PAIRS]
+                    + [W.zero()] * 6 for kv in kvectors])
+    out = []
+    for pulled in (model.eps.covering_inverse() * nodes.transpose()).transpose().rows:
+        inv = W.inv(next(v for v in pulled if not W.is_zero(v)))
+        norm = [W.mul(v, inv) for v in pulled]
+        if all(W.eq(W.frobenius(v), v) for v in norm):
+            pt = tuple(v[0] if W.kind == "ext" else v for v in norm)
+            if all(sum(c * pt[a] * pt[b] for (a, b), c in zip(MONOMIALS, vec)) % k.p == 0
+                   for vec in vecs):
+                out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 31])
+def test_node_pullbacks_match_the_root_construction(p, curve_2211_f7, split_curve_f11,
+                                                   split_curve_f31):
+    """The nodes read off the c-basis equal the ones built from the roots, on
+    the trivial twist, on Cassels data (over F_31 also on the quadratic
+    rebuild), and on the trivial datum rescaled by xi^2, whose t_I differ
+    from one partition to the next while its nodes stay rational; with and
+    without the twist's own descended forms."""
+    curve = {7: curve_2211_f7, 11: split_curve_f11, 31: split_curve_f31,
+             13: CurveData(Field.prime(13), [5, 1, 2, 1, 1, 3, 1])}[p]
+    alg = EtaleAlgebra(curve)
+    ctx = TorsionActionCtx(alg)
+    rng = random.Random(p)
+    trivial = TwistDatum.trivial(alg)
+    xi = next(x for x in (rand_elem(alg, rng) for _ in range(50)) if x.norm())
+    models = [TwistModel(ctx, trivial), TwistModel(ctx, trivial.rescale(xi))]
+    models += [_cassels_twist(alg, rng) for _ in range(3)]
+    if p == 31:
+        models.append(TwistModel(ctx, _nonsquare_scalar_datum(alg, rng)))
+    for tm in models:
+        for vecs in ([], [q.vector() for q in tm.descend_to_ground()]):
+            assert _node_pullbacks(tm.eps, vecs) == root_node_pullbacks(tm, vecs)
 
 
 @settings(max_examples=40, deadline=None)
