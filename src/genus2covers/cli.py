@@ -11,13 +11,16 @@ also for F<p>^<d>: curves over extension fields are not supported yet, for
 Q in model, twist and verify, and for search above p = 31), bad-curve
 (exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1),
 bad-model-ref (exit 1, also for a bundle from another field) and
-bad-bound (exit 1, for search over Q below --bound 0 or above 5).
+bad-bound (exit 1: search over Q below --bound 0 or above 5, and any
+--bound over F_p, where the search scans all of P^5).  A reader that closes
+stdout before the output ends gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -52,24 +55,15 @@ EXIT_VERIFY = 5
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    payload, code = dispatch(args)
     try:
-        payload, code = dispatch(args)
-    except GammaViolation as exc:
-        emit({"error": str(exc), "kind": "norm-condition"}, args)
-        return EXIT_GAMMA
-    except TIVanishes as exc:
-        emit({"error": str(exc), "kind": "t-vanishes",
-              "partitions": exc.partitions}, args)
-        return EXIT_TI
-    except BadInput as exc:
-        emit({"error": str(exc), "kind": exc.kind}, args)
-        return exc.code
-    except Genus2Error as exc:
-        emit({"error": str(exc), "kind": "internal"}, args)
+        emit(payload, args)
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # /dev/null, so that the flush at interpreter exit does not raise too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INTERNAL
-    emit(payload, args)
     return code
 
 
@@ -129,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model-ref", required=True,
                     help="path to a JSON bundle from `model` or `twist`")
-    sp.add_argument("--bound", type=int, default=0,
-                    help="height bound for searches over Q")
+    sp.add_argument("--bound", type=int, default=None,
+                    help="height bound for searches over Q (default 0)")
     return p
 
 
@@ -147,6 +141,7 @@ def emit(payload, args):
         while block := "".join(islice(chunks, 4096)):
             fh.write(block)
         fh.write("\n")
+        fh.flush()
 
 
 def load_field(spec: str):
@@ -200,19 +195,21 @@ def load_n(field, raw: str):
 
 
 def dispatch(args):
-    cmd = args.command
-    if cmd == "curve-info":
-        return cmd_curve_info(args), EXIT_OK
-    if cmd == "model":
-        return cmd_model(args), EXIT_OK
-    if cmd == "twist":
-        return cmd_twist(args), EXIT_OK
-    if cmd == "verify":
-        payload = cmd_verify(args)
-        return payload, EXIT_OK if payload["ok"] else EXIT_VERIFY
-    if cmd == "search":
-        return cmd_search(args), EXIT_OK
-    raise Genus2Error(f"unknown command {cmd}")
+    """The command's JSON payload and exit code; a refused input or a failed
+    construction gives an error object {"error": message, "kind": kind}."""
+    run = {"curve-info": cmd_curve_info, "model": cmd_model, "twist": cmd_twist,
+           "verify": cmd_verify, "search": cmd_search}[args.command]
+    try:
+        payload = run(args)
+    except GammaViolation as exc:
+        return {"error": str(exc), "kind": "norm-condition"}, EXIT_GAMMA
+    except TIVanishes as exc:
+        return {"error": str(exc), "kind": "t-vanishes", "partitions": exc.partitions}, EXIT_TI
+    except BadInput as exc:
+        return {"error": str(exc), "kind": exc.kind}, exc.code
+    except Genus2Error as exc:
+        return {"error": str(exc), "kind": "internal"}, EXIT_INTERNAL
+    return payload, EXIT_VERIFY if args.command == "verify" and not payload["ok"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +427,21 @@ def cmd_search(args):
     if points > P5_SCAN_BUDGET:
         raise BadInput("bad-field", f"search would scan the {points} points of "
                        f"P^5(F_{field.p}), above its budget of {P5_SCAN_BUDGET}")
-    if not field.is_finite() and args.bound < 0:
-        raise BadInput("bad-bound", f"--bound must be at least 0, not {args.bound}")
-    tuples = 0 if field.is_finite() else (2 * args.bound + 1) ** 6
+    if field.is_finite() and args.bound is not None:
+        raise BadInput("bad-bound", "--bound is a height bound over Q; "
+                       "over F_p all of P^5 is scanned")
+    bound = args.bound or 0
+    if bound < 0:
+        raise BadInput("bad-bound", f"--bound must be at least 0, not {bound}")
+    tuples = (2 * bound + 1) ** 6
     if tuples > Q_SEARCH_BUDGET:
         raise BadInput("bad-bound", f"search would walk the {tuples} integer 6-tuples "
-                       f"of height <= {args.bound}, above its budget of {Q_SEARCH_BUDGET}")
+                       f"of height <= {bound}, above its budget of {Q_SEARCH_BUDGET}")
     ref = load_model_ref(args.model_ref, field)
     curve = load_curve(field, args.curve)
     if "matrices" in ref:
         # over Q: enumerate integer vectors up to the bound on the matrices
-        pts = search_vdelta_rational(ref["matrices"], args.bound)
+        pts = search_vdelta_rational(ref["matrices"], bound)
         return {"count": len(pts), "points": [list(p) for p in pts]}
     alg = EtaleAlgebra(curve, seed=args.seed)
     try:

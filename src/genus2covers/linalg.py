@@ -18,8 +18,9 @@ max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
 ``frobenius_fixed_values`` and the trace descent (``twist.trace_stack``);
 72 for the descent's span check (``twist.TwistModel._check_descent``);
 max(136, d^2) for ``quadrics.forms_vanish_at``.  The two point searches
-stay in int64 and refuse fields above their bounds: 6 for
-``twist.p5_zeros`` and 136 for ``twist.search_twist_points``.
+over F_p stay in int64 and refuse fields above their bounds: 6 for
+``twist.p5_zeros`` and 136 for ``twist.search_twist_points``; over Q,
+``twist.search_vdelta_rational`` leaves int64 above 36 B^2 max|M|.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
 are returned as lists of raw-value vectors.

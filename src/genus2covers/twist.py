@@ -27,13 +27,17 @@ of them in one product with the Hankel matrix of traces of t^k.  One row
 reduction of the traces gives the 72 descended forms and certifies their
 span, as the one that certifies the twisted rank 72 gives the odd block.
 
-The point search over F_p reads the descended forms and the scale factors
-t_I only, so it runs from an ``EpsilonChoice`` without the twisted model: a
-numpy scan of P^5(F_p) for the odd block, then one numpy pass that lifts
-every survivor through the linear mixed forms and the scale c.
+The point searches share one numpy block scan (``_vanishing_rows``): of
+P^5(F_p) mod p, and of the primitive integer tuples of a height box exactly
+over Q.  The twist search over F_p reads the descended forms and the scale
+factors t_I only, so it runs from an ``EpsilonChoice`` without the twisted
+model: the scan for the odd block, then one numpy pass that lifts every
+survivor through the linear mixed forms and the scale c.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -441,58 +445,79 @@ def _curve_point_count(curve: CurveData, K: Field) -> int:
     return count
 
 
-def projective_reps(F: Field, dim: int):
-    """All points of P^{dim-1}(F) as normalized tuples (first nonzero entry
-    equal to one), in a fixed deterministic order."""
-    import itertools
-    elems = list(F.elements())
-    for lead in range(dim):
-        prefix = tuple([F.zero()] * lead + [F.one()])
-        for tail in itertools.product(elems, repeat=dim - lead - 1):
-            yield prefix + tail
-
-
 _SCAN_BLOCK = 4096
 # The most points of P^5(F_p), (p^6 - 1)/(p - 1), that ``search`` scans:
 # p <= 31.  The scan takes about 150 ns a point (2-core x86-64 host,
 # CPython 3.11), so 4.6 s at p = 31; p = 37 would take 8 s and p = 1009 years.
 P5_SCAN_BUDGET = 30_000_000
 # The most integer 6-tuples, (2B + 1)^6, that ``search`` over Q walks for a
-# height bound B: B <= 5.  The walk takes about 3 us a tuple (same host), so
-# 5.1 s at B = 5; B = 20 would take hours.
+# height bound B: B <= 5.  The block scan takes about 0.1 us a tuple (same
+# host), so 0.16-0.19 s at B = 5 on three forms.  A larger bound needs a
+# limit on the output: forms that vanish on a large set find most tuples.
 Q_SEARCH_BUDGET = 2_000_000
 
 
-def p5_zeros(F: Field, mats):
-    """Points of P^5(F) on every quadric x^T M x = 0, as tuples of ints in
-    the order of ``projective_reps``; F is a prime field, each M 6x6 ints.
+def _digit_blocks(base: int, width: int, start: int = 0, lead: int = 0):
+    """The integers from `start` to base^width - 1 as int64 blocks of
+    _SCAN_BLOCK rows: `lead` zero columns, then the `width` base-`base`
+    digits, most significant first (``itertools.product`` order)."""
+    total = base ** width
+    for lo in range(start, total, _SCAN_BLOCK):
+        idx = np.arange(lo, min(lo + _SCAN_BLOCK, total))
+        D = np.zeros((len(idx), lead + width), dtype=np.int64)
+        for c in range(lead + width - 1, lead - 1, -1):
+            idx, D[:, c] = np.divmod(idx, base)
+        yield D
 
-    The (p^6 - 1)/(p - 1) points are scanned as int64 blocks of _SCAN_BLOCK
-    rows, each block filtered by one quadric after another.  Entries of
+
+def _projective_blocks(p: int, dim: int):
+    """P^{dim-1}(F_p) as int64 blocks, each point with first nonzero entry
+    1: by the position of that entry, then lexicographically after it."""
+    for lead in range(dim):
+        for X in _digit_blocks(p, dim - 1 - lead, lead=lead + 1):
+            X[:, lead] = 1
+            yield X
+
+
+def _box_blocks(bound: int):
+    """The primitive integer 6-tuples with |x_i| <= bound and first nonzero
+    entry positive, in int64 blocks in ``itertools.product`` order: negation
+    reverses that order, so these are the tuples of gcd 1 past the zero tuple."""
+    for D in _digit_blocks(2 * bound + 1, 6, (2 * bound + 1) ** 6 // 2 + 1):
+        X = D - bound
+        yield X[np.gcd.reduce(X, axis=1) == 1]
+
+
+def _vanishing_rows(blocks, mats, p=None):
+    """The rows x of the int blocks with x^T M x = 0 for every M in `mats`,
+    mod p, or exactly when p is None; as tuples of ints, in block order."""
+    found = []
+    for X in blocks:
+        for M in mats:   # one form after another, on the rows left
+            values = (X @ M % p * X).sum(axis=1) % p if p else (X @ M * X).sum(axis=1)
+            X = X[values == 0]
+        found.extend(map(tuple, X.tolist()))
+    return found
+
+
+def p5_zeros(F: Field, mats):
+    """Points of P^5(F) on every quadric x^T M x = 0, as tuples of ints
+    with first nonzero entry 1, ordered by the position of that entry, then
+    lexicographically after it; F is a prime field, each M 6x6 ints.
+
+    All (p^6 - 1)/(p - 1) points are scanned in int64 blocks.  Entries of
     X @ M reach 6 (p-1)^2 before reduction, which must stay below 2^63.
     """
     p = F.p
     if not int64_exact(F, 6):
         raise Genus2Error(f"P^5 scan would overflow int64 at p={p}")
-    mats = [np.array(M, dtype=np.int64) % p for M in mats]
-    found = []
-    for lead in range(6):
-        total = p ** (5 - lead)
-        for start in range(0, total, _SCAN_BLOCK):
-            idx = np.arange(start, min(start + _SCAN_BLOCK, total), dtype=np.int64)
-            X = np.zeros((len(idx), 6), dtype=np.int64)
-            X[:, lead] = 1
-            for c in range(5, lead, -1):
-                idx, X[:, c] = np.divmod(idx, p)
-            for M in mats:
-                X = X[(X @ M % p * X).sum(axis=1) % p == 0]
-            found.extend(map(tuple, X.tolist()))
-    return found
+    return _vanishing_rows(_projective_blocks(p, 6),
+                           [np.array(M, dtype=np.int64) % p for M in mats], p)
 
 
 def search_vdelta_points(vd: VDeltaModel):
     """All P^5(F_p) points on the three V_delta quadrics, exact, in the
-    order of ``projective_reps``.  Prime fields only; see ``p5_zeros``."""
+    order of ``p5_zeros``.  Prime fields only; see ``p5_zeros``."""
     W = vd.delta.field
     if W.kind != "prime":
         raise Genus2Error("V_delta search is implemented over prime fields")
@@ -500,46 +525,18 @@ def search_vdelta_points(vd: VDeltaModel):
 
 
 def search_vdelta_rational(matrices, bound: int):
-    """Primitive integer 6-tuples with |x_i| <= bound killing the three
-    forms (denominators cleared)."""
-    import math
+    """Primitive integer 6-tuples with |x_i| <= bound and first nonzero
+    entry positive on which every rational form vanishes (denominators
+    cleared), in ``itertools.product`` order, by the block scan of
+    ``_box_blocks``.  x^T M x reaches 36 bound^2 max|M|: the products stay
+    int64 below 2^63 (bound at least 1, so that M fits), else Python ints."""
     ints = []
     for M in matrices:
-        den = 1
-        for row in M.rows:
-            for v in row:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for row in M.rows for v in row))
         ints.append([[int(v * den) for v in row] for row in M.rows])
-    found = []
-    rng = range(-bound, bound + 1)
-
-    def primitive(t):
-        g = 0
-        for v in t:
-            g = math.gcd(g, v)
-        if g != 1:
-            return False
-        for v in t:
-            if v != 0:
-                return v > 0
-        return False
-
-    import itertools
-    for t in itertools.product(rng, repeat=6):
-        if not primitive(t):
-            continue
-        ok = True
-        for M in ints:
-            acc = 0
-            for i in range(6):
-                for j in range(6):
-                    acc += M[i][j] * t[i] * t[j]
-            if acc != 0:
-                ok = False
-                break
-        if ok:
-            found.append(t)
-    return found
+    top = max((abs(v) for M in ints for row in M for v in row), default=0)
+    dtype = np.int64 if 36 * max(bound, 1) ** 2 * top < 1 << 63 else object
+    return _vanishing_rows(_box_blocks(bound), [np.array(M, dtype=dtype) for M in ints])
 
 
 def search_twist_points(model, descended=None):
@@ -620,8 +617,7 @@ def _kernel_pairs(k: Field, systems, b):
         if not len(basis):
             continue
         if len(basis) > 1:   # every projective kernel point: sums of <= 10 products
-            combos = np.array(list(projective_reps(k, len(basis))), dtype=np.int64)
-            basis = combos @ basis % p
+            basis = np.concatenate(list(_projective_blocks(p, len(basis)))) @ basis % p
         lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
         inv = np.array([pow(int(a), p - 2, p) for a in lead], dtype=np.int64)
         us.append(basis * inv[:, None] % p)

@@ -115,13 +115,22 @@ def test_curve_info_rejects_eight_coefficients(capsys):
       "--bound", "5"], "bad-model-ref", 1),
     (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", '{"matrices": []}',
       "--bound", "-1"], "bad-bound", 1),
+    # --bound is a height bound over Q; over F_p, at any value, it is refused
+    # before the bundle is read
+    (["search", "--field", "F7", "--curve", CURVE11, "--model-ref", "missing.json",
+      "--bound", "1"], "bad-bound", 1),
+    (["search", "--field", "F7", "--curve", CURVE11, "--model-ref", "missing.json",
+      "--bound", "0"], "bad-bound", 1),
+    (["search", "--field", "F7", "--curve", CURVE11, "--model-ref", "missing.json",
+      "--bound", "-5"], "bad-bound", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
         "delta-norm-zero", "model-over-Q", "twist-over-Q", "verify-over-Q",
         "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero",
         "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31",
-        "search-Q-above-bound-5", "search-Q-at-bound-5", "search-Q-negative-bound"])
+        "search-Q-above-bound-5", "search-Q-at-bound-5", "search-Q-negative-bound",
+        "search-F7-bound-1", "search-F7-bound-0", "search-F7-negative-bound"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
@@ -426,8 +435,9 @@ def test_search_bad_model_ref(capsys, tmp_path, field, content):
     ref = tmp_path / "ref.json"
     if content is not None:
         ref.write_text(content)
+    bound = ["--bound", "1"] if field == "Q" else []   # --bound is refused over F_p
     code, data = run(capsys, "search", "--field", field, "--curve", CURVE11,
-                     "--model-ref", str(ref), "--bound", "1")
+                     "--model-ref", str(ref), *bound)
     assert code == 1
     assert data["kind"] == "bad-model-ref"
 
@@ -467,6 +477,9 @@ def test_search_rational_bound_zero(capsys, tmp_path):
                      "--model-ref", str(ref), "--bound", "0")
     assert code == 0
     assert data["count"] == 0
+    # an omitted bound over Q is 0
+    assert run(capsys, "search", "--field", "Q", "--curve", "[1,0,0,0,0,0,1]",
+               "--model-ref", str(ref)) == (code, data)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -621,3 +634,21 @@ def test_traced_memory_peak_is_bounded(argv, bound_mb):
     peak = subprocess.run([sys.executable, "-c", _PEAK, *argv], env=env, check=True,
                           capture_output=True, text=True).stderr.split()[-1]
     assert int(peak) < bound_mb * 2 ** 20
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that closes stdout after the first bytes of a long output
+    (the degree-8 twist, about 0.5 MB, more than a pipe holds) gets exit 1
+    and nothing on stderr: no BrokenPipeError traceback, neither from the
+    writes nor from the flush at interpreter exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genus2covers.cli", "twist", "--field", "F101",
+         "--curve", '["1","14","94","98","2","5","21"]', "--delta", '["37","24","1","0","0","0"]',
+         "--n", "16", "--seed", "1", "--descend"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(16) == b'{\n  "covering_ma'
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""

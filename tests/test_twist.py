@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +24,10 @@ from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
-                                projective_reps, search_twist_points,
-                                search_vdelta_points, search_vdelta_rational,
-                                span_supported, trace_stack, _coefficient_stack,
-                                _kernel_pairs, _node_pullbacks, _scale_points)
+                                search_twist_points, search_vdelta_points,
+                                search_vdelta_rational, span_supported,
+                                trace_stack, _coefficient_stack, _kernel_pairs,
+                                _node_pullbacks, _projective_blocks, _scale_points)
 from conftest import rand_elem
 
 
@@ -653,6 +655,48 @@ def test_vdelta_search_contains_images(split_curve_f11, rng):
 # -- the scalar P^5 scans and lift, kept as the reference for the numpy ones ---
 
 
+def projective_reps(F: Field, dim: int):
+    """All points of P^{dim-1}(F) as normalized tuples (first nonzero entry
+    equal to one), in the order of the numpy scans."""
+    elems = list(F.elements())
+    for lead in range(dim):
+        prefix = tuple([F.zero()] * lead + [F.one()])
+        for tail in itertools.product(elems, repeat=dim - lead - 1):
+            yield prefix + tail
+
+
+def scalar_rational_walk(matrices, bound):
+    """The height-bounded search over Q one integer 6-tuple at a time: each
+    form's denominators cleared, then every primitive tuple of
+    ``itertools.product`` order with first nonzero entry positive on which
+    every form vanishes."""
+    ints = []
+    for M in matrices:
+        den = 1
+        for row in M.rows:
+            for v in row:
+                den = den * v.denominator // math.gcd(den, v.denominator)
+        ints.append([[int(v * den) for v in row] for row in M.rows])
+
+    def primitive(t):
+        g = 0
+        for v in t:
+            g = math.gcd(g, v)
+        if g != 1:
+            return False
+        for v in t:
+            if v != 0:
+                return v > 0
+        return False
+
+    found = []
+    for t in itertools.product(range(-bound, bound + 1), repeat=6):
+        if primitive(t) and all(sum(M[i][j] * t[i] * t[j] for i in range(6) for j in range(6)) == 0
+                                for M in ints):
+            found.append(t)
+    return found
+
+
 def scalar_vdelta_search(vd):
     W = vd.delta.field
     return [vec for vec in projective_reps(W, 6) if vd.is_solution(list(vec), W)]
@@ -971,3 +1015,55 @@ def test_rational_search_finds_points():
     pts = search_vdelta_rational([M1], 1)
     # solutions include (1, 1, *, ...) patterns
     assert any(p[0] == 1 and p[1] in (1, -1) for p in pts)
+
+
+def _symmetric(Q, upper):
+    """The symmetric 6x6 matrix over Q with the 21 upper entries `upper`."""
+    rows = [[Q.zero()] * 6 for _ in range(6)]
+    it = iter(upper)
+    for i in range(6):
+        for j in range(i, 6):
+            rows[i][j] = rows[j][i] = next(it)
+    return Mat(Q, rows)
+
+
+_SPARSE_FRACTION = st.builds(Fraction, st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                             st.integers(1, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(uppers=st.lists(st.lists(_SPARSE_FRACTION, min_size=21, max_size=21),
+                       min_size=1, max_size=3),
+       bound=st.integers(0, 3))
+def test_rational_search_matches_the_scalar_walk(uppers, bound):
+    """The block scan over the box against the walk one tuple at a time:
+    the same points in the same order, on sparse symmetric forms with
+    denominators up to 6, so that some forms vanish on many tuples."""
+    Q = Field.rationals()
+    mats = [_symmetric(Q, upper) for upper in uppers]
+    assert search_vdelta_rational(mats, bound) == scalar_rational_walk(mats, bound)
+
+
+def test_rational_search_leaves_int64_for_large_entries():
+    """Entries of 2^62 / 3 put 36 B^2 max|M| past 2^63 at B = 2, so the
+    products are Python ints: in int64, 2^62 (x0^2 + x1^2 + x2^2 + x3^2)
+    would wrap to 0 at (1, 1, 1, 1, *, *) and pass as a point."""
+    Q = Field.rationals()
+    big = Fraction(2 ** 62, 3)
+    upper = [Fraction(0)] * 21
+    for slot in (0, 6, 11, 15):          # the diagonal entries x0^2 .. x3^2
+        upper[slot] = big
+    upper[20] = Fraction(1, 3)           # x5^2
+    mats = [_symmetric(Q, upper)]
+    assert 36 * 2 ** 2 * 2 ** 62 >= 1 << 63
+    pts = search_vdelta_rational(mats, 2)
+    assert pts == scalar_rational_walk(mats, 2) == [(0, 0, 0, 0, 1, 0)]
+    assert all(type(v) is int for v in pts[0])
+
+
+@pytest.mark.parametrize("p, dim", [(3, 1), (3, 4), (5, 3), (7, 2), (5, 7)])
+def test_projective_blocks_follow_projective_reps(p, dim):
+    """The numpy enumeration of P^{dim-1}(F_p), over block boundaries
+    (5^6 > 4096 rows), against the scalar order oracle."""
+    rows = np.concatenate(list(_projective_blocks(p, dim)))
+    assert list(map(tuple, rows.tolist())) == list(projective_reps(Field.prime(p), dim))
