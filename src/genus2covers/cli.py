@@ -6,7 +6,9 @@ with sorted keys, so identical invocations (same seed) are byte-identical.
 Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
 factor t_I, 5 verification failure.  Errors are JSON objects
-{"error": message, "kind": kind}; the input kinds are bad-field (exit 1,
+{"error": message, "kind": kind}; the input kinds are bad-usage (exit 1:
+syntax the parser refuses, and search without --curve over F<p> or with it
+over Q), bad-field (exit 1,
 also for F<p>^<d>: curves over extension fields are not supported yet, for
 Q in model, twist and verify, and for search above p = 31), bad-curve
 (exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1),
@@ -35,7 +37,7 @@ from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
 from .fields import Field, parse_field_spec
 from .kummer import KummerModels, even_matrix, veronese_quartic
-from .linalg import Mat, ext_matmul_np, rank_rows, to_np
+from .linalg import Mat, matmul_arrays, rank_rows, to_np
 from .poly import Poly, _lift
 from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
                        independent_picks, kummer_image_quadric, sampling_field,
@@ -55,8 +57,12 @@ EXIT_VERIFY = 5
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    payload, code = dispatch(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except BadInput as exc:   # bad command-line syntax
+        args, payload, code = None, {"error": str(exc), "kind": exc.kind}, exc.code
+    else:
+        payload, code = dispatch(args)
     try:
         emit(payload, args)
     except BrokenPipeError:
@@ -71,9 +77,9 @@ class BadInput(Exception):
     """A command-line input the program refuses, with its error kind and
     exit code."""
 
-    CODES = {"bad-field": EXIT_INTERNAL, "bad-curve": EXIT_BAD_CURVE,
-             "bad-delta": EXIT_INTERNAL, "bad-model-ref": EXIT_INTERNAL,
-             "bad-bound": EXIT_INTERNAL}
+    CODES = {"bad-usage": EXIT_INTERNAL, "bad-field": EXIT_INTERNAL,
+             "bad-curve": EXIT_BAD_CURVE, "bad-delta": EXIT_INTERNAL,
+             "bad-model-ref": EXIT_INTERNAL, "bad-bound": EXIT_INTERNAL}
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -81,18 +87,24 @@ class BadInput(Exception):
         self.code = self.CODES[kind]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose syntax errors, in subcommands too, are bad-usage."""
+
+    def error(self, message):
+        raise BadInput("bad-usage", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="genus2covers",
         description="Exact models of genus-2 Jacobians and their two-coverings")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, curve=True):
+    def common(sp, curve_required=True):
         sp.add_argument("--field", required=True,
                         help='field spec: "Q" or "F<p>" with p an odd prime')
-        if curve:
-            sp.add_argument("--curve", required=True,
-                            help="JSON array of f0..f6 (or a path to one)")
+        sp.add_argument("--curve", required=curve_required,
+                        help="JSON array of f0..f6 (or a path to one)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -120,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["quadrics", "action", "diagonal", "twist", "all"])
 
     sp = sub.add_parser("search", help="enumerate points on an emitted model")
-    common(sp)
+    common(sp, curve_required=False)
     sp.add_argument("--model-ref", required=True,
                     help="path to a JSON bundle from `model` or `twist`")
     sp.add_argument("--bound", type=int, default=None,
@@ -423,6 +435,8 @@ def load_model_ref(raw: str, field) -> dict:
 
 def cmd_search(args):
     field = load_field(args.field)
+    if field.is_finite() != (args.curve is not None):   # the search over Q reads no curve
+        raise BadInput("bad-usage", "search needs --curve over F<p> and refuses it over Q")
     points = (field.p ** 6 - 1) // (field.p - 1) if field.is_finite() else 0
     if points > P5_SCAN_BUDGET:
         raise BadInput("bad-field", f"search would scan the {points} points of "
@@ -438,12 +452,11 @@ def cmd_search(args):
         raise BadInput("bad-bound", f"search would walk the {tuples} integer 6-tuples "
                        f"of height <= {bound}, above its budget of {Q_SEARCH_BUDGET}")
     ref = load_model_ref(args.model_ref, field)
-    curve = load_curve(field, args.curve)
     if "matrices" in ref:
         # over Q: enumerate integer vectors up to the bound on the matrices
         pts = search_vdelta_rational(ref["matrices"], bound)
         return {"count": len(pts), "points": [list(p) for p in pts]}
-    alg = EtaleAlgebra(curve, seed=args.seed)
+    alg = EtaleAlgebra(load_curve(field, args.curve), seed=args.seed)
     try:
         if "forms" in ref:
             # the search reads the scale factors t_I, so no TwistModel is built
@@ -534,16 +547,14 @@ def _group_law_pairs(ctx, pts):
     """The number of pairs (P, Q) of `pts` with T10_P T10_Q = e_W(P, Q)
     T10_{P+Q}.  Every product T10_P T10_Q is a block of one product: the
     matrices stacked in a column times the same stacked in a row (sums of
-    max(10, d^2) products, ``ext_matmul_np``)."""
-    K, d, n = ctx.K, ctx.K.deg, len(pts)
+    max(10, d^2) products, ``matmul_arrays``)."""
+    K, n = ctx.K, len(pts)
     T = to_np(K, [ctx.t10_matrix(P).rows for P in pts] + [Mat.identity(K, 10).rows],
-              max(10, d * d)).reshape(n + 1, 10, 10, d)
-    column, row = T[:n].reshape(10 * n, 10, d), T[:n].transpose(1, 0, 2, 3).reshape(10, 10 * n, d)
-    if K.kind == "ext":
-        prod = ext_matmul_np(K, column, row)
-    else:
-        prod = (column[..., 0] @ row[..., 0] % K.p)[..., None]
-    prod = prod.reshape(n, 10, n, 10, d)
+              max(10, K.deg ** 2))
+    e = T.shape[3:]   # (d,) over an extension
+    column = T[:n].reshape((10 * n, 10) + e)
+    row = T[:n].swapaxes(0, 1).reshape((10, 10 * n) + e)
+    prod = matmul_arrays(K, column, row).reshape((n, 10, n, 10) + e)
     index = {P.mask: k for k, P in enumerate(pts)}
     ok = 0
     for a, P in enumerate(pts):

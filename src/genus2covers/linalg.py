@@ -1,25 +1,26 @@
 """Exact dense linear algebra over the package's fields.
 
 Every matrix product, row reduction and kernel runs as a numpy kernel, from
-the 4x4 torsion blocks held in :class:`Mat` to the kernels of
-point-evaluation matrices, the rank certificates and the Galois-descent row
-reductions; only ``Mat.charpoly`` eliminates in field arithmetic, and
-``Mat.det`` reads its constant term.  Prime-field and rational matrices are
-2-d arrays, extension fields (rows, cols, deg) coefficient arrays with a
-precomputed reduction matrix.  Every kernel reduces mod p after each sum of
-products of residues in [0, p) and keeps the dtype it is given, so one code
-path serves every field.  ``to_np`` chooses that dtype: int64 while s
-(p-1)^2 < 2**63 for the kernel's longest sum of s products
-(``int64_exact``), otherwise object arrays of Python ints, or of Fractions
-over Q, where nothing overflows.  With d the extension degree and k the
-inner dimension of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for
-``fq_rref``; 2d-1 for ``ext_mul_arrays`` and ``quadrics.compose_forms``;
-max(k, d^2) for ``ext_matmul_np`` and ``Mat.__mul__``; d for
-``frobenius_fixed_values`` and the trace descent (``twist.trace_stack``);
-72 for the descent's span check (``twist.TwistModel._check_descent``);
-max(136, d^2) for ``quadrics.forms_vanish_at``.  The two point searches
-over F_p stay in int64 and refuse fields above their bounds: 6 for
-``twist.p5_zeros`` and 136 for ``twist.search_twist_points``; over Q,
+the 4x4 torsion blocks held in :class:`Mat` to the Galois-descent row
+reductions; only ``Mat.charpoly`` eliminates in field arithmetic.  Matrices
+over F_p and Q are 2-d arrays, over F_{p^d} (rows, cols, d) coefficient
+arrays with a precomputed reduction matrix.  One routine per operation
+takes every field: ``mul_arrays`` (elementwise) and ``matmul_arrays``
+(matrix) products, and ``fp_rref`` (F_p, Q) or ``fq_rref`` (F_{p^d}) behind
+the row-list interface.  Each reduces mod p after every sum of products of
+residues in [0, p) and keeps the dtype it is given.  ``to_np`` chooses
+that dtype: int64 while s (p-1)^2 < 2**63 for the kernel's longest sum of
+s products (``int64_exact``), otherwise object arrays of Python ints, or of
+Fractions over Q.  With d the extension degree and k the inner dimension
+of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``;
+2d-1 for ``mul_arrays`` and ``quadrics.compose_forms``, whose sums add
+reduced products; k over F_p and Q and max(k, d^2) over F_{p^d} for
+``matmul_arrays`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
+and the trace descent (``twist.trace_stack``); 72 for the descent's span
+check (``twist.TwistModel._check_descent``); max(136, d^2) for
+``quadrics.forms_vanish_at``.  The two point searches over F_p stay in
+int64 and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and
+136 for ``twist.search_twist_points``; over Q,
 ``twist.search_vdelta_rational`` leaves int64 above 36 B^2 max|M|.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels
@@ -98,9 +99,12 @@ def from_np(field: Field, arr):
     return [list(map(tuple, row.tolist())) for row in arr]
 
 
-def ext_mul_arrays(field: Field, a, b):
-    """Elementwise product of two broadcastable (..., d) arrays of
-    coefficients in [0, p); sums of 2d-1 products."""
+def mul_arrays(field: Field, a, b):
+    """Elementwise product of two broadcastable arrays of raw values, reduced:
+    (...) arrays over F_p and Q, (..., d) coefficient arrays over F_{p^d}
+    (sums of 2d-1 products)."""
+    if field.kind != "ext":
+        return mod_p(field, np.multiply(a, b))
     p, d = field.p, field.deg
     red, _ = _red_tables(field)
     a, b = np.asarray(a), np.asarray(b)
@@ -114,15 +118,16 @@ def ext_mul_arrays(field: Field, a, b):
     return out
 
 
-def ext_matmul_np(field: Field, A, B):
-    """(r, k, d) @ (k, c, d) -> (r, c, d); sums of at most max(k, d^2)
-    products.
-
-    With A = sum_a A_a t^a for (r, k) arrays A_a over F_p, A B is the sum
-    of the products A_a (t^a B): the coefficient array of t^a B sums d
-    products (rows a d .. a d + d - 1 of ``redfold``) and each product k.
-    Each product, reduced, is added to the result, so only two (r, c, d)
-    arrays are formed."""
+def matmul_arrays(field: Field, A, B):
+    """Matrix product of raw-value arrays, reduced: (r, k) @ (k, c) over F_p
+    and Q, sums of k products; (r, k, d) @ (k, c, d) -> (r, c, d) over
+    F_{p^d}, sums of at most max(k, d^2) products.  There, with A = sum_a
+    A_a t^a for (r, k) arrays A_a over F_p, A B is the sum of the products
+    A_a (t^a B): the coefficient array of t^a B sums d products (rows a d ..
+    a d + d - 1 of ``redfold``) and each product k.  Each product, reduced,
+    is added to the result, so only two (r, c, d) arrays are formed."""
+    if field.kind != "ext":
+        return mod_p(field, np.matmul(A, B))
     p, d = field.p, field.deg
     _, redfold = _red_tables(field)
     A = np.asarray(A) % p
@@ -237,12 +242,8 @@ def kernel_from_rref(field: Field, R, piv, ncols: int):
     F_p, F_{p^d} or Q: one row per free column j, with 1 at j and -R[r, j]
     at the pivot column of row r."""
     free = [j for j in range(ncols) if j not in piv]
-    if field.kind == "ext":
-        basis = np.zeros((len(free), ncols, field.deg), dtype=R.dtype)
-        basis[np.arange(len(free)), free, 0] = 1
-    else:
-        basis = np.full((len(free), ncols), field.zero(), dtype=R.dtype)
-        basis[np.arange(len(free)), free] = field.one()
+    basis = np.full((len(free), ncols) + R.shape[2:], field.zero(), dtype=R.dtype)
+    basis[np.arange(len(free)), free] = field.one()
     basis[:, piv] = mod_p(field, -np.swapaxes(R[:len(piv), free], 0, 1))
     return basis
 
@@ -251,11 +252,11 @@ def kernel_from_rref(field: Field, R, piv, ncols: int):
 # generic row-list interface
 
 
-def _rref_np(field: Field, rows):
-    """(reduced array, pivot columns) of a non-empty row list."""
+def _rref_np(field: Field, rows, cols=slice(None)):
+    """(reduced array, pivot columns) of non-empty rows, in the column order `cols`."""
     if field.kind == "ext":
-        return fq_rref(field, to_np(field, rows, field.deg))
-    return fp_rref(field, to_np(field, rows, 2))
+        return fq_rref(field, to_np(field, rows, field.deg)[:, cols])
+    return fp_rref(field, to_np(field, rows, 2)[:, cols])
 
 
 def rref_rows(field: Field, rows):
@@ -304,12 +305,13 @@ def span_supported(field: Field, vectors, keep):
     """(rank of the vectors, basis of their row span intersected with the
     vectors supported on the columns in `keep`), from one reduction with the
     other columns first: the rows of the reduced array whose pivot lies in
-    `keep` are that basis, and only they are converted."""
-    if not vectors:
+    `keep` are that basis, and only they are converted.  `vectors` is a row
+    list or an (N, M[, d]) array."""
+    if not len(vectors):
         return 0, []
     keep = set(keep)
     order = [j for j in range(len(vectors[0])) if j not in keep] + sorted(keep)
-    R, piv = _rref_np(field, [[vec[j] for j in order] for vec in vectors])
+    R, piv = _rref_np(field, vectors, order)
     first = sum(c < len(order) - len(keep) for c in piv)
     block = np.empty_like(R[first:len(piv)])
     block[:, order] = R[first:len(piv)]
@@ -383,14 +385,13 @@ class Mat:
         F = self.field
         if not isinstance(other, Mat):
             return self.scale(other)
-        # sums of k = ncols products (degree 1); see ext_matmul_np.  The
-        # explicit shapes keep a dimension of size 0.
+        # sums of max(k, d^2) products (``matmul_arrays``); the explicit
+        # shapes keep a dimension of size 0
         s = max(self.ncols, F.deg ** 2)
         entry = (F.deg,) if F.kind == "ext" else ()
         A, B = (to_np(F, M.rows, s).reshape((M.nrows, M.ncols) + entry)
                 for M in (self, other))
-        out = ext_matmul_np(F, A, B) if F.kind == "ext" else A @ B
-        return Mat(F, from_np(F, out))._shaped(other.ncols)
+        return Mat(F, from_np(F, matmul_arrays(F, A, B)))._shaped(other.ncols)
 
     def matvec(self, vec):
         return (self * Mat(self.field, [[v] for v in vec])).col(0)

@@ -20,7 +20,8 @@ The same reduction certifies the model: its kernel has dimension 72, and
 the kernel's even-only part dimension 21.
 
 Monomials are ordered (i, j), i <= j, over the 16 coordinates; a form maps
-to its length-136 coefficient vector in that order for all linear algebra.
+to its length-136 coefficient vector in that order, and N forms, such as
+the output of ``compose_forms``, to one (N, 136[, d]) coefficient array.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .curve import COORD_NAMES, CurveData, even_slot, random_point
 from .errors import Genus2Error, InterpolationFailed
 from .fields import Field
-from .linalg import (Mat, block_diag, ext_matmul_np, ext_mul_arrays, fp_rref,
-                     frobenius_fixed_values, from_np, mod_p, rank_rows,
+from .linalg import (Mat, block_diag, fp_rref, frobenius_fixed_values,
+                     from_np, matmul_arrays, mod_p, mul_arrays, rank_rows,
                      rref_rows, to_np)
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
@@ -88,14 +89,6 @@ class QuadricForm:
         for m, c in self.coeffs.items():
             out[MONO_INDEX[m]] = c
         return out
-
-    @staticmethod
-    def from_vector(field: Field, vec) -> "QuadricForm":
-        q = QuadricForm(field)
-        for n, c in enumerate(vec):
-            if not field.is_zero(c):
-                q.coeffs[MONOMIALS[n]] = c
-        return q
 
     def scaled(self, s) -> "QuadricForm":
         F = self.field
@@ -156,12 +149,10 @@ _MONO_J = np.array([j for _, j in MONOMIALS])
 def monomial_array(K: Field, vecs, s: int):
     """The values of the 136 monomials at N 16-vectors over K, an (N, 136)
     array, (N, 136, d) over F_{p^d}: one product of columns of the stacked
-    vectors (``ext_mul_arrays`` over an extension), in the dtype for a
-    kernel that then sums s products (``to_np``)."""
+    vectors (``mul_arrays``), in the dtype for a kernel that then sums s
+    products (``to_np``)."""
     V = to_np(K, vecs, max(s, 2 * K.deg - 1))
-    if K.kind == "ext":
-        return ext_mul_arrays(K, V[:, _MONO_I], V[:, _MONO_J])
-    return mod_p(K, V[:, _MONO_I] * V[:, _MONO_J])
+    return mul_arrays(K, V[:, _MONO_I], V[:, _MONO_J])
 
 
 def forms_vanish_at(forms, points_fields) -> bool:
@@ -170,10 +161,9 @@ def forms_vanish_at(forms, points_fields) -> bool:
     ``forms`` share one coefficient field; ``points_fields`` is a list of
     (vec16, field) with a common point field that contains the coefficient
     field's image (F_p inside F_p^d, or equal fields).  The values are one
-    product of the coefficient and monomial arrays: sums of 136 products,
-    then over an extension the d^2-term ``redfold`` reduction of
-    ``ext_matmul_np``.
-    """
+    product over the coefficient field (``matmul_arrays``, sums of at most
+    max(136, d^2) products) of the coefficient and monomial arrays, the
+    latter's F_{p^d} coefficient axis folded into its columns under F_p."""
     if not forms or not points_fields:
         return True
     Fc = forms[0].field
@@ -181,70 +171,65 @@ def forms_vanish_at(forms, points_fields) -> bool:
     s = max(len(MONOMIALS), K.deg ** 2)
     P = monomial_array(K, [vec for vec, _ in points_fields], s)
     C = to_np(Fc, [f.vector() for f in forms], s)
-    if Fc.kind == "ext":
-        return not np.any(ext_matmul_np(K, C, P.transpose(1, 0, 2)))
-    return not np.any(mod_p(K, np.tensordot(C, P, axes=([1], [1]))))
+    P = np.swapaxes(P, 0, 1).reshape((len(MONOMIALS), -1) + C.shape[2:])
+    return not np.any(matmul_arrays(Fc, C, P))
 
 
-# the monomials by coordinate parity, even.even, even.odd and odd.odd, and
-# each monomial's (block, position in block)
+# the monomials by coordinate parity, even.even, even.odd and odd.odd
 _PARITY_BLOCKS = [np.array(b) for b in (EVEN_MONOMIALS, MIXED_MONOMIALS, ODD_MONOMIALS)]
-_BLOCK_POS = {MONOMIALS[n]: (k, pos) for k, b in enumerate(_PARITY_BLOCKS)
-              for pos, n in enumerate(b)}
+
+# the products c T[m] formed at once, so that compose_forms' memory stays
+# below that of the rank reduction that follows it in a TwistModel
+_COMPOSE_TERMS = 32
 
 
 def compose_forms(forms, M: Mat):
     """The forms v -> Q(M v) for forms Q over the field of the 16x16 M,
-    block-diagonal on the ten even and the six odd coordinates.
+    block-diagonal on the ten even and the six odd coordinates, as their
+    (N, 136) coefficient array, (N, 136, d) over F_{p^d}.
 
     With x = M v, the coefficient of v_a v_b in x_i x_j is
     T[(i,j),(a,b)] = M_ia M_jb + M_ib M_ja for a < b and M_ia M_ja for a = b.
     M keeps each parity block of monomials (even.even, even.odd, odd.odd),
     so T is built only on those three diagonal blocks, 7,066 of its 18,496
-    entries; on the even.odd block M_ib M_ja = 0.  A composed form is the
-    sum of the rows of T at the form's nonzero coefficients, times those
-    coefficients, and keeps the nonzero entries of that sum.  Each entry of
-    T is a sum of single products (``ext_mul_arrays`` over F_{p^d}, 2d-1
-    terms), so the arrays are int64 while (2d-1) (p-1)^2 < 2**63 and hold
-    Python ints above that, or Fractions over Q (``to_np``).
-    """
+    entries; on the even.odd block M_ib M_ja = 0.  All forms at once, each
+    nonzero coefficient c of a form at a monomial m adds c T[m] to the
+    form's row.  Every entry of T and every c T[m] is a reduced single
+    product (``mul_arrays``, 2d-1 terms over F_{p^d}) and a row sums at most
+    136 of them, so the arrays are int64 while (2d-1) (p-1)^2 < 2**63, and
+    Python ints above that, or Fractions over Q (``to_np``)."""
     F = M.field
-    d = F.deg
-    if F.kind == "ext":
-        mul = lambda a, b: ext_mul_arrays(F, a, b)
-    else:
-        mul = lambda a, b: mod_p(F, a * b)
-    # arrays carry a trailing coefficient axis of length d (1 over F_p and Q)
-    Mn = to_np(F, M.rows, 2 * d - 1).reshape(16, 16, d)
+    s = 2 * F.deg - 1
+    Mn = to_np(F, M.rows, s)
     if Mn[:10, 10:].any() or Mn[10:, :10].any():
         raise Genus2Error("compose_forms needs M block-diagonal on the even and odd coordinates")
     blocks = []
     for k, b in enumerate(_PARITY_BLOCKS):
         I, J = _MONO_I[b], _MONO_J[b]
-        T = mul(Mn[I[:, None], I], Mn[J[:, None], J])
+        T = mul_arrays(F, Mn[I[:, None], I], Mn[J[:, None], J])
         if k != 1:   # M_ib M_ja = 0 on the even.odd block
-            T += mul(Mn[I[:, None], J], Mn[J[:, None], I]) * (I != J)[:, None]
+            off = np.nonzero(I != J)[0]
+            T[:, off] += mul_arrays(F, Mn[I[:, None], J[off]], Mn[J[:, None], I[off]])
             T = mod_p(F, T)
         blocks.append(T)
-    acc = np.zeros((len(MONOMIALS), d), dtype=Mn.dtype)
-    rows = acc if F.kind == "ext" else acc[..., 0]   # a view of acc
-    out = []
-    for q in forms:
-        acc[:] = 0
-        terms = [([], []) for _ in blocks]
-        for m, c in q.coeffs.items():
-            k, pos = _BLOCK_POS[m]
-            terms[k][0].append(pos)
-            terms[k][1].append(c)
-        for b, T, (pos, coeffs) in zip(_PARITY_BLOCKS, blocks, terms):
-            if pos:
-                c = to_np(F, coeffs, 2 * d - 1).reshape(-1, 1, d)
-                acc[b] = mod_p(F, mul(c, T[pos]).sum(axis=0))
-        nz = np.nonzero(acc.any(axis=-1))[0]
-        composed = QuadricForm(F)
-        composed.coeffs = dict(zip([MONOMIALS[n] for n in nz], from_np(F, rows[nz][None])[0]))
-        out.append(composed)
-    return out
+    C = to_np(F, [q.vector() for q in forms], s).reshape(
+        (len(forms), len(MONOMIALS)) + Mn.shape[2:])
+    out = np.zeros_like(C)
+    for b, T in zip(_PARITY_BLOCKS, blocks):
+        rows, pos = np.nonzero(np.any(C[:, b] != 0, axis=tuple(range(2, C.ndim))))
+        for lo in range(0, len(rows), _COMPOSE_TERMS):
+            r, m = rows[lo:lo + _COMPOSE_TERMS], pos[lo:lo + _COMPOSE_TERMS]
+            np.add.at(out, (r[:, None], b), mul_arrays(F, C[r, b[m]][:, None], T[m]))
+    return mod_p(F, out)
+
+
+def forms_from_array(field: Field, coeffs):
+    """The QuadricForms of the rows of an (N, 136[, d]) coefficient array."""
+    rows, cols = np.nonzero(np.any(coeffs != 0, axis=tuple(range(2, coeffs.ndim))))
+    forms = [QuadricForm(field) for _ in coeffs]
+    for r, n, c in zip(rows.tolist(), cols.tolist(), from_np(field, coeffs[rows, cols][None])[0]):
+        forms[r].coeffs[MONOMIALS[n]] = c
+    return forms
 
 
 def independent_picks(field: Field, vectors):
@@ -339,9 +324,8 @@ class JacobianModel:
         odd = odd_quadrics(curve)
         self.odd = select_independent(self.field, odd, 15)
         # the second family, cleared of the denominator f_0
-        composed = compose_forms(odd, b_shift(curve))
-        self.odd_b_shift = select_independent(
-            self.field, [q.scaled(curve.coeffs[0]) for q in composed], 15)
+        shift = compose_forms([q.scaled(curve.coeffs[0]) for q in odd], b_shift(curve))
+        self.odd_b_shift = select_independent(self.field, forms_from_array(self.field, shift), 15)
         self.listed_bb = listed_bb_forms(curve)
         self.interpolated_bb, self.kernel_dimensions = sampled_kernel(curve, seed)
         self.forms = (self.veronese + [self.kummer_even] + self.odd
@@ -529,8 +513,7 @@ def sampled_kernel(curve: CurveData, seed: int = 0, pairs=UNLISTED_BB_PAIRS):
     order = EVEN_MONOMIALS + ODD_MONOMIALS + MIXED_MONOMIALS
     A = monomial_array(K, [random_point(curve, K, rng).coords().v
                            for _ in range(150)], 2)[:, order]
-    if K.kind == "ext":
-        A = A.transpose(0, 2, 1).reshape(-1, len(order))
+    A = A.swapaxes(1, -1).reshape(-1, len(order))   # one row per F_p coefficient
     R, piv = fp_rref(F, A)
     even = len(EVEN_MONOMIALS)
     dims = (len(order) - len(piv), even - sum(c < even for c in piv))

@@ -32,10 +32,11 @@ from .errors import Genus2Error, IdentityPoint, NotDiagonal, OddMask
 from .etale import (EtaleAlgebra, TwoTorsionPoint, alpha_sign, character_chi,
                     mask_bits, mask_of, popcount)
 from .fields import Field, FieldElem
-from .linalg import Mat, block_diag, kernel_rows
+from .linalg import Mat, block_diag, from_np, kernel_rows
 from .poly import Poly, _lift, resultant
-from .quadrics import (QuadricForm, compose_forms, independent_picks,
-                       kummer_image_quadric, listed_bb_forms, veronese_quadrics)
+from .quadrics import (MONO_INDEX, QuadricForm, compose_forms, forms_from_array,
+                       independent_picks, kummer_image_quadric, listed_bb_forms,
+                       veronese_quadrics)
 
 
 def partition_reps():
@@ -324,13 +325,13 @@ class TorsionActionCtx:
         curve = self.algebra.curve
         even = [q.map_field(K) for q in veronese_quadrics(curve.field)
                 + [kummer_image_quadric(curve)]]
-        even = compose_forms(even, block_diag(K, [self.G_inv_kappa, Mat.identity(K, 6)]))
-        at = lambda monos: Mat(K, [[q.coeffs.get(m, K.zero()) for q in even] for m in monos])
+        E = compose_forms(even, block_diag(K, [self.G_inv_kappa, Mat.identity(K, 6)]))
+        at = lambda monos: from_np(K, E[:, [MONO_INDEX[m] for m in monos]].swapaxes(0, 1))
         squares = [(r, r) for r in range(10)]
-        diag = at(squares)
+        diag = Mat(K, at(squares))
         off = at([(a, b) for a in range(10) for b in range(a + 1, 10)])
         return [QuadricForm(K, dict(zip(squares, diag.matvec(x))))
-                for x in kernel_rows(K, off.rows)]
+                for x in kernel_rows(K, off)]
 
     def pair_generators(self, pair):
         """The four c-variable forms attached to one root pair (i, j): two
@@ -396,7 +397,7 @@ class TorsionActionCtx:
         batched product: (label, form) over the splitting field in Coords16,
         generators of the vanishing ideal of the Jacobian."""
         labels, forms = zip(*self.c_generators())
-        return list(zip(labels, compose_forms(forms, self.C)))
+        return list(zip(labels, forms_from_array(self.K, compose_forms(forms, self.C))))
 
     # -- field-of-definition tags ---------------------------------------------
 

@@ -10,9 +10,11 @@ In the c-basis the covering map g is diagonal, t_I = prod_{w in I} eps_w
 + prod_{w not in I} eps_w on c_I and eps_w on c_w, so g = C^-1 diag(t_I,
 eps_w) C.  The twisted ideal is the Jacobian's pulled back by g: the 72
 c-basis generators of ``TorsionActionCtx.c_generators`` composed with
-diag(t_I, eps_w) C, each generator of the pair (w1, w2) divided by
-eps_{w1} eps_{w2}.  That division leaves the coefficients in the splitting
-field's image, and the paper writes them there as weights in delta_w and n:
+diag(t_I, eps_w) C into one coefficient array, the state that the rank,
+odd-block and descent reductions read, each generator of the pair (w1, w2)
+divided by eps_{w1} eps_{w2}.  That division leaves the coefficients in
+the splitting field's image, and the paper writes them there as weights
+in delta_w and n:
 
     odd piece at the pair (w1, w2):  delta_t + n / (delta_{w1} delta_{w2})
     even piece:  delta_{t1} delta_{t2} + delta_{p1} delta_{p2}
@@ -38,6 +40,7 @@ survivor through the linear mixed forms and the scale c.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +50,12 @@ from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
 from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, fp_rref, from_np, frobenius_fixed_values,
-                     int64_exact, kernel_from_rref, span_supported, to_np)
+from .linalg import (Mat, fp_rref, frobenius_fixed_values, int64_exact,
+                     kernel_from_rref, matmul_arrays, span_supported, to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
-                       ODD_MONOMIALS, QuadricForm, compose_forms,
-                       forms_vanish_at, independent_picks)
+                       ODD_MONOMIALS, compose_forms, forms_from_array,
+                       forms_vanish_at, independent_picks, monomial_array)
 from .torsion import TorsionActionCtx, _all_pairs
 
 
@@ -234,8 +237,8 @@ class EpsilonChoice:
 class TwistModel:
     """The two-covering attached to (delta, n): 72 twisted quadrics in the
     16 coordinates over the working field, the block-linear map down to the
-    Jacobian, and descent data.  ``rank`` is the certified rank (72) of the
-    twisted forms."""
+    Jacobian, and descent data: the forms of the c-basis generators ``labels``
+    as one (72, 136[, d]) array ``coeffs``, of certified ``rank`` 72."""
 
     def __init__(self, contexts, datum: TwistDatum, seed: int = 0):
         """`contexts` as for :class:`EpsilonChoice`."""
@@ -246,21 +249,22 @@ class TwistModel:
         # the Jacobian's c-basis generators pulled back by g; those of the
         # pair (i, j), divided by eps_i eps_j, have coefficients in k(Omega)
         e = self.eps.eps
-        labels, forms = zip(*self.ctx.c_generators())
+        self.labels, forms = zip(*self.ctx.c_generators())
         forms = [q if lab[0] == "O" else q.scaled(W.inv(W.mul(e[lab[0][0]], e[lab[0][1]])))
-                 for lab, q in zip(labels, forms)]
-        self.forms = compose_forms(forms, Mat.diagonal(W, self.eps.c_scale) * self.ctx.C)
-        self.labelled = list(zip(labels, self.forms))
-        self._vectors = [q.vector() for q in self.forms]
-        self.rank, self._odd_block = span_supported(W, self._vectors, ODD_MONOMIALS)
+                 for lab, q in zip(self.labels, forms)]
+        self.coeffs = compose_forms(forms, Mat.diagonal(W, self.eps.c_scale) * self.ctx.C)
+        self.rank, self._odd_block = span_supported(W, self.coeffs, ODD_MONOMIALS)
         if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
         base_deg = datum.algebra.splitting.deg
-        if W.deg != base_deg and not frobenius_fixed_values(
-                W, [c for vec in self._vectors for c in vec], base_deg):
+        if W.deg != base_deg and not frobenius_fixed_values(W, self.coeffs, base_deg):
             raise Genus2Error("twisted coefficient outside k(Omega)")
+
+    @cached_property
+    def forms(self):
+        return forms_from_array(self.field, self.coeffs)
 
     @property
     def field(self) -> Field:
@@ -322,9 +326,9 @@ class TwistModel:
         k = self.datum.algebra.field
         if W.deg == 1:
             return self.forms
-        R, piv = fp_rref(k, trace_stack(W, self._vectors))
+        R, piv = fp_rref(k, trace_stack(W, self.coeffs))
         self._check_descent(R, piv)
-        return [QuadricForm.from_vector(k, row) for row in from_np(k, R[:72])]
+        return forms_from_array(k, R[:72])
 
     def _check_descent(self, R, piv):
         """The reduced rows R over the ground field, pivots piv, have rank at
@@ -336,7 +340,7 @@ class TwistModel:
         W = self.ctx.K
         if len(piv) < 72:
             raise RankLoss("descended span has rank < 72")
-        V = to_np(W, self._vectors, 72).reshape(len(self._vectors), -1, W.deg)
+        V = to_np(W, self.coeffs, 72)
         B = to_np(W, R[:72], 72)
         at_pivots = V[:, piv[:72]]
         if not all(np.array_equal(at_pivots[..., t] @ B % W.p, V[..., t])
@@ -646,7 +650,6 @@ def _node_pullbacks(eps: EpsilonChoice, vecs):
         if all(W.eq(W.frobenius(v), v) for v in norm):
             rational.append(tuple(v[0] if W.kind == "ext" else v for v in norm))
     # every form at every rational node at once: sums of 136 products
-    X = np.array(rational, dtype=np.int64).reshape(-1, 16)
-    C = np.array(vecs, dtype=np.int64).reshape(-1, len(MONOMIALS))
-    values = C @ (X[:, _MONO_I] * X[:, _MONO_J] % k.p).T % k.p
+    X = monomial_array(k, np.array(rational, dtype=np.int64).reshape(-1, 16), len(MONOMIALS))
+    values = matmul_arrays(k, to_np(k, vecs, len(MONOMIALS)).reshape(-1, len(MONOMIALS)), X.T)
     return [pt for pt, col in zip(rational, values.T) if not col.any()]

@@ -21,6 +21,14 @@ settings.register_profile("derandomized", derandomize=True)
 settings.register_profile("random", derandomize=False)
 settings.load_profile("derandomized")
 
+# One field of each kind on both sides of the int64 bounds of the array
+# kernels: F_101, F_{101^8} and F_{2^31-1} (int64 for single products),
+# F_{(2^31-1)^3} and F_{2^32+15} (object arrays of Python ints) and Q (object
+# arrays of Fractions).
+ARRAY_FIELDS = [Field.prime(101), Field.extension(101, 8), Field.prime(2147483647),
+                Field.extension(2147483647, 3), Field.prime(4294967311),
+                Field.rationals()]
+
 REFERENCE_COEFFS = [5, 1, 2, 1, 1, 3, 1]  # y^2 = x^6 + 3x^5 + x^4 + x^3 + 2x^2 + x + 5
 
 

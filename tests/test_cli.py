@@ -109,12 +109,12 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-model-ref", 1),
     # over Q the (2B + 1)^6 tuples pass the walk's budget above B = 5, refused
     # before the bundle is read; at B = 5 the missing bundle is the error
-    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json",
-      "--bound", "6"], "bad-bound", 1),
-    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json",
-      "--bound", "5"], "bad-model-ref", 1),
-    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", '{"matrices": []}',
-      "--bound", "-1"], "bad-bound", 1),
+    (["search", "--field", "Q", "--model-ref", "missing.json", "--bound", "6"],
+     "bad-bound", 1),
+    (["search", "--field", "Q", "--model-ref", "missing.json", "--bound", "5"],
+     "bad-model-ref", 1),
+    (["search", "--field", "Q", "--model-ref", '{"matrices": []}', "--bound", "-1"],
+     "bad-bound", 1),
     # --bound is a height bound over Q; over F_p, at any value, it is refused
     # before the bundle is read
     (["search", "--field", "F7", "--curve", CURVE11, "--model-ref", "missing.json",
@@ -123,6 +123,16 @@ def test_curve_info_rejects_eight_coefficients(capsys):
       "--bound", "0"], "bad-bound", 1),
     (["search", "--field", "F7", "--curve", CURVE11, "--model-ref", "missing.json",
       "--bound", "-5"], "bad-bound", 1),
+    # syntax the parser refuses, and a --curve that search over F_p needs and
+    # search over Q, which reads only the bundle's matrices, does not take
+    (["search", "--field", "F7", "--model-ref", "missing.json"], "bad-usage", 1),
+    (["search", "--field", "Q", "--curve", CURVE_Q, "--model-ref", "missing.json"],
+     "bad-usage", 1),
+    (["model", "--field", "F101", "--curve", CURVE, "--which", "nope"], "bad-usage", 1),
+    (["search", "--field", "Q", "--model-ref", "missing.json", "--bound", "abc"],
+     "bad-usage", 1),
+    (["curve-info", "--field", "F101"], "bad-usage", 1),
+    (["no-such-command"], "bad-usage", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
@@ -130,7 +140,9 @@ def test_curve_info_rejects_eight_coefficients(capsys):
         "vdelta-norm-zero", "twist-bundle-without-forms", "vdelta-bundle-norm-zero",
         "search-above-budget-1009", "search-above-budget-37", "search-at-budget-31",
         "search-Q-above-bound-5", "search-Q-at-bound-5", "search-Q-negative-bound",
-        "search-F7-bound-1", "search-F7-bound-0", "search-F7-negative-bound"])
+        "search-F7-bound-1", "search-F7-bound-0", "search-F7-negative-bound",
+        "search-F7-without-curve", "search-Q-with-curve", "model-unknown-kind",
+        "search-bound-not-a-number", "curve-info-without-curve", "unknown-command"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code
@@ -435,9 +447,9 @@ def test_search_bad_model_ref(capsys, tmp_path, field, content):
     ref = tmp_path / "ref.json"
     if content is not None:
         ref.write_text(content)
-    bound = ["--bound", "1"] if field == "Q" else []   # --bound is refused over F_p
-    code, data = run(capsys, "search", "--field", field, "--curve", CURVE11,
-                     "--model-ref", str(ref), *bound)
+    # --bound is refused over F_p, and --curve over Q
+    extra = ["--bound", "1"] if field == "Q" else ["--curve", CURVE11]
+    code, data = run(capsys, "search", "--field", field, "--model-ref", str(ref), *extra)
     assert code == 1
     assert data["kind"] == "bad-model-ref"
 
@@ -453,13 +465,13 @@ def test_search_refuses_a_bundle_from_another_field(capsys, tmp_path):
         assert main([cmd, "--field", "F11", "--curve", CURVE11, *argv,
                      "--out", str(bundle)]) == 0
         for field in ("F13", "F7", "Q"):
-            code, data = run(capsys, "search", "--field", field, "--curve", CURVE11,
+            curve = [] if field == "Q" else ["--curve", CURVE11]
+            code, data = run(capsys, "search", "--field", field, *curve,
                              "--model-ref", str(bundle))
             assert (code, data["kind"]) == (1, "bad-model-ref")
     bundle = json.loads((tmp_path / "twist.json").read_text())
     del bundle["field"]
-    code, data = run(capsys, "search", "--field", "Q", "--curve", CURVE11,
-                     "--model-ref", json.dumps(bundle))
+    code, data = run(capsys, "search", "--field", "Q", "--model-ref", json.dumps(bundle))
     assert (code, data["kind"]) == (1, "bad-model-ref")
     code, data = run(capsys, "search", "--field", "F11", "--curve", CURVE11,
                      "--model-ref", json.dumps(bundle))
@@ -472,14 +484,12 @@ def test_search_rational_bound_zero(capsys, tmp_path):
               "delta": ["1", "0", "0", "0", "0", "0"]}
     ref = tmp_path / "m.json"
     ref.write_text(json.dumps(bundle))
-    code, data = run(capsys, "search", "--field", "Q",
-                     "--curve", "[1,0,0,0,0,0,1]",
-                     "--model-ref", str(ref), "--bound", "0")
+    code, data = run(capsys, "search", "--field", "Q", "--model-ref", str(ref),
+                     "--bound", "0")
     assert code == 0
     assert data["count"] == 0
     # an omitted bound over Q is 0
-    assert run(capsys, "search", "--field", "Q", "--curve", "[1,0,0,0,0,0,1]",
-               "--model-ref", str(ref)) == (code, data)
+    assert run(capsys, "search", "--field", "Q", "--model-ref", str(ref)) == (code, data)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -493,9 +503,17 @@ def test_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit):
-        main(["verify", "--field", "F101", "--curve", CURVE, "--bogus"])
+def test_unknown_flag_rejected(capsys):
+    code, data = run(capsys, "verify", "--field", "F101", "--curve", CURVE, "--bogus")
+    assert code == 1
+    assert data["kind"] == "bad-usage" and "--bogus" in data["error"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--model-ref" in capsys.readouterr().out
 
 
 def test_degree8_twist_output_is_pinned(capsys):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from genus2covers.errors import Inconsistent
 from genus2covers.fields import Field
-from genus2covers.linalg import (Mat, block_diag, ext_matmul_np, fp_rref,
-                                 fq_rref, int64_exact, kernel_rows, rank_rows,
-                                 rref_rows, solve_linear, solve_rows,
+from genus2covers.linalg import (Mat, block_diag, fp_rref, fq_rref, int64_exact,
+                                 kernel_rows, matmul_arrays, mul_arrays,
+                                 rank_rows, rref_rows, solve_linear, solve_rows,
                                  span_supported, to_np)
 from genus2covers.poly import Poly
 from genus2covers.quadrics import MONOMIALS, QuadricForm, forms_vanish_at
-from conftest import in_row_span
+from conftest import ARRAY_FIELDS, in_row_span
 
 
 def _rand_mat(F, rng, r, c):
@@ -346,7 +346,7 @@ def residues(p):
                      st.integers(0, p - 1))
 
 
-# (inner dimension k, degree d, p): ext_matmul_np sums max(k, d^2) products,
+# (inner dimension k, degree d, p): matmul_arrays sums max(k, d^2) products,
 # so it is exact while max(k, d^2) (p-1)^2 < 2^63; each bound with the prime
 # just below it and the prime just above it
 EXT_MATMUL_CASES = [(8, 2, 1073741789), (8, 2, 1073741827),
@@ -355,7 +355,7 @@ EXT_MATMUL_CASES = [(8, 2, 1073741789), (8, 2, 1073741827),
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), case=st.sampled_from(EXT_MATMUL_CASES))
-def test_ext_matmul_np_matches_plain_product(data, case):
+def test_matmul_arrays_matches_plain_product(data, case):
     """The kernel is exact in int64 below its bound, also with every residue
     near p, and on Python ints above it, on products with r k c > 512."""
     k, d, p = case
@@ -370,7 +370,7 @@ def test_ext_matmul_np_matches_plain_product(data, case):
     want = plain_ext_matmul(F, A, B)
     s = max(k, d * d)
     assert int64_exact(F, s) == (p not in (1073741827, 1518500279))
-    got = ext_matmul_np(F, to_np(F, A, s), to_np(F, B, s))
+    got = matmul_arrays(F, to_np(F, A, s), to_np(F, B, s))
     assert ext_rows(got) == [list(row) for row in want]
     assert (Mat(F, A) * Mat(F, B)).rows == want
 
@@ -389,6 +389,35 @@ def field_entries(F):
     if not F.is_finite():
         return st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=12))
     return residues(F.p) if F.kind == "prime" else st.tuples(*[residues(F.p)] * F.deg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), F=st.sampled_from(ARRAY_FIELDS))
+def test_array_products_match_field_arithmetic(data, F):
+    """``mul_arrays`` and ``matmul_arrays``, in the dtype ``to_np`` picks for
+    their sums, equal entrywise ``Field`` arithmetic on every field kind,
+    reduced as they leave the kernel."""
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    matrix = lambda nr, nc: st.lists(st.lists(field_entries(F), min_size=nc, max_size=nc),
+                                     min_size=nr, max_size=nr)
+    A, A2, B = data.draw(matrix(r, k)), data.draw(matrix(r, k)), data.draw(matrix(k, c))
+    s = 2 * F.deg - 1
+    got = mul_arrays(F, to_np(F, A, s), to_np(F, A2, s))
+    assert got.dtype == np.dtype(np.int64 if int64_exact(F, s) else object)
+    want = [[F.mul(a, b) for a, b in zip(*rows)] for rows in zip(A, A2)]
+    assert got.tolist() == to_np(F, want, s).tolist()
+    s = max(k, F.deg ** 2)
+    got = matmul_arrays(F, to_np(F, A, s), to_np(F, B, s))
+    assert got.dtype == np.dtype(np.int64 if int64_exact(F, s) else object)
+    want = []
+    for row in A:
+        want.append([])
+        for col in zip(*B):
+            acc = F.zero()
+            for a, b in zip(row, col):
+                acc = F.add(acc, F.mul(a, b))
+            want[-1].append(acc)
+    assert got.tolist() == to_np(F, want, s).tolist()
 
 
 # fields of every kind, with 2^32 + 15 past every int64 bound (Python ints)

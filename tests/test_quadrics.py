@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from genus2covers.curve import CurveData, even_slot, random_point
 from genus2covers.errors import Genus2Error
 from genus2covers.fields import Field
-from genus2covers.linalg import (Mat, block_diag, ext_mul_arrays, from_np, mod_p,
+from genus2covers.linalg import (Mat, block_diag, from_np, mod_p, mul_arrays,
                                  rank_rows, solve_rows, to_np)
 from genus2covers.quadrics import (ALL_BB_PAIRS, EVEN_MONOMIALS, LISTED_BB_PAIRS,
-                                   MONOMIALS, UNLISTED_BB_PAIRS, JacobianModel,
-                                   QuadricForm, compose_forms, forms_vanish_at,
+                                   MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
+                                   UNLISTED_BB_PAIRS, JacobianModel,
+                                   QuadricForm, compose_forms, forms_from_array,
+                                   forms_vanish_at,
                                    independent_picks, interpolate_bb_quadrics,
                                    monomial_array, sampled_kernel, sampling_field,
                                    select_independent,
                                    vanishing_kernel_dimensions,
                                    veronese_quadrics)
-from conftest import in_row_span
+from conftest import ARRAY_FIELDS, in_row_span
 
 
 def test_counts_and_rank(ref_jacobian, ref_field):
@@ -208,7 +210,7 @@ def test_quadric_json_roundtrip(ref_jacobian, ref_field):
 def test_compose_with_identity(ref_jacobian, ref_field):
     I = Mat.identity(ref_field, 16)
     q = ref_jacobian.forms[21]
-    assert compose_forms([q], I)[0].coeffs == q.coeffs
+    assert compose_forms([q], I).tolist() == [q.vector()]
 
 
 def reference_compose(q, M):
@@ -229,26 +231,49 @@ def reference_compose(q, M):
     return out
 
 
-def full_compose_forms(forms, M):
-    """The reference for ``compose_forms`` at any 16x16 M: the whole
-    136 x 136 matrix T of the composition, T[(i,j),(a,b)] = M_ia M_jb +
-    M_ib M_ja for a < b and M_ia M_ja for a = b, and each composed form the
-    sum of the rows of T at its nonzero coefficients, times them."""
+_PARITY_BLOCKS = [np.array(b) for b in (EVEN_MONOMIALS, MIXED_MONOMIALS, ODD_MONOMIALS)]
+_BLOCK_POS = {MONOMIALS[n]: (k, pos) for k, b in enumerate(_PARITY_BLOCKS)
+              for pos, n in enumerate(b)}
+
+
+def per_form_compose_forms(forms, M):
+    """The reference for ``compose_forms``, one form at a time: the matrix T
+    of the composition on the three parity blocks (T[(i,j),(a,b)] = M_ia
+    M_jb + M_ib M_ja for a < b and M_ia M_ja for a = b), and each composed
+    form the sum of the rows of T at its nonzero coefficients, times them,
+    read back into a QuadricForm."""
     F = M.field
-    d, I, J = F.deg, np.array([i for i, _ in MONOMIALS]), np.array([j for _, j in MONOMIALS])
-    if F.kind == "ext":
-        mul = lambda a, b: ext_mul_arrays(F, a, b)
-    else:
-        mul = lambda a, b: mod_p(F, a * b)
+    d = F.deg
+    mul = lambda a, b: mul_arrays(F, a, b)
+    # arrays carry a trailing coefficient axis of length d (1 over F_p and Q)
     Mn = to_np(F, M.rows, 2 * d - 1).reshape(16, 16, d)
-    T = mod_p(F, mul(Mn[I[:, None], I], Mn[J[:, None], J])
-              + mul(Mn[I[:, None], J], Mn[J[:, None], I]) * (I != J)[:, None])
+    I, J = np.array([i for i, _ in MONOMIALS]), np.array([j for _, j in MONOMIALS])
+    blocks = []
+    for k, b in enumerate(_PARITY_BLOCKS):
+        Ib, Jb = I[b], J[b]
+        T = mul(Mn[Ib[:, None], Ib], Mn[Jb[:, None], Jb])
+        if k != 1:   # M_ib M_ja = 0 on the even.odd block
+            T += mul(Mn[Ib[:, None], Jb], Mn[Jb[:, None], Ib]) * (Ib != Jb)[:, None]
+            T = mod_p(F, T)
+        blocks.append(T)
+    acc = np.zeros((len(MONOMIALS), d), dtype=Mn.dtype)
+    rows = acc if F.kind == "ext" else acc[..., 0]   # a view of acc
     out = []
     for q in forms:
-        c = to_np(F, q.vector(), 2 * d - 1).reshape(len(MONOMIALS), 1, d)
-        m = np.nonzero(c.any(axis=(1, 2)))[0]
-        row = mul(c[m], T[m]).sum(axis=0)
-        out.append(QuadricForm.from_vector(F, from_np(F, (row if d > 1 else row[:, 0])[None])[0]))
+        acc[:] = 0
+        terms = [([], []) for _ in blocks]
+        for m, c in q.coeffs.items():
+            k, pos = _BLOCK_POS[m]
+            terms[k][0].append(pos)
+            terms[k][1].append(c)
+        for b, T, (pos, coeffs) in zip(_PARITY_BLOCKS, blocks, terms):
+            if pos:
+                c = to_np(F, coeffs, 2 * d - 1).reshape(-1, 1, d)
+                acc[b] = mod_p(F, mul(c, T[pos]).sum(axis=0))
+        nz = np.nonzero(acc.any(axis=-1))[0]
+        composed = QuadricForm(F)
+        composed.coeffs = dict(zip([MONOMIALS[n] for n in nz], from_np(F, rows[nz][None])[0]))
+        out.append(composed)
     return out
 
 
@@ -258,22 +283,18 @@ def random_block_diag(F, rng):
                           for n in (10, 6)])
 
 
-# int64 arrays over F_101, F_{101^2}, F_{101^4}, F_{101^8} and F_p at p =
-# 2^31 - 1; object arrays of Python ints over F_{p^2} at that p, past the
-# (2d-1) (p-1)^2 < 2^63 bound, and over F_p at p > 2^32, and of Fractions
-# over Q
-_COMPOSE_FIELDS = [Field.prime(101), Field.extension(101, 2), Field.extension(101, 4),
-                   Field.extension(101, 8), Field.prime(2147483647),
-                   Field.extension(2147483647, 2), Field.prime(4294967311),
-                   Field.rationals()]
+# the fields of ``ARRAY_FIELDS`` and F_{101^2}, F_{101^4} and F_{(2^31-1)^2}
+_COMPOSE_FIELDS = ARRAY_FIELDS + [Field.extension(101, 2), Field.extension(101, 4),
+                                  Field.extension(2147483647, 2)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from(_COMPOSE_FIELDS), seed=st.integers(0, 2 ** 32),
-       nforms=st.integers(1, 4), nterms=st.integers(0, 12))
+       nforms=st.integers(0, 4), nterms=st.integers(0, 12))
 def test_compose_forms_matches_matrix_conjugation(field, seed, nforms, nterms):
-    """The composition on the parity blocks of a block-diagonal M equals the
-    full-T reference and M^T A M per form."""
+    """The composed coefficient array of sparse forms under a block-diagonal
+    M equals the per-form reference and M^T A M per form, entry by entry
+    and in the dtype of its single products."""
     F = field
     rng = random.Random(seed)
     M = random_block_diag(F, rng)
@@ -283,9 +304,12 @@ def test_compose_forms_matches_matrix_conjugation(field, seed, nforms, nterms):
         for _ in range(nterms):
             q.add_term(*rng.choice(MONOMIALS), F.rand(rng))
         forms.append(q)
-    got = [g.coeffs for g in compose_forms(forms, M)]
-    assert got == [g.coeffs for g in full_compose_forms(forms, M)]
-    assert got == [reference_compose(q, M).coeffs for q in forms]
+    got = compose_forms(forms, M)
+    assert got.shape == (nforms, len(MONOMIALS)) + ((F.deg,) if F.kind == "ext" else ())
+    assert got.dtype == to_np(F, [], 2 * F.deg - 1).dtype
+    want = [q.vector() for q in per_form_compose_forms(forms, M)]
+    assert got.tolist() == to_np(F, want, 1).tolist()
+    assert want == [reference_compose(q, M).vector() for q in forms]
 
 
 def test_compose_forms_refuses_a_coupling_matrix(ref_field):
@@ -373,7 +397,7 @@ def test_independent_picks_match_greedy_loop(data, field, rng):
     want = greedy_picks(F, vectors)
     assert independent_picks(F, vectors) == want
     # select_independent keeps the first `target` picks, or raises
-    forms = [QuadricForm.from_vector(F, vec + [F.zero()] * (len(MONOMIALS) - dim))
+    forms = [forms_from_array(F, to_np(F, [vec + [F.zero()] * (len(MONOMIALS) - dim)], 1))[0]
              for vec in vectors]
     target = data.draw(st.integers(1, 6))
     if len(want) >= target:

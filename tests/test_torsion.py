@@ -6,7 +6,7 @@ from genus2covers.etale import (EtaleAlgebra, TwoTorsionPoint, all_two_torsion, 
                                 even_masks, mask_of, weil_pairing)
 from genus2covers.fields import Field, FieldElem
 from genus2covers.kummer import KummerModels
-from genus2covers.linalg import Mat, rank_rows
+from genus2covers.linalg import Mat, from_np, rank_rows
 from genus2covers.poly import Poly, _lift
 from genus2covers.quadrics import compose_forms, forms_vanish_at
 from genus2covers.torsion import TorsionActionCtx
@@ -242,8 +242,8 @@ def test_quadric_space_invariance(ref_torsion, ref_jacobian):
     for m in (mask_of([0, 1]), mask_of([0, 2]), mask_of([0, 3]),
               mask_of([0, 4]), mask_of([0, 5])):
         R = ref_torsion.rho_matrix(m)
-        composed = [q.vector() for q in compose_forms(
-            [q.map_field(K) for q in ref_jacobian.forms[:12]], R)]
+        composed = from_np(K, compose_forms(
+            [q.map_field(K) for q in ref_jacobian.forms[:12]], R))
         assert in_row_span(K, base, composed)
 
 

@@ -16,11 +16,12 @@ from genus2covers.errors import (GammaViolation, Genus2Error, NonUnitDelta,
 from genus2covers.etale import EtaleAlgebra, LVec
 from genus2covers.fields import Field
 from genus2covers.kummer import KummerModels, VDeltaModel
-from genus2covers.linalg import (Mat, ext_mul_arrays, kernel_rows, rank_rows,
+from genus2covers.linalg import (Mat, kernel_rows, mul_arrays, rank_rows,
                                  rref_rows, to_np)
 from genus2covers.poly import Poly, _lift
-from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, ODD_MONOMIALS,
-                                   QuadricForm, compose_forms)
+from genus2covers.quadrics import (MIXED_MONOMIALS, MONO_INDEX, MONOMIALS,
+                                   ODD_MONOMIALS, QuadricForm, compose_forms,
+                                   forms_from_array)
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
@@ -156,7 +157,7 @@ def test_trivial_identity_piece_matches_untwisted(trivial_model, ref_torsion):
     """With delta = 1 the three diagonal generators are the untwisted ones."""
     W = trivial_model.field
     untw = dict(ref_torsion.invariant_generators())
-    tw = dict(trivial_model.labelled)
+    tw = dict(zip(trivial_model.labels, trivial_model.forms))
     for n in range(3):  # the first three identity-piece picks are diagonal
         assert tw[("O", n)].coeffs == untw[("O", n)].coeffs
 
@@ -202,9 +203,9 @@ def assembled_descent(model):
     k = model.datum.algebra.field
     deltas = model.eps.deltas
     _, hfuncs = equivariant_weights(model.ctx)
-    by_label = dict(model.labelled)
-    out = [q for label, q in model.labelled if label[0] == "O"]
-    pairs = [lbl[0] for lbl, _ in model.labelled
+    by_label = dict(zip(model.labels, model.forms))
+    out = [q for label, q in by_label.items() if label[0] == "O"]
+    pairs = [lbl[0] for lbl in model.labels
              if lbl[0] != "O" and lbl[1] == "odd" and lbl[2] == 0]
     for kind in (("odd", 0), ("odd", 1), ("even", 1), ("even", 2)):
         for r in range(15):
@@ -219,9 +220,8 @@ def assembled_descent(model):
     for q in out:
         if any(not W.eq(W.frobenius(c), c) for c in q.coeffs.values()):
             raise RankLoss("assembled form is not Galois invariant")
-        vec = [(v[0] if W.kind == "ext" else v) for v in q.vector()]
-        ground.append(QuadricForm.from_vector(k, vec))
-    return ground
+        ground.append([(v[0] if W.kind == "ext" else v) for v in q.vector()])
+    return forms_from_array(k, to_np(k, ground, 1))
 
 
 def equivariant_weights(ctx):
@@ -340,7 +340,7 @@ def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
 
 
 def plain_trace_stack(W, rows):
-    """Reference trace descent: t^i c through ``ext_mul_arrays``, then the
+    """Reference trace descent: t^i c through ``mul_arrays``, then the
     Frobenius sum of its e conjugates, one Frobenius-matrix product each;
     every trace must land in the prime field."""
     p, e = W.p, W.deg
@@ -348,7 +348,7 @@ def plain_trace_stack(W, rows):
     vecs = to_np(W, rows, e)
     traces = []
     for i in range(e):
-        term = ext_mul_arrays(W, vecs, tuple(int(j == i) for j in range(e)))
+        term = mul_arrays(W, vecs, tuple(int(j == i) for j in range(e)))
         trace = np.zeros_like(term)
         for _ in range(e):
             trace = (trace + term) % p
@@ -474,7 +474,7 @@ def paper_twisted_generators(ctx, deltas, n):
     weighted = [QuadricForm(K, {(a, b): K.mul(c, weight(lab, a, b))
                                 for (a, b), c in q.coeffs.items()})
                 for lab, q in zip(labels, forms)]
-    return list(zip(labels, compose_forms(weighted, ctx.C)))
+    return list(zip(labels, forms_from_array(K, compose_forms(weighted, ctx.C))))
 
 
 def _datum_of_degree(alg, ctx, degree, seed):
@@ -494,7 +494,7 @@ def _datum_of_degree(alg, ctx, degree, seed):
                                        (2 ** 31 - 1, 3)])
 def test_twisted_generators_are_the_paper_weighted_ones(p, degree, ref_curve,
                                                         split_curve_f31):
-    """TwistModel.labelled, the c-basis generators composed with
+    """TwistModel.forms, the c-basis generators composed with
     diag(t_I, eps_w) C, equals the paper's delta-weighted generators
     composed with C, and t_I t_I the delta-only t_I^2: Cassels data at
     F_101 and F_1999, the quadratic rebuild over F_31, and the trivial
@@ -515,8 +515,8 @@ def test_twisted_generators_are_the_paper_weighted_ones(p, degree, ref_curve,
     assert tm.field.deg == degree
     W, eps = tm.field, tm.eps
     want = paper_twisted_generators(tm.ctx, eps.deltas, eps.n)
-    assert [lab for lab, _ in tm.labelled] == [lab for lab, _ in want]
-    assert all(q.coeffs == r.coeffs for (_, q), (_, r) in zip(tm.labelled, want))
+    assert list(tm.labels) == [lab for lab, _ in want]
+    assert [q.coeffs for q in tm.forms] == [r.coeffs for _, r in want]
     for rep in tm.ctx.reps:
         assert W.eq(eps.t_squared_triple(rep), paper_t_squared(W, eps.deltas, eps.n, rep))
 
@@ -543,7 +543,8 @@ def test_k_omega_check_catches_planted_coefficient(split_curve_f31, monkeypatch)
 
     def planted(forms, M):
         out = compose_forms(forms, M)
-        out[-1].add_term(10, 15, (0, 1))  # t is in F_31^2 but not in F_31
+        out[-1, MONO_INDEX[(10, 15)], 1] += 1   # t is in F_31^2 but not in F_31
+        out %= 31
         return out
 
     monkeypatch.setattr(twist, "compose_forms", planted)
