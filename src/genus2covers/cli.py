@@ -8,12 +8,12 @@ Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 factor t_I, 5 verification failure.  Errors are JSON objects
 {"error": message, "kind": kind}; the input kinds are bad-usage (exit 1:
 syntax the parser refuses, and search without --curve over F<p> or with it
-over Q), bad-field (exit 1,
-also for F<p>^<d>: curves over extension fields are not supported yet, for
-Q in model, twist and verify, and for search above p = 31), bad-curve
-(exit 2), bad-delta for --delta and --n, or a delta of norm zero (exit 1),
-bad-model-ref (exit 1, also for a bundle from another field) and
-bad-bound (exit 1: search over Q below --bound 0 or above 5, and any
+over Q), bad-field (exit 1, also for F<p>^<d>: curves over extension fields
+are not supported yet, for Q in model, twist and verify, and for search
+above p = 31), bad-curve (exit 2), bad-delta for --delta and --n, or a
+delta of norm zero (exit 1), bad-model-ref (exit 1, also for a bundle from
+another field, or with twist forms of both [-1]-parities or of rank below
+72) and bad-bound (exit 1: search over Q below --bound 0 or above 5, and any
 --bound over F_p, where the search scans all of P^5).  A reader that closes
 stdout before the output ends gets exit 1 and nothing on stderr.
 """
@@ -31,16 +31,16 @@ from itertools import islice
 import numpy as np
 
 from .curve import CurveData, random_point
-from .errors import (ExhaustedAttempts, GammaViolation, Genus2Error, NonUnitDelta,
-                     TIVanishes)
+from .errors import (ExhaustedAttempts, GammaViolation, Genus2Error, MixedParity,
+                     NonUnitDelta, RankLoss, TIVanishes)
 from .etale import (EtaleAlgebra, all_two_torsion, character_chi, even_masks,
                     weil_pairing)
 from .fields import Field, parse_field_spec
 from .kummer import KummerModels, even_matrix, veronese_quartic
-from .linalg import Mat, matmul_arrays, rank_rows, to_np
-from .poly import Poly, _lift
+from .linalg import Mat, matmul_arrays, to_np
+from .poly import Poly
 from .quadrics import (JacobianModel, QuadricForm, forms_vanish_at,
-                       independent_picks, kummer_image_quadric, sampling_field,
+                       kummer_image_quadric, parity_rref, sampling_field,
                        veronese_quadrics)
 from .torsion import TorsionActionCtx
 from .twist import (P5_SCAN_BUDGET, Q_SEARCH_BUDGET, EpsilonChoice,
@@ -275,7 +275,7 @@ def cmd_model(args):
         evens = veronese_quadrics(field) + [kummer_image_quadric(curve)]
         out["quadrics"] = [q.to_json() for q in evens]
         out["verification"] = {"count": len(evens),
-                               "rank": rank_rows(field, [q.vector() for q in evens])}
+                               "rank": _rank(field, evens)}
     elif which == "desing-p5":
         km = KummerModels(alg)
         out["matrices"] = [[[field.fmt(v) for v in row] for row in M.rows]
@@ -358,8 +358,7 @@ def cmd_twist(args):
         "galois_t_equivariance": equivariant,
     }
     if descended is not None:
-        bundle["verification"]["descended_rank"] = rank_rows(
-            curve.field, [q.vector() for q in descended])
+        bundle["verification"]["descended_rank"] = _rank(curve.field, descended)
         bundle["verification"]["descended_ground"] = all(
             q.frobenius_fixed() for q in descended)
     if args.check:
@@ -465,7 +464,8 @@ def cmd_search(args):
             pts = search_twist_points(eps, descended=ref["forms"])
         else:
             pts = search_vdelta_points(KummerModels(alg).v_delta(alg.elem(ref["delta"])))
-    except NonUnitDelta as exc:   # the bundle's delta has norm zero
+    # a delta of norm zero; forms of both [-1]-parities or of rank below 72
+    except (NonUnitDelta, MixedParity, RankLoss) as exc:
         raise BadInput("bad-model-ref", str(exc)) from exc
     return {"count": len(pts), "points": [[field.fmt(v) for v in p] for p in pts]}
 
@@ -493,6 +493,10 @@ def cmd_verify(args):
     ok = all(c["passed"] == c["total"] for c in checks)
     return {"suite": suite, "field": curve.field.spec_string(),
             "curve": curve.to_json(), "checks": checks, "ok": ok}
+
+
+def _rank(field, forms):
+    return len(parity_rref(field, [q.vector() for q in forms])[1])
 
 
 def _check(name, passed, total):
@@ -528,11 +532,9 @@ def _verify_action(alg, ctx):
         T = ctx.t10_matrix(P)
         ok_quartic += veronese_quartic(T.transpose() * A * T).terms == quartic
     ok_law = _group_law_pairs(ctx, pts)
-    expect = Poly(K, [1])
-    for _ in range(6):
-        expect = expect * Poly(K, [K.from_int(-1), K.one()])
-    for _ in range(4):
-        expect = expect * Poly(K, [K.one(), K.one()])
+    expect = Poly(K, [1])   # (x - 1)^6 (x + 1)^4
+    for c in [-1] * 6 + [1] * 4:
+        expect = expect * Poly(K, [K.from_int(c), K.one()])
     ok_cp = sum(ctx.t10_matrix(P).charpoly() == expect for P in pts)
     return [
         _check("action.mp_square_identity", ok_sq, 15),
@@ -584,24 +586,15 @@ def _verify_diagonal_suite(alg, ctx, jm):
                 1 if K.eq(diag[slot], K.one()) else -1)
     # census: the 16 slot-characters are exactly the odd-size partition
     # characters, each once
-    expected = {}
-    for I in ctx.reps + [1 << i for i in range(6)]:
-        expected[tuple(character_chi(I, m) for m in masks)] = 0
-    census_ok = True
-    for slot, vals in characters.items():
-        key = tuple(vals)
-        if key not in expected:
-            census_ok = False
-            break
-        expected[key] += 1
-    census_ok = census_ok and all(v == 1 for v in expected.values())
+    expected = {tuple(character_chi(I, m) for m in masks)
+                for I in ctx.reps + [1 << i for i in range(6)]}
+    census_ok = sorted(map(tuple, characters.values())) == sorted(expected)
     gens = ctx.invariant_generators()
     dims_ok = (len(gens) == 72
                and sum(1 for l, _ in gens if l[0] == "O") == 12)
     # the generators are independent and span every lifted Jacobian form
-    joint = independent_picks(K, [q.vector() for _, q in gens]
-                              + [[_lift(jm.field, K, v) for v in q.vector()]
-                                 for q in jm.forms]) == list(range(72))
+    forms = [q for _, q in gens]
+    joint = _rank(K, forms) == _rank(K, forms + [q.map_field(K) for q in jm.forms]) == 72
     return [
         _check("diagonal.G_times_Ginv", 1 if gg else 0, 1),
         _check("diagonal.masks_diagonalized", diag_ok, 31),

@@ -74,7 +74,12 @@ class TIVanishes(Genus2Error):
 
 
 class RankLoss(Genus2Error):
-    """Descent produced a space of rank < 72; implementation fault."""
+    """A descent, or a set of descended forms, does not give ground-field
+    forms spanning the twist's 72-dimensional ideal."""
+
+
+class MixedParity(Genus2Error):
+    """A form has monomials of both [-1]-parities (even.odd and not)."""
 
 
 class NotDiagonal(Genus2Error):

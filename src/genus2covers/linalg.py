@@ -7,17 +7,21 @@ over F_p and Q are 2-d arrays, over F_{p^d} (rows, cols, d) coefficient
 arrays with a precomputed reduction matrix.  One routine per operation
 takes every field: ``mul_arrays`` (elementwise) and ``matmul_arrays``
 (matrix) products, and ``fp_rref`` (F_p, Q) or ``fq_rref`` (F_{p^d}) behind
-the row-list interface.  Each reduces mod p after every sum of products of
-residues in [0, p) and keeps the dtype it is given.  ``to_np`` chooses
-that dtype: int64 while s (p-1)^2 < 2**63 for the kernel's longest sum of
-s products (``int64_exact``), otherwise object arrays of Python ints, or of
+the row-list interface and ``quadrics.parity_rref``, which reduces a set of
+forms on each [-1]-parity block's columns.  Each reduces mod p after every
+sum of products of residues in [0, p) and keeps the dtype it is given;
+the two rref kernels reduce in place.  ``to_np`` chooses that dtype, and
+passes an array already in it through uncopied: int64 while
+s (p-1)^2 < 2**63 for the kernel's longest sum of s products
+(``int64_exact``), otherwise object arrays of Python ints, or of
 Fractions over Q.  With d the extension degree and k the inner dimension
 of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``;
 2d-1 for ``mul_arrays`` and ``quadrics.compose_forms``, whose sums add
 reduced products; k over F_p and Q and max(k, d^2) over F_{p^d} for
 ``matmul_arrays`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
 and the trace descent (``twist.trace_stack``); 72 for the descent's span
-check (``twist.TwistModel._check_descent``); max(136, d^2) for
+check (``twist.TwistModel._check_descent``), whose sums run over the
+reduced rows of one parity block, 42 pure and 30 mixed; max(136, d^2) for
 ``quadrics.forms_vanish_at``.  The two point searches over F_p stay in
 int64 and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and
 136 for ``twist.search_twist_points``; over Q,
@@ -83,8 +87,9 @@ def _red_tables(field: Field):
 def to_np(field: Field, rows, s: int):
     """Raw values as a numpy array for a kernel summing s products: int64
     when that is exact (``int64_exact``), otherwise Python ints, or
-    Fractions over Q, in an object array."""
-    return np.array(rows, dtype=np.int64 if int64_exact(field, s) else object)
+    Fractions over Q, in an object array; an array of that dtype is
+    returned itself, not copied."""
+    return np.asarray(rows, dtype=np.int64 if int64_exact(field, s) else object)
 
 
 def mod_p(field: Field, arr):
@@ -252,28 +257,29 @@ def kernel_from_rref(field: Field, R, piv, ncols: int):
 # generic row-list interface
 
 
-def _rref_np(field: Field, rows, cols=slice(None)):
-    """(reduced array, pivot columns) of non-empty rows, in the column order `cols`."""
-    if field.kind == "ext":
-        return fq_rref(field, to_np(field, rows, field.deg)[:, cols])
-    return fp_rref(field, to_np(field, rows, 2)[:, cols])
+def _rref_np(field: Field, rows):
+    """(reduced array, pivot columns) of non-empty rows; an ndarray argument
+    is reduced in a copy."""
+    ext = field.kind == "ext"
+    A = to_np(field, rows, field.deg if ext else 2)
+    return (fq_rref if ext else fp_rref)(field, A.copy() if A is rows else A)
 
 
 def rref_rows(field: Field, rows):
     """(reduced rows, pivot column list) over any field."""
-    if not rows:
+    if not len(rows):
         return [], []
     R, piv = _rref_np(field, rows)
     return from_np(field, R), piv
 
 
 def rank_rows(field: Field, rows) -> int:
-    return len(_rref_np(field, rows)[1]) if rows else 0
+    return len(_rref_np(field, rows)[1]) if len(rows) else 0
 
 
 def kernel_rows(field: Field, rows):
     """Basis of the right kernel of the matrix given by rows."""
-    if not rows:
+    if not len(rows):
         return []
     R, piv = _rref_np(field, rows)
     return from_np(field, kernel_from_rref(field, R, piv, len(rows[0])))
@@ -289,7 +295,7 @@ def solve_rows(field: Field, rows, rhs_cols):
     (k, 0) with k a kernel vector of A, and at the column of B_t, free when
     the system is consistent, (-x, e_t) with A.x = B_t.
     """
-    if not rows:
+    if not len(rows):
         return [[] for _ in rhs_cols], []
     ncols = len(rows[0])
     aug = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(rows)]
@@ -299,23 +305,6 @@ def solve_rows(field: Field, rows, rhs_cols):
     basis = kernel_from_rref(field, R, piv, ncols + len(rhs_cols))[:, :ncols]
     nker = len(basis) - len(rhs_cols)
     return from_np(field, -basis[nker:]), from_np(field, basis[:nker])
-
-
-def span_supported(field: Field, vectors, keep):
-    """(rank of the vectors, basis of their row span intersected with the
-    vectors supported on the columns in `keep`), from one reduction with the
-    other columns first: the rows of the reduced array whose pivot lies in
-    `keep` are that basis, and only they are converted.  `vectors` is a row
-    list or an (N, M[, d]) array."""
-    if not len(vectors):
-        return 0, []
-    keep = set(keep)
-    order = [j for j in range(len(vectors[0])) if j not in keep] + sorted(keep)
-    R, piv = _rref_np(field, vectors, order)
-    first = sum(c < len(order) - len(keep) for c in piv)
-    block = np.empty_like(R[first:len(piv)])
-    block[:, order] = R[first:len(piv)]
-    return len(piv), from_np(field, block)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +467,8 @@ def block_diag(field: Field, blocks) -> Mat:
     out = Mat.zeros(field, n, n)
     off = 0
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                out.rows[off + i][off + j] = b.rows[i][j]
+        for i, row in enumerate(b.rows):
+            out.rows[off + i][off:off + b.ncols] = row
         off += b.nrows
     return out
 

@@ -22,26 +22,33 @@ the kernel's even-only part dimension 21.
 Monomials are ordered (i, j), i <= j, over the 16 coordinates; a form maps
 to its length-136 coefficient vector in that order, and N forms, such as
 the output of ``compose_forms``, to one (N, 136[, d]) coefficient array.
+[-1] flips the six b's, so each of the 72 generators, of J and of every
+two-covering, has one parity: 42 are pure, on the 55 even.even and 21
+odd.odd monomials, which come last, and 30 mixed, on the 60 even.odd
+ones, i-major; ``parity_rref`` reduces such forms block by block.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 
-from .curve import COORD_NAMES, CurveData, even_slot, random_point
-from .errors import Genus2Error, InterpolationFailed
+from .curve import COORD_NAMES, EVEN_PAIRS, CurveData, even_slot, random_point
+from .errors import Genus2Error, InterpolationFailed, MixedParity
 from .fields import Field
-from .linalg import (Mat, block_diag, fp_rref, frobenius_fixed_values,
-                     from_np, matmul_arrays, mod_p, mul_arrays, rank_rows,
-                     rref_rows, to_np)
+from .linalg import (Mat, block_diag, fp_rref, fq_rref, frobenius_fixed_values,
+                     from_np, matmul_arrays, mod_p, mul_arrays, rref_rows,
+                     to_np)
+from .poly import _lift
 
 MONOMIALS = [(i, j) for i in range(16) for j in range(i, 16)]
 MONO_INDEX = {m: n for n, m in enumerate(MONOMIALS)}
 EVEN_MONOMIALS = [n for n, (i, j) in enumerate(MONOMIALS) if j < 10]   # 55
 MIXED_MONOMIALS = [n for n, (i, j) in enumerate(MONOMIALS) if i < 10 <= j]  # 60
 ODD_MONOMIALS = [n for n, (i, j) in enumerate(MONOMIALS) if i >= 10]   # 21
+PURE_MONOMIALS = EVEN_MONOMIALS + ODD_MONOMIALS   # 76, in monomial order
 
 
 class QuadricForm:
@@ -113,7 +120,6 @@ class QuadricForm:
         return q
 
     def map_field(self, G: Field) -> "QuadricForm":
-        from .poly import _lift
         q = QuadricForm(G)
         for m, c in self.coeffs.items():
             q.coeffs[m] = _lift(self.field, G, c)
@@ -232,6 +238,31 @@ def forms_from_array(field: Field, coeffs):
     return forms
 
 
+def parity_rref(field: Field, A):
+    """(R, pivot columns) of the reduced row echelon form of an (N, 136[, d])
+    array or row list of forms, in the dtype of ``fp_rref`` or ``fq_rref``:
+    the pure rows reduced on their 76 columns and the mixed rows on their
+    60, each block that has rows in one call, merged by pivot column.  A
+    block's rows are zero before their pivots, so the merge is the reduced
+    form of all the rows.  The argument is left unchanged; a row with
+    monomials of both parities raises MixedParity."""
+    ext = field.kind == "ext"
+    A = to_np(field, A, field.deg if ext else 2)
+    nonzero = np.any(A != 0, axis=tuple(range(2, A.ndim)))
+    pure, mixed = (nonzero[:, b].any(axis=1) for b in (PURE_MONOMIALS, MIXED_MONOMIALS))
+    if (pure & mixed).any():
+        raise MixedParity("a form has monomials of both [-1]-parities")
+    R = np.full(A.shape, field.zero(), dtype=A.dtype)
+    pivots = []
+    for rows, cols in ((pure, PURE_MONOMIALS), (mixed, MIXED_MONOMIALS)):
+        if rows.any():
+            block, piv = (fq_rref if ext else fp_rref)(field, A[np.ix_(rows, cols)])
+            R[len(pivots):len(pivots) + len(piv), cols] = block[:len(piv)]
+            pivots += [cols[c] for c in piv]
+    R[:len(pivots)] = R[np.argsort(pivots)]
+    return R, sorted(pivots)
+
+
 def independent_picks(field: Field, vectors):
     """Indices of the vectors a greedy pass in order keeps as independent:
     the pivot columns of one rref with the vectors as columns."""
@@ -332,7 +363,7 @@ class JacobianModel:
                       + self.odd_b_shift + self.listed_bb + self.interpolated_bb)
         if len(self.forms) != 72:
             raise Genus2Error(f"expected 72 generators, built {len(self.forms)}")
-        self.rank = rank_rows(self.field, [f.vector() for f in self.forms])
+        self.rank = len(parity_rref(self.field, [f.vector() for f in self.forms])[1])
         if self.rank != 72:
             raise Genus2Error("the 72 generators are not independent")
         self._bb_kk = None
@@ -366,8 +397,6 @@ class JacobianModel:
 
         kvec4 holds raw values of (k_1..k_4) over K (default: ground field).
         """
-        from .curve import EVEN_PAIRS
-        from .poly import _lift
         if K is None:
             K = self.field
         expr = self.bb_in_kk()[(i, j) if i <= j else (j, i)]
@@ -382,15 +411,12 @@ class JacobianModel:
 def veronese_quadrics(field: Field):
     """Deterministic basis of the 20 rank conditions among the k_{ij}."""
     cands = []
-    for i in range(1, 5):
-        for j in range(1, 5):
-            for r in range(1, 5):
-                for s in range(1, 5):
-                    q = QuadricForm(field)
-                    q.add_term(even_slot(i, j), even_slot(r, s), 1)
-                    q.add_term(even_slot(i, r), even_slot(j, s), -1)
-                    if not q.is_zero():
-                        cands.append(q)
+    for i, j, r, s in itertools.product(range(1, 5), repeat=4):
+        q = QuadricForm(field)
+        q.add_term(even_slot(i, j), even_slot(r, s), 1)
+        q.add_term(even_slot(i, r), even_slot(j, s), -1)
+        if not q.is_zero():
+            cands.append(q)
     return select_independent(field, cands, 20)
 
 

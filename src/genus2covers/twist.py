@@ -25,22 +25,25 @@ in delta_w and n:
 Descent to the ground field takes Galois traces of the twisted generators
 against a power basis (the coefficient-wise Frobenius permutes the
 generators by relabelling the pair, so traces stay inside the span), all
-of them in one product with the Hankel matrix of traces of t^k.  One row
-reduction of the traces gives the 72 descended forms and certifies their
-span, as the one that certifies the twisted rank 72 gives the odd block.
+of them in one product with the Hankel matrix of traces of t^k.  One
+reduction of the traces by [-1]-parity block (``quadrics.parity_rref``)
+gives the 72 descended forms and certifies their span, as the one that
+certifies the twisted rank 72 gives the odd block: the rows with pivots
+on the odd.odd monomials, which come last.
 
 The point searches share one numpy block scan (``_vanishing_rows``): of
 P^5(F_p) mod p, and of the primitive integer tuples of a height box exactly
 over Q.  The twist search over F_p reads the descended forms and the scale
 factors t_I only, so it runs from an ``EpsilonChoice`` without the twisted
-model: the scan for the odd block, then one numpy pass that lifts every
+model: one reduction of the descended forms by parity block gives the odd
+block to scan and the mixed forms, then one numpy pass lifts every
 survivor through the linear mixed forms and the scale c.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +53,13 @@ from .errors import (GammaViolation, Genus2Error, NonUnitDelta, RankLoss,
 from .etale import EtaleAlgebra, LVec, character_chi, mask_bits, popcount
 from .fields import Field
 from .kummer import VDeltaModel
-from .linalg import (Mat, fp_rref, frobenius_fixed_values, int64_exact,
-                     kernel_from_rref, matmul_arrays, span_supported, to_np)
+from .linalg import (Mat, fp_rref, from_np, frobenius_fixed_values, int64_exact,
+                     kernel_from_rref, matmul_arrays, to_np)
 from .poly import _lift
-from .quadrics import (_MONO_I, _MONO_J, MIXED_MONOMIALS, MONOMIALS,
-                       ODD_MONOMIALS, compose_forms, forms_from_array,
-                       forms_vanish_at, independent_picks, monomial_array)
+from .quadrics import (_MONO_I, _MONO_J, EVEN_MONOMIALS, MIXED_MONOMIALS,
+                       MONOMIALS, ODD_MONOMIALS, PURE_MONOMIALS, compose_forms,
+                       forms_from_array, forms_vanish_at, independent_picks,
+                       monomial_array, parity_rref)
 from .torsion import TorsionActionCtx, _all_pairs
 
 
@@ -149,15 +153,11 @@ class EpsilonChoice:
                 raise Genus2Error("delta_w not a square in the working field")
             eps.append(r)
         n_w = _lift(datum.algebra.field, W, datum.n)
-        prod = W.one()
-        for e in eps:
-            prod = W.mul(prod, e)
-        if W.eq(prod, n_w):
-            pass
-        elif W.eq(prod, W.neg(n_w)):
+        prod = functools.reduce(W.mul, eps, W.one())
+        if not W.eq(prod, n_w):
+            if not W.eq(prod, W.neg(n_w)):
+                raise Genus2Error("product of square roots is not +-n")
             eps[0] = W.neg(eps[0])
-        else:
-            raise Genus2Error("product of square roots is not +-n")
         self.eps = eps
         self.n = n_w
         # scale factors for every subset of size 3 (and singletons = eps)
@@ -214,22 +214,14 @@ class EpsilonChoice:
         W = self.ctx.K
         m = self.cocycle_mask()
         alg = self.ctx.algebra
-        for i in range(6):
-            sI = alg.frobenius_mask(1 << i)
-            chi = character_chi(sI, m)
-            lhs = self.eps[sI.bit_length() - 1]
-            rhs = W.frobenius(self.eps[i])
-            if chi < 0:
-                rhs = W.neg(rhs)
-            if not W.eq(lhs, rhs):
-                return False
-        for mask in self.t3:
+        # eps_w is the scale factor of the singleton {w}
+        scale = {1 << i: e for i, e in enumerate(self.eps)} | self.t3
+        for mask, v in scale.items():
             sI = alg.frobenius_mask(mask)
-            chi = character_chi(sI, m)
-            rhs = W.frobenius(self.t3[mask])
-            if chi < 0:
+            rhs = W.frobenius(v)
+            if character_chi(sI, m) < 0:
                 rhs = W.neg(rhs)
-            if not W.eq(self.t3[sI], rhs):
+            if not W.eq(scale[sI], rhs):
                 return False
         return True
 
@@ -253,16 +245,18 @@ class TwistModel:
         forms = [q if lab[0] == "O" else q.scaled(W.inv(W.mul(e[lab[0][0]], e[lab[0][1]])))
                  for lab, q in zip(self.labels, forms)]
         self.coeffs = compose_forms(forms, Mat.diagonal(W, self.eps.c_scale) * self.ctx.C)
-        self.rank, self._odd_block = span_supported(W, self.coeffs, ODD_MONOMIALS)
+        R, piv = parity_rref(W, self.coeffs)
+        self.rank = len(piv)
         if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
+        self._odd_block = from_np(W, R[sum(c < ODD_MONOMIALS[0] for c in piv):72])
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
         base_deg = datum.algebra.splitting.deg
         if W.deg != base_deg and not frobenius_fixed_values(W, self.coeffs, base_deg):
             raise Genus2Error("twisted coefficient outside k(Omega)")
 
-    @cached_property
+    @functools.cached_property
     def forms(self):
         return forms_from_array(self.field, self.coeffs)
 
@@ -299,53 +293,46 @@ class TwistModel:
         sg = self.covering_matrix().map_entries(W.frobenius)
         A = sg * self.eps.covering_inverse()
         R = self.ctx.rho_matrix(self.eps.cocycle_mask())
-        scale = None
-        for i in range(16):
-            for j in range(16):
-                a, r = A.rows[i][j], R.rows[i][j]
-                if W.is_zero(r):
-                    if not W.is_zero(a):
-                        return False
-                    continue
-                s = W.div(a, r)
-                if scale is None:
-                    scale = s
-                elif not W.eq(scale, s):
-                    return False
-        return scale is not None
+        nonzero = [(a, r) for ra, rr in zip(A.rows, R.rows) for a, r in zip(ra, rr)
+                   if not W.is_zero(r)]
+        return bool(nonzero) and A.rows == R.scale(W.div(*nonzero[0])).rows
 
     # -- descent ------------------------------------------------------------------
 
     def descend_to_ground(self):
         """72 forms with ground-field coefficients spanning the twisted ideal:
-        the first 72 rows of the one reduction of the traces Tr(t^i q),
-        i < e, of the twisted forms q over F_{p^e} (``trace_stack``), which
-        ``_check_descent`` certifies.  Over the ground field the twisted
+        the first 72 rows of the reduced traces Tr(t^i q), i < e, of the
+        twisted forms q over F_{p^e} (``trace_stack``, ``parity_rref``),
+        which ``_check_descent`` certifies.  Over the ground field the twisted
         forms, already of rank 72, are the descended forms."""
         W = self.ctx.K
         k = self.datum.algebra.field
         if W.deg == 1:
             return self.forms
-        R, piv = fp_rref(k, trace_stack(W, self.coeffs))
+        R, piv = parity_rref(k, trace_stack(W, self.coeffs))
         self._check_descent(R, piv)
         return forms_from_array(k, R[:72])
 
     def _check_descent(self, R, piv):
-        """The reduced rows R over the ground field, pivots piv, have rank at
-        least 72, and the first 72 span the twisted forms over the working
-        field: every twisted vector v equals sum_r v[piv_r] R_r, r < 72,
-        checked one coefficient over F_p at a time.  The twisted forms have
-        rank 72 too, so the two spans are equal.  The products sum 72
-        products (``to_np``)."""
+        """The reduced rows R over the ground field, pivots piv, each of one
+        [-1]-parity (``parity_rref``), have rank at least 72, and the first
+        72 span the twisted forms over the working field: on the columns of
+        each parity, every twisted vector v equals sum_r v[piv_r] R_r over
+        the rows r < 72 of that parity, checked one coefficient over F_p at
+        a time.  The twisted forms have rank 72 too, so the two spans are
+        equal.  The products sum at most 72 products (``to_np``)."""
         W = self.ctx.K
         if len(piv) < 72:
             raise RankLoss("descended span has rank < 72")
         V = to_np(W, self.coeffs, 72)
         B = to_np(W, R[:72], 72)
-        at_pivots = V[:, piv[:72]]
-        if not all(np.array_equal(at_pivots[..., t] @ B % W.p, V[..., t])
-                   for t in range(W.deg)):
-            raise RankLoss("descended span differs from the twisted span")
+        piv = np.array(piv[:72])
+        mixed = np.isin(piv, MIXED_MONOMIALS)
+        for rows, cols in ((~mixed, PURE_MONOMIALS), (mixed, MIXED_MONOMIALS)):
+            at_pivots, b, v = V[:, piv[rows]], B[rows][:, cols], V[:, cols]
+            if not all(np.array_equal(at_pivots[..., t] @ b % W.p, v[..., t])
+                       for t in range(W.deg)):
+                raise RankLoss("descended span differs from the twisted span")
 
     # -- the P^5 sub-block ---------------------------------------------------------
 
@@ -548,15 +535,18 @@ def search_twist_points(model, descended=None):
 
     ``model`` is a TwistModel, or just its EpsilonChoice when ``descended``
     is given: the search reads only the datum, the working field and the
-    scale factors t_I.  The zeros b of the three odd-block quadrics in
-    P^5(F_p) (``p5_zeros``) are lifted together: one einsum builds every
-    b's linear system in the even block from the 30 odd bilinear forms,
-    whose kernel points u0 give the lines (c u0 : b), and ``_scale_points``
-    keeps the c in F_p^* on which all 72 forms vanish.  The sixteen points
-    with vanishing odd part, the pullbacks of the Kummer nodes under the
-    covering map (``_node_pullbacks``), are added.  Prime fields only; the longest int64 sum is
-    the 136 products of a form at a node, so p must pass
-    ``int64_exact(field, 136)``.
+    scale factors t_I.  One ``parity_rref`` of the forms, which raises
+    MixedParity for a form of both parities and RankLoss below rank 72,
+    gives the three odd-block quadrics, its rows with odd.odd pivots, and
+    the 30 mixed forms, its rows with mixed pivots, each a 10 x 6 block.
+    Their zeros b in P^5(F_p) (``p5_zeros``) are lifted together: one
+    einsum builds every b's linear system in the even block from the mixed
+    forms, whose kernel points u0 give the lines (c u0 : b), and
+    ``_scale_points`` keeps the c in F_p^* on which all 72 forms vanish.
+    The sixteen points with vanishing odd part, the pullbacks of the Kummer
+    nodes under the covering map (``_node_pullbacks``), are added.  Prime
+    fields only; the longest int64 sum is the 136 products of a form at a
+    node, so p must pass ``int64_exact(field, 136)``.
     """
     k = model.datum.algebra.field
     if k.kind != "prime":
@@ -567,29 +557,34 @@ def search_twist_points(model, descended=None):
     if descended is None and not isinstance(model, TwistModel):
         raise Genus2Error("searching from an EpsilonChoice needs the descended forms")
     forms = descended if descended is not None else model.descend_to_ground()
-    vecs = [q.vector() for q in forms]
-    odd = _coefficient_stack(span_supported(k, vecs, ODD_MONOMIALS)[1])[:, 10:, 10:]
-    mixed = _coefficient_stack(span_supported(k, vecs, MIXED_MONOMIALS)[1])[:, :10, 10:]
-    found = set(_node_pullbacks(model.eps if isinstance(model, TwistModel) else model, vecs))
+    R, piv = parity_rref(k, [q.vector() for q in forms])
+    if len(piv) != 72:
+        raise RankLoss(f"the descended forms have rank {len(piv)}, not 72")
+    piv = np.array(piv)
+    rows = R[piv >= ODD_MONOMIALS[0]][:, ODD_MONOMIALS]
+    odd = np.zeros((len(rows), 6, 6), dtype=np.int64)   # upper triangular
+    odd[:, _MONO_I[ODD_MONOMIALS] - 10, _MONO_J[ODD_MONOMIALS] - 10] = rows
+    mixed = R[np.isin(piv, MIXED_MONOMIALS)][:, MIXED_MONOMIALS].reshape(-1, 10, 6)
+    found = set(_node_pullbacks(model.eps if isinstance(model, TwistModel) else model, R))
     b = np.array(p5_zeros(k, odd), dtype=np.int64).reshape(-1, 6)
     # row i of survivor r's system: sum_j mixed[:, i, j] b_j (6 products)
     systems = np.einsum("mij,rj->rmi", mixed, b) % p
     U, B = _kernel_pairs(k, systems, b)
-    found.update(_scale_points(p, _coefficient_stack(vecs), U, B))
+    found.update(_scale_points(k, R, U, B))
     return sorted(found)
 
 
-def _scale_points(p, Q, U, B):
-    """The points (c u0 : b), normalized, where every form of the (N, 16, 16)
-    stack Q vanishes, over c in F_p^* and the pairs (u0, b) in the rows of U
-    and B (u0 normalized); a pair on which every form is zero is skipped."""
-    def split(blk, x, y):
-        return np.einsum("fij,rij->rf", blk, x[:, :, None] * y[:, None, :] % p) % p
-    # per form: A from the 10x10 even block (100 products), M from the
-    # 10x6 mixed block (60), B from the 6x6 odd block (36)
-    cA = split(Q[:, :10, :10], U, U)
-    cM = split(Q[:, :10, 10:], U, B)
-    cB = split(Q[:, 10:, 10:], B, B)
+def _scale_points(k: Field, R, U, B):
+    """The points (c u0 : b), normalized, where every form of the (N, 136)
+    coefficient array R over F_p vanishes, over c in F_p^* and the pairs
+    (u0, b) in the rows of U and B (u0 normalized); a pair on which every
+    form is zero is skipped.  A form is c^2 A + c M + B there, with A, M
+    and B its even.even, mixed and odd.odd parts at (u0 : b), each one
+    product with those monomials' values (sums of at most 60 products)."""
+    p = k.p
+    X = monomial_array(k, np.concatenate([U, B], axis=1), 60)
+    cA, cM, cB = (X[:, m] @ R[:, m].T % p
+                  for m in (EVEN_MONOMIALS, MIXED_MONOMIALS, ODD_MONOMIALS))
     live = (cA | cM | cB).any(axis=1)
     found = []
     for c in range(1, p):
@@ -598,15 +593,6 @@ def _scale_points(p, Q, U, B):
         pts = np.concatenate([U[hit], B[hit] * pow(c, p - 2, p) % p], axis=1)
         found.extend(map(tuple, pts.tolist()))
     return found
-
-
-def _coefficient_stack(vectors):
-    """(N, 16, 16) int64 upper-triangular coefficient matrices of N
-    coefficient vectors over a prime field."""
-    stack = np.zeros((len(vectors), 16, 16), dtype=np.int64)
-    stack[:, _MONO_I, _MONO_J] = np.array(vectors, dtype=np.int64).reshape(
-        len(vectors), len(MONOMIALS))
-    return stack
 
 
 def _kernel_pairs(k: Field, systems, b):

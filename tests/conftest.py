@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -164,13 +165,13 @@ def rng():
 
 @pytest.fixture()
 def rref_calls(monkeypatch):
-    """A list that grows by one on every ``fp_rref`` or ``fq_rref`` call,
-    from whichever package module makes it."""
+    """A list that grows by the shape of the array on every ``fp_rref`` or
+    ``fq_rref`` call, from whichever package module makes it."""
     from genus2covers import linalg
     calls = []
     for name in ("fp_rref", "fq_rref"):
         kernel = getattr(linalg, name)
-        counted = lambda F, A, kernel=kernel: calls.append(1) or kernel(F, A)
+        counted = lambda F, A, kernel=kernel: calls.append(np.shape(A)) or kernel(F, A)
         for module in list(sys.modules.values()):
             if (module.__name__.split(".")[0] == "genus2covers"
                     and getattr(module, name, None) is kernel):

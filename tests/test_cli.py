@@ -188,11 +188,14 @@ def test_model_jacobian_samples_once(capsys, rref_calls, sampled_classes):
     """The model reads its fourteen b_i b_j forms and both kernel dimensions
     from one reduction at 150 classes, checks the forms at 50 more and
     vanishing at 200; building no roots leaves the three greedy picks and
-    the rank of the 72 generators as the other reductions."""
+    the rank of the 72 generators, one reduction per [-1]-parity block, as
+    the other reductions.  Only the sampled values span all 136 columns."""
     assert main(["model", "--field", "F101", "--curve", CURVE, "--which", "jacobian"]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["kernel_dimension"] == 72
     assert len(sampled_classes) == 400
-    assert len(rref_calls) == 5
+    assert len(rref_calls) == 6
+    assert [s for s in rref_calls if s[1] == 136] == [(300, 136)]
+    assert rref_calls[-2:] == [(42, 76), (30, 60)]
 
 
 def test_model_desing_p5(capsys):
@@ -298,12 +301,15 @@ def test_verify_suites(capsys):
 
 def test_verify_diagonal_ranks_generators_in_one_reduction(capsys, rref_calls):
     """The independence of the 72 untwisted generators and their span of
-    the lifted Jacobian forms come from one reduction; the etale algebra
-    inverts only the Vandermonde matrix S, and the torsion context inverts
-    the c-basis change G once."""
+    the lifted Jacobian forms come from two ranks, each one reduction per
+    [-1]-parity block; the etale algebra inverts only the Vandermonde matrix
+    S, and the torsion context inverts the c-basis change G once.  Only the
+    Jacobian's sampled values span all 136 columns."""
     assert main(["verify", "--field", "F101", "--curve", CURVE, "--suite", "diagonal"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert len(rref_calls) == 9
+    assert len(rref_calls) == 13
+    assert [s for s in rref_calls if s[1] == 136] == [(300, 136)]
+    assert rref_calls[-4:] == [(42, 76, 4), (30, 60, 4), (84, 76, 4), (60, 60, 4)]
 
 
 def pairwise_group_law(ctx, pts):
@@ -440,9 +446,14 @@ def test_search_vdelta_bundle(capsys, tmp_path):
     ("F11", '{"field": "F13^2", "matrices": [], "delta": ' + DELTA1 + '}'),
     ("Q", '{"field": "F11", "matrices": []}'),
     ("F11", '{"field": "Q", "matrices": [], "delta": ' + DELTA1 + '}'),
+    ("F11", json.dumps({"quadrics_ground": [{"entries": [[0, 0, "1"], [0, 10, "1"]]}] * 72,
+                        "delta": json.loads(DELTA1), "n": "1"})),
+    ("F11", json.dumps({"quadrics_ground": [{"entries": [[0, 0, "1"]]}] * 72,
+                        "delta": json.loads(DELTA1), "n": "1"})),
 ], ids=["missing-file", "malformed-json", "no-delta", "delta-not-a-list",
         "form-without-entries", "matrix-not-6x6", "vdelta-from-F11-at-F13",
-        "bundle-from-F13^2-at-F11", "vdelta-from-F11-at-Q", "bundle-from-Q-at-F11"])
+        "bundle-from-F13^2-at-F11", "vdelta-from-F11-at-Q", "bundle-from-Q-at-F11",
+        "form-of-both-parities", "forms-of-rank-1"])
 def test_search_bad_model_ref(capsys, tmp_path, field, content):
     ref = tmp_path / "ref.json"
     if content is not None:
@@ -588,12 +599,14 @@ def test_kummer_tower_outputs_are_pinned(argv, digest, capsys):
 
 def test_model_kummer_p9_samples_nothing(capsys, rref_calls, sampled_classes):
     """The 21 quadrics of P^9 are the Veronese quadrics (one greedy pick)
-    and the Kummer quadric; their rank is the second reduction."""
+    and the Kummer quadric; their rank is the second reduction, on the 76
+    pure columns, since every one of them is even."""
     assert main(["model", "--field", "F101", "--curve", CURVE, "--which", "kummer-p9"]) == 0
     v = json.loads(capsys.readouterr().out)["verification"]
     assert v["count"] == v["rank"] == 21
     assert len(sampled_classes) == 0
     assert len(rref_calls) == 2
+    assert rref_calls[-1] == (21, 76)   # the pure block alone
 
 
 _THREADS = ("import os, genus2covers; "

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genus2covers.errors import Inconsistent
+from genus2covers.errors import Inconsistent, MixedParity
 from genus2covers.fields import Field
 from genus2covers.linalg import (Mat, block_diag, fp_rref, fq_rref, int64_exact,
                                  kernel_rows, matmul_arrays, mul_arrays,
                                  rank_rows, rref_rows, solve_linear, solve_rows,
-                                 span_supported, to_np)
+                                 to_np)
 from genus2covers.poly import Poly
-from genus2covers.quadrics import MONOMIALS, QuadricForm, forms_vanish_at
+from genus2covers.quadrics import (MIXED_MONOMIALS, MONOMIALS, PURE_MONOMIALS,
+                                   QuadricForm, forms_vanish_at, parity_rref)
 from conftest import ARRAY_FIELDS, in_row_span
 
 
@@ -467,29 +468,6 @@ def test_solve_rows_matches_plain_reference(data, F):
     assert [[row[0] for row in plain_matmul(F, A, [[v] for v in x])] for x in sols] == B
 
 
-@pytest.mark.parametrize("F", [Field.prime(7), Field.extension(7, 2)], ids=repr)
-def test_span_supported_reads_rank_and_block(F, rref_calls):
-    """One reduction gives the rank and a basis of the span's vectors
-    supported on `keep`: the basis is independent, lies in the span and is
-    supported there, and its size is the rank minus the rank of the other
-    columns."""
-    rng = random.Random(16)
-    keep = [6, 2, 5]
-    rest = [j for j in range(8) if j not in keep]
-    for _ in range(20):
-        vecs = [[F.rand(rng) if j in keep or full else F.zero() for j in range(8)]
-                for full in rng.choices([True, False], k=rng.randrange(1, 7))]
-        rref_calls.clear()
-        rank, block = span_supported(F, vecs, keep)
-        assert len(rref_calls) == 1
-        assert rank == rank_rows(F, vecs)
-        assert len(block) == rank - rank_rows(F, [[v[j] for j in rest] for v in vecs])
-        assert rank_rows(F, block) == len(block)
-        assert in_row_span(F, vecs, block)
-        assert all(F.is_zero(v[j]) for v in block for j in rest)
-    assert span_supported(F, [], keep) == (0, [])
-
-
 def test_solve_rows_reduces_once(monkeypatch):
     """[A | B] is row-reduced once; the kernel of A is read off the same
     reduction."""
@@ -563,3 +541,50 @@ def test_forms_vanish_at_matches_plain_evaluation(data, p, degrees):
         qforms.append(q)
     raw = [[v[0] if d == 1 else v for v in vec] for vec in pts]
     assert forms_vanish_at(qforms, [(vec, K) for vec in raw]) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), F=st.sampled_from(ARRAY_FIELDS))
+def test_parity_rref_matches_one_joint_reduction(data, F):
+    """``parity_rref`` equals one ``fp_rref``/``fq_rref`` of all 136 columns,
+    rows, pivots and dtype, on shuffled rows of one [-1]-parity each: sparse
+    rows, some zero, a block empty or with repeated rows (rank-deficient)."""
+    rows = []
+    for cols in (PURE_MONOMIALS, MIXED_MONOMIALS):
+        block = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            row = [F.zero()] * len(MONOMIALS)
+            for c in data.draw(st.lists(st.sampled_from(cols), max_size=6)):
+                row[c] = data.draw(field_entries(F))
+            block.append(row)
+        if block and data.draw(st.booleans()):
+            block.append(list(block[0]))
+        rows += block
+    assume(rows)
+    rows = data.draw(st.permutations(rows))
+    ext = F.kind == "ext"
+    kernel, s = (fq_rref, F.deg) if ext else (fp_rref, 2)
+    A = to_np(F, rows, s)
+    want, want_piv = kernel(F, A.copy())
+    R, piv = parity_rref(F, A)
+    assert (piv, R.dtype) == (want_piv, want.dtype)
+    assert R.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("F", ARRAY_FIELDS, ids=repr)
+def test_row_reductions_leave_an_ndarray_unchanged(F):
+    """``to_np`` passes an array of the dtype it picks through uncopied;
+    ``rank_rows``, ``rref_rows``, ``kernel_rows``, ``solve_rows`` and
+    ``parity_rref`` reduce in a copy of an ndarray argument."""
+    s = F.deg if F.kind == "ext" else 2
+    A = to_np(F, [[F.from_int(v) for v in row] for row in [[0, 2, 3], [2, 4, 7], [2, 6, 10]]], s)
+    assert to_np(F, A, s) is A
+    forms = to_np(F, [[F.from_int(n % 7 if n in cols else 0) for n in range(len(MONOMIALS))]
+                      for cols in (PURE_MONOMIALS, MIXED_MONOMIALS, PURE_MONOMIALS[3:])], s)
+    before = A.copy(), forms.copy()
+    assert rank_rows(F, A) == len(rref_rows(F, A)[1]) == 3 - len(kernel_rows(F, A))
+    solve_rows(F, A, [[row[0] for row in A.tolist()]])
+    assert len(parity_rref(F, forms)[1]) == 3
+    assert all(np.array_equal(x, y) for x, y in zip((A, forms), before))
+    with pytest.raises(MixedParity):
+        parity_rref(F, forms + forms[[1]])

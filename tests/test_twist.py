@@ -20,16 +20,16 @@ from genus2covers.linalg import (Mat, kernel_rows, mul_arrays, rank_rows,
                                  rref_rows, to_np)
 from genus2covers.poly import Poly, _lift
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONO_INDEX, MONOMIALS,
-                                   ODD_MONOMIALS, QuadricForm, compose_forms,
-                                   forms_from_array)
+                                   ODD_MONOMIALS, PURE_MONOMIALS, JacobianModel,
+                                   QuadricForm, compose_forms, forms_from_array)
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 search_twist_points, search_vdelta_points,
-                                search_vdelta_rational, span_supported,
-                                trace_stack, _coefficient_stack, _kernel_pairs,
-                                _node_pullbacks, _projective_blocks, _scale_points)
-from conftest import rand_elem
+                                search_vdelta_rational, trace_stack,
+                                _kernel_pairs, _node_pullbacks, _projective_blocks,
+                                _scale_points)
+from conftest import in_row_span, rand_elem
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,8 @@ def test_check_descent_refuses_a_smaller_or_a_different_span(trivial_model, ref_
     with pytest.raises(RankLoss, match="rank < 72"):
         trivial_model._check_descent(*rref_rows(F, vecs[:71] + vecs[:1]))
     rng = random.Random(5)
-    v = next(v for v in ([F.rand(rng) for _ in MONOMIALS] for _ in range(10))
+    v = next(v for v in ([F.rand(rng) if n in PURE_MONOMIALS else F.zero()
+                          for n in range(len(MONOMIALS))] for _ in range(10))
              if rank_rows(F, vecs + [v]) == 73)
     with pytest.raises(RankLoss, match="differs"):
         trivial_model._check_descent(*rref_rows(F, vecs[1:] + [v]))
@@ -288,9 +289,11 @@ def test_check_descent_refuses_a_smaller_or_a_different_span(trivial_model, ref_
 
 def test_odd_block_and_descent_reduce_once(trivial_model, rref_calls):
     """The odd block is read from the reduction that certified rank 72, and
-    the descent reduces the trace stack once, which also certifies its span."""
+    the descent reduces the trace stack once, which also certifies its span:
+    one call per [-1]-parity block, on its 76 or 60 columns."""
     assert len(trivial_model.odd_block()) == 3 and not rref_calls
-    assert len(trivial_model.descend_to_ground()) == 72 and len(rref_calls) == 1
+    assert len(trivial_model.descend_to_ground()) == 72
+    assert [cols for _, cols in rref_calls] == [76, 60]
 
 
 def test_descended_forms_vanish_on_twist_points(trivial_model, ref_curve, rng):
@@ -429,6 +432,25 @@ def test_quadratic_extension_path(split_curve_f31):
     assert tm.matches_vdelta()
     des = tm.descend_to_ground()
     assert rank_rows(F, [q.vector() for q in des]) == 72
+
+
+@pytest.mark.parametrize("case", ["char3-F3", "quadratic-rebuild-F31"])
+def test_every_generator_has_one_parity(case, split_curve_f31):
+    """The c-basis generators, the Jacobian's 72 forms and the twisted and
+    descended forms each have one [-1]-parity, 42 pure and 30 mixed: on the
+    characteristic-3 curve, and on a datum rebuilt over F_{31^2}."""
+    if case == "char3-F3":
+        alg = EtaleAlgebra(CurveData(Field.prime(3), [2, 2, 0, 2, 0, 1, 1]))
+        datum = TwistDatum.trivial(alg)
+    else:
+        alg = EtaleAlgebra(split_curve_f31)
+        datum = _nonsquare_scalar_datum(alg, random.Random(3))
+    tm = TwistModel(TorsionActionCtx(alg), datum)
+    assert tm.field.deg == (alg.splitting.deg if case == "char3-F3" else 2)
+    for forms in ([q for _, q in tm.ctx.c_generators()], JacobianModel(alg.curve).forms,
+                  tm.forms, tm.descend_to_ground()):
+        parities = [{(i < 10) != (j < 10) for i, j in q.coeffs} for q in forms]
+        assert sorted(map(tuple, parities)) == [(False,)] * 42 + [(True,)] * 30
 
 
 # The paper's form of the twisted generators: the c-basis generators with
@@ -703,6 +725,44 @@ def scalar_vdelta_search(vd):
     return [vec for vec in projective_reps(W, 6) if vd.is_solution(list(vec), W)]
 
 
+def span_supported(field, vectors, keep):
+    """(rank of the vectors, basis of their row span intersected with the
+    vectors supported on the columns in `keep`), from one reduction with the
+    other columns first: the rows of the reduced rows whose pivot lies in
+    `keep` are that basis, put back in the columns' order."""
+    if not vectors:
+        return 0, []
+    keep = set(keep)
+    order = [j for j in range(len(vectors[0])) if j not in keep] + sorted(keep)
+    R, piv = rref_rows(field, [[v[j] for j in order] for v in vectors])
+    first = sum(c < len(order) - len(keep) for c in piv)
+    return len(piv), [[row[order.index(j)] for j in range(len(order))]
+                      for row in R[first:len(piv)]]
+
+
+@pytest.mark.parametrize("F", [Field.prime(7), Field.extension(7, 2)], ids=repr)
+def test_span_supported_reads_rank_and_block(F, rref_calls):
+    """One reduction gives the rank and a basis of the span's vectors
+    supported on `keep`: the basis is independent, lies in the span and is
+    supported there, and its size is the rank minus the rank of the other
+    columns."""
+    rng = random.Random(16)
+    keep = [6, 2, 5]
+    rest = [j for j in range(8) if j not in keep]
+    for _ in range(20):
+        vecs = [[F.rand(rng) if j in keep or full else F.zero() for j in range(8)]
+                for full in rng.choices([True, False], k=rng.randrange(1, 7))]
+        rref_calls.clear()
+        rank, block = span_supported(F, vecs, keep)
+        assert len(rref_calls) == 1
+        assert rank == rank_rows(F, vecs)
+        assert len(block) == rank - rank_rows(F, [[v[j] for j in rest] for v in vecs])
+        assert rank_rows(F, block) == len(block)
+        assert in_row_span(F, vecs, block)
+        assert all(F.is_zero(v[j]) for v in block for j in rest)
+    assert span_supported(F, [], keep) == (0, [])
+
+
 def scalar_twist_search(model, forms):
     """Every point of P^5(F_p) through the odd-block quadrics one Field
     operation at a time, then the lift of each survivor on its own
@@ -975,7 +1035,7 @@ def test_scale_points_match_resolve_scale(data, p):
         forms.append(q)
     U = np.array([u0 for u0, _ in pairs], dtype=np.int64)
     B = np.array([b for _, b in pairs], dtype=np.int64)
-    got = _scale_points(p, _coefficient_stack([q.vector() for q in forms]), U, B)
+    got = _scale_points(k, np.array([q.vector() for q in forms], dtype=np.int64), U, B)
     want = [pt for u0, b in pairs for pt in resolve_scale(k, forms, u0, b)]
     assert sorted(got) == sorted(want)
 
