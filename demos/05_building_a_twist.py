@@ -4,8 +4,10 @@ The datum comes from the norm-square map of a rational divisor class
 (delta = (X - x1)(X - x2), n = y1 y2 / f6, so N(delta) = n^2 always).
 Square roots epsilon_w of the root values delta(w) with product n give the
 scale factors t_I; substituting t_I c_I for c_I in the graded generators
-produces 72 twisted quadrics whose coefficients need only delta and n, and
-Galois traces turn them into ground-field equations of the covering.
+produces 72 twisted quadrics whose coefficients need only delta and n.  Their
+span is defined over F_p, so its reduced row echelon basis, the one that
+certifies rank 72, has entries in F_p: those rows are ground-field
+equations of the covering.
 """
 
 import random
@@ -42,6 +44,6 @@ print("twisting cocycle matches the mask action:", tm.cocycle_matches_action())
 print("odd block spans the V_delta forms:", tm.matches_vdelta())
 
 des = tm.descend_to_ground()
-print("\ntrace descent: 72 ground-field forms, Frobenius-fixed:",
+print("\ndescent: 72 ground-field forms, Frobenius-fixed:",
       all(q.frobenius_fixed() for q in des),
       " rank:", rank_rows(F, [q.vector() for q in des]))

@@ -7,15 +7,16 @@ Exit codes: 0 ok, 1 internal error or bad input other than the curve,
 2 invalid curve, 3 norm condition N(delta) != n^2, 4 vanishing scale
 factor t_I, 5 verification failure.  Errors are JSON objects
 {"error": message, "kind": kind}; the input kinds are bad-usage (exit 1:
-syntax the parser refuses, and search without --curve over F<p> or with it
-over Q), bad-field (exit 1, also for F<p>^<d>: curves over extension fields
-are not supported yet, for Q in model, twist and verify, and for search
-above p = 31), bad-curve (exit 2), bad-delta for --delta and --n, or a
-delta of norm zero (exit 1), bad-model-ref (exit 1, also for a bundle from
-another field, or with twist forms of both [-1]-parities or of rank below
-72) and bad-bound (exit 1: search over Q below --bound 0 or above 5, and any
---bound over F_p, where the search scans all of P^5).  A reader that closes
-stdout before the output ends gets exit 1 and nothing on stderr.
+syntax the parser refuses, an --out path that cannot be opened, and search
+without --curve over F<p> or with it over Q), bad-field (exit 1, also for
+F<p>^<d>: curves over extension fields are not supported yet, for Q in
+model, twist and verify, and for search above p = 31), bad-curve (exit 2),
+bad-delta for --delta and --n, or a delta of norm zero (exit 1),
+bad-model-ref (exit 1, also for a bundle from another field, or with twist
+forms of both [-1]-parities or of rank below 72) and bad-bound (exit 1:
+search over Q below --bound 0 or above 5, and any --bound over F_p, where
+the search scans all of P^5).  A reader that closes stdout before the
+output ends gets exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ EXIT_VERIFY = 5
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except BadInput as exc:   # bad command-line syntax
+        _probe_out(args.out)
+    except BadInput as exc:   # bad command-line syntax, or an --out it cannot open
         args, payload, code = None, {"error": str(exc), "kind": exc.kind}, exc.code
     else:
         payload, code = dispatch(args)
@@ -71,6 +73,16 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INTERNAL
     return code
+
+
+def _probe_out(path):
+    """Refuse an --out path that cannot be opened, before any computation:
+    opening it to append creates it or leaves it as it is."""
+    if path:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise BadInput("bad-usage", f"cannot open --out {path}: {exc.strerror}") from exc
 
 
 class BadInput(Exception):

@@ -74,8 +74,8 @@ class TIVanishes(Genus2Error):
 
 
 class RankLoss(Genus2Error):
-    """A descent, or a set of descended forms, does not give ground-field
-    forms spanning the twist's 72-dimensional ideal."""
+    """The twisted span is not defined over the ground field, or a set of
+    descended forms has rank below 72."""
 
 
 class MixedParity(Genus2Error):

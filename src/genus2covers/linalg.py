@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the package's fields.
 
 Every matrix product, row reduction and kernel runs as a numpy kernel, from
-the 4x4 torsion blocks held in :class:`Mat` to the Galois-descent row
-reductions; only ``Mat.charpoly`` eliminates in field arithmetic.  Matrices
+the 4x4 torsion blocks held in :class:`Mat` to the reduction of the
+twisted forms; only ``Mat.charpoly`` eliminates in field arithmetic.  Matrices
 over F_p and Q are 2-d arrays, over F_{p^d} (rows, cols, d) coefficient
 arrays with a precomputed reduction matrix.  One routine per operation
 takes every field: ``mul_arrays`` (elementwise) and ``matmul_arrays``
@@ -18,13 +18,10 @@ Fractions over Q.  With d the extension degree and k the inner dimension
 of a product, s is: 2 for ``fp_rref`` (p < 2**31); d for ``fq_rref``;
 2d-1 for ``mul_arrays`` and ``quadrics.compose_forms``, whose sums add
 reduced products; k over F_p and Q and max(k, d^2) over F_{p^d} for
-``matmul_arrays`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``
-and the trace descent (``twist.trace_stack``); 72 for the descent's span
-check (``twist.TwistModel._check_descent``), whose sums run over the
-reduced rows of one parity block, 42 pure and 30 mixed; max(136, d^2) for
-``quadrics.forms_vanish_at``.  The two point searches over F_p stay in
-int64 and refuse fields above their bounds: 6 for ``twist.p5_zeros`` and
-136 for ``twist.search_twist_points``; over Q,
+``matmul_arrays`` and ``Mat.__mul__``; d for ``frobenius_fixed_values``;
+max(136, d^2) for ``quadrics.forms_vanish_at``.  The two point searches
+over F_p stay in int64 and refuse fields above their bounds: 6 for
+``twist.p5_zeros`` and 136 for ``twist.search_twist_points``; over Q,
 ``twist.search_vdelta_rational`` leaves int64 above 36 B^2 max|M|.
 
 Row conventions: a "row list" is a list of lists of raw field values; kernels

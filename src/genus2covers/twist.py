@@ -1,5 +1,5 @@
 """Two-coverings of the Jacobian from twist data (delta, n) with
-N(delta) = n^2: square-root data, twisted quadrics, Galois descent to the
+N(delta) = n^2: square-root data, twisted quadrics, descent to the
 ground field, the covering map, and point searches.
 
 Pipeline: choose epsilon_w with epsilon_w^2 = delta(w_w) and prod = n (over
@@ -10,8 +10,8 @@ In the c-basis the covering map g is diagonal, t_I = prod_{w in I} eps_w
 + prod_{w not in I} eps_w on c_I and eps_w on c_w, so g = C^-1 diag(t_I,
 eps_w) C.  The twisted ideal is the Jacobian's pulled back by g: the 72
 c-basis generators of ``TorsionActionCtx.c_generators`` composed with
-diag(t_I, eps_w) C into one coefficient array, the state that the rank,
-odd-block and descent reductions read, each generator of the pair (w1, w2)
+diag(t_I, eps_w) C into one coefficient array, the state that the one
+reduction below reads, each generator of the pair (w1, w2)
 divided by eps_{w1} eps_{w2}.  That division leaves the coefficients in
 the splitting field's image, and the paper writes them there as weights
 in delta_w and n:
@@ -22,14 +22,12 @@ in delta_w and n:
     identity piece:  delta_w on c_w^2 and t_I^2 on c_I^2,
                      t_I^2 = prod_{w in I} delta_w + prod_{w not in I} delta_w + 2n
 
-Descent to the ground field takes Galois traces of the twisted generators
-against a power basis (the coefficient-wise Frobenius permutes the
-generators by relabelling the pair, so traces stay inside the span), all
-of them in one product with the Hankel matrix of traces of t^k.  One
-reduction of the traces by [-1]-parity block (``quadrics.parity_rref``)
-gives the 72 descended forms and certifies their span, as the one that
-certifies the twisted rank 72 gives the odd block: the rows with pivots
-on the odd.odd monomials, which come last.
+One reduction of the twisted forms by [-1]-parity block
+(``quadrics.parity_rref``) certifies the rank 72 and gives the odd block,
+the rows with pivots on the odd.odd monomials, which come last, and the
+descent to the ground field k: the twisted span is defined over k exactly
+when its reduced basis has entries in k, and that basis is then the 72
+descended forms.
 
 The point searches share one numpy block scan (``_vanishing_rows``): of
 P^5(F_p) mod p, and of the primitive integer tuples of a height box exactly
@@ -57,7 +55,7 @@ from .linalg import (Mat, fp_rref, from_np, frobenius_fixed_values, int64_exact,
                      kernel_from_rref, matmul_arrays, to_np)
 from .poly import _lift
 from .quadrics import (_MONO_I, _MONO_J, EVEN_MONOMIALS, MIXED_MONOMIALS,
-                       MONOMIALS, ODD_MONOMIALS, PURE_MONOMIALS, compose_forms,
+                       MONOMIALS, ODD_MONOMIALS, compose_forms,
                        forms_from_array, forms_vanish_at, independent_picks,
                        monomial_array, parity_rref)
 from .torsion import TorsionActionCtx, _all_pairs
@@ -250,6 +248,9 @@ class TwistModel:
         if self.rank != 72:
             raise Genus2Error("twisted model is rank-deficient")
         self._odd_block = from_np(W, R[sum(c < ODD_MONOMIALS[0] for c in piv):72])
+        # the span is defined over F_p exactly when its reduced basis is; a
+        # copy, so that the whole (72, 136, d) reduction is not kept alive
+        self._ground = None if W.deg == 1 or R[:72, :, 1:].any() else R[:72, :, 0].copy()
         # every coefficient lies in the splitting field of f, even when the
         # working field is the quadratic extension
         base_deg = datum.algebra.splitting.deg
@@ -300,39 +301,17 @@ class TwistModel:
     # -- descent ------------------------------------------------------------------
 
     def descend_to_ground(self):
-        """72 forms with ground-field coefficients spanning the twisted ideal:
-        the first 72 rows of the reduced traces Tr(t^i q), i < e, of the
-        twisted forms q over F_{p^e} (``trace_stack``, ``parity_rref``),
-        which ``_check_descent`` certifies.  Over the ground field the twisted
-        forms, already of rank 72, are the descended forms."""
-        W = self.ctx.K
-        k = self.datum.algebra.field
-        if W.deg == 1:
+        """72 forms with ground-field coefficients spanning the twisted ideal.
+        A subspace of W^136 is defined over the ground field k exactly when
+        its reduced row echelon basis has entries in k, and then that basis
+        is its unique reduced basis over k: the rows read from the reduction
+        that certified ``rank``, with no further reduction.  Over the ground
+        field the twisted forms, already of rank 72, are the descended forms."""
+        if self.ctx.K.deg == 1:
             return self.forms
-        R, piv = parity_rref(k, trace_stack(W, self.coeffs))
-        self._check_descent(R, piv)
-        return forms_from_array(k, R[:72])
-
-    def _check_descent(self, R, piv):
-        """The reduced rows R over the ground field, pivots piv, each of one
-        [-1]-parity (``parity_rref``), have rank at least 72, and the first
-        72 span the twisted forms over the working field: on the columns of
-        each parity, every twisted vector v equals sum_r v[piv_r] R_r over
-        the rows r < 72 of that parity, checked one coefficient over F_p at
-        a time.  The twisted forms have rank 72 too, so the two spans are
-        equal.  The products sum at most 72 products (``to_np``)."""
-        W = self.ctx.K
-        if len(piv) < 72:
-            raise RankLoss("descended span has rank < 72")
-        V = to_np(W, self.coeffs, 72)
-        B = to_np(W, R[:72], 72)
-        piv = np.array(piv[:72])
-        mixed = np.isin(piv, MIXED_MONOMIALS)
-        for rows, cols in ((~mixed, PURE_MONOMIALS), (mixed, MIXED_MONOMIALS)):
-            at_pivots, b, v = V[:, piv[rows]], B[rows][:, cols], V[:, cols]
-            if not all(np.array_equal(at_pivots[..., t] @ b % W.p, v[..., t])
-                       for t in range(W.deg)):
-                raise RankLoss("descended span differs from the twisted span")
+        if self._ground is None:
+            raise RankLoss("the twisted span is not defined over the ground field")
+        return forms_from_array(self.datum.algebra.field, self._ground)
 
     # -- the P^5 sub-block ---------------------------------------------------------
 
@@ -371,34 +350,6 @@ class TwistModel:
         if descended is not None:
             data["quadrics_ground"] = [q.to_json() for q in descended]
         return data
-
-
-def trace_stack(W: Field, rows):
-    """Tr(t^i c), i < e, of every entry c of `rows` (N vectors over an
-    extension W = F_{p^e}), as an (e N, M) array whose block i holds the
-    traces against t^i.
-
-    For c = sum_j c_j t^j, Tr(t^i c) = sum_j c_j Tr(t^(i+j)), so all e
-    traces are one product with the e x e Hankel matrix
-    H[j][i] = Tr(t^(i+j)), whose 2e-1 entries are Frobenius sums.  The
-    product sums e products: int64 while e (p-1)^2 < 2**63, Python ints
-    above that (``to_np``)."""
-    p, e = W.p, W.deg
-    t = (0, 1) + (0,) * (e - 2)
-    power, traces = W.one(), []
-    for _ in range(2 * e - 1):
-        term, trace = power, power
-        for _ in range(e - 1):
-            term = W.frobenius(term)
-            trace = W.add(trace, term)
-        if any(trace[1:]):
-            raise RankLoss("trace landed outside the prime field")
-        traces.append(trace[0])
-        power = W.mul(power, t)
-    hankel = to_np(W, [traces[j:j + e] for j in range(e)], e)
-    stack = to_np(W, rows, e) @ hankel  # (N, M, e)
-    stack %= p
-    return stack.transpose(2, 0, 1).reshape(-1, stack.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +529,18 @@ def _scale_points(k: Field, R, U, B):
     """The points (c u0 : b), normalized, where every form of the (N, 136)
     coefficient array R over F_p vanishes, over c in F_p^* and the pairs
     (u0, b) in the rows of U and B (u0 normalized); a pair on which every
-    form is zero is skipped.  A form is c^2 A + c M + B there, with A, M
-    and B its even.even, mixed and odd.odd parts at (u0 : b), each one
-    product with those monomials' values (sums of at most 60 products)."""
+    form is zero is skipped.  A form is c^2 A + B there, with A and B its
+    even.even and odd.odd parts at (u0 : b), each one product with those
+    monomials' values (sums of at most 55 products).  Its mixed part is
+    zero: a pure form has no mixed monomials, and a mixed form is linear in
+    u0 at b, where u0 spans the kernel of b's mixed system."""
     p = k.p
-    X = monomial_array(k, np.concatenate([U, B], axis=1), 60)
-    cA, cM, cB = (X[:, m] @ R[:, m].T % p
-                  for m in (EVEN_MONOMIALS, MIXED_MONOMIALS, ODD_MONOMIALS))
-    live = (cA | cM | cB).any(axis=1)
+    X = monomial_array(k, np.concatenate([U, B], axis=1), 55)
+    cA, cB = (X[:, m] @ R[:, m].T % p for m in (EVEN_MONOMIALS, ODD_MONOMIALS))
+    live = (cA | cB).any(axis=1)
     found = []
     for c in range(1, p):
-        hit = live & ~((c * c % p * cA + c * cM + cB) % p).any(axis=1)
+        hit = live & ~((c * c % p * cA + cB) % p).any(axis=1)
         # (c u0 : b) with u0 normalized is (u0 : b / c)
         pts = np.concatenate([U[hit], B[hit] * pow(c, p - 2, p) % p], axis=1)
         found.extend(map(tuple, pts.tolist()))

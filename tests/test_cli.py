@@ -133,6 +133,10 @@ def test_curve_info_rejects_eight_coefficients(capsys):
      "bad-usage", 1),
     (["curve-info", "--field", "F101"], "bad-usage", 1),
     (["no-such-command"], "bad-usage", 1),
+    # an --out that cannot be opened is refused before the command runs, on stdout
+    (["curve-info", "--field", "F11", "--curve", CURVE11, "--out", "no/such/dir/out.json"],
+     "bad-usage", 1),
+    (["curve-info", "--field", "F11", "--curve", CURVE11, "--out", "."], "bad-usage", 1),
 ], ids=["field-not-a-number", "field-not-prime", "field-char-2", "field-extension",
         "curve-malformed-json", "curve-missing-file", "curve-bad-coefficient",
         "delta-malformed-json", "delta-three-entries", "n-not-a-number",
@@ -142,7 +146,8 @@ def test_curve_info_rejects_eight_coefficients(capsys):
         "search-Q-above-bound-5", "search-Q-at-bound-5", "search-Q-negative-bound",
         "search-F7-bound-1", "search-F7-bound-0", "search-F7-negative-bound",
         "search-F7-without-curve", "search-Q-with-curve", "model-unknown-kind",
-        "search-bound-not-a-number", "curve-info-without-curve", "unknown-command"])
+        "search-bound-not-a-number", "curve-info-without-curve", "unknown-command",
+        "out-missing-directory", "out-is-a-directory"])
 def test_input_errors(capsys, argv, kind, code):
     got, data = run(capsys, *argv)
     assert got == code

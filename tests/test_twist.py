@@ -20,15 +20,14 @@ from genus2covers.linalg import (Mat, kernel_rows, mul_arrays, rank_rows,
                                  rref_rows, to_np)
 from genus2covers.poly import Poly, _lift
 from genus2covers.quadrics import (MIXED_MONOMIALS, MONO_INDEX, MONOMIALS,
-                                   ODD_MONOMIALS, PURE_MONOMIALS, JacobianModel,
-                                   QuadricForm, compose_forms, forms_from_array)
+                                   ODD_MONOMIALS, JacobianModel, QuadricForm,
+                                   compose_forms, forms_from_array)
 from genus2covers.torsion import TorsionActionCtx
 from genus2covers.twist import (EpsilonChoice, TwistDatum, TwistModel,
                                 count_jacobian_points, p5_zeros,
                                 search_twist_points, search_vdelta_points,
-                                search_vdelta_rational, trace_stack,
-                                _kernel_pairs, _node_pullbacks, _projective_blocks,
-                                _scale_points)
+                                search_vdelta_rational, _kernel_pairs,
+                                _node_pullbacks, _projective_blocks, _scale_points)
 from conftest import in_row_span, rand_elem
 
 
@@ -192,7 +191,7 @@ def test_covering_roundtrip(trivial_model, ref_torsion, ref_algebra, ref_curve, 
     assert tm.eps.covering_inverse() == tm.covering_matrix().inv()
 
 
-# Reference for the trace descent: an independently assembled descent that
+# Reference for the descent: an independently assembled descent that
 # sums the pair generators against Galois-equivariant weight functions h_r.
 
 
@@ -265,35 +264,38 @@ def lin_comb(W, coeffs, funcs, pair):
 
 
 def test_descents_agree(trivial_model, ref_curve):
+    """The descended forms are the reduced basis of the assembled descent's
+    span, and lie over the ground field."""
     F = ref_curve.field
     a = trivial_model.descend_to_ground()
-    b = assembled_descent(trivial_model)
-    trivial_model._check_descent(*rref_rows(F, [q.vector() for q in b]))
-    assert all(q.frobenius_fixed() for q in a + b)
-    assert rank_rows(F, [q.vector() for q in a]) == 72
-    assert rank_rows(F, [q.vector() for q in a] + [q.vector() for q in b]) == 72
+    R, piv = rref_rows(F, [q.vector() for q in assembled_descent(trivial_model)])
+    assert len(piv) == 72 and R[:72] == [q.vector() for q in a]
+    assert all(q.frobenius_fixed() for q in a)
 
 
-def test_check_descent_refuses_a_smaller_or_a_different_span(trivial_model, ref_curve):
-    F = ref_curve.field
-    vecs = [q.vector() for q in trivial_model.descend_to_ground()]
-    with pytest.raises(RankLoss, match="rank < 72"):
-        trivial_model._check_descent(*rref_rows(F, vecs[:71] + vecs[:1]))
-    rng = random.Random(5)
-    v = next(v for v in ([F.rand(rng) if n in PURE_MONOMIALS else F.zero()
-                          for n in range(len(MONOMIALS))] for _ in range(10))
-             if rank_rows(F, vecs + [v]) == 73)
-    with pytest.raises(RankLoss, match="differs"):
-        trivial_model._check_descent(*rref_rows(F, vecs[1:] + [v]))
+def test_descent_refuses_a_span_not_defined_over_the_ground_field(ref_torsion, ref_algebra,
+                                                                  monkeypatch):
+    """A twisted span of rank 72 whose reduced basis leaves F_p, planted by
+    adding t to one coefficient of one composed form, has no descent."""
+    def planted(forms, M):
+        A = compose_forms(forms, M)
+        A[0, np.flatnonzero(A[0].any(axis=1))[-1], 1] += 1
+        A %= M.field.p
+        return A
+
+    monkeypatch.setattr(twist, "compose_forms", planted)
+    tm = TwistModel(ref_torsion, TwistDatum.trivial(ref_algebra))
+    assert tm.rank == 72 and tm.field.deg == 4
+    with pytest.raises(RankLoss, match="not defined over the ground field"):
+        tm.descend_to_ground()
 
 
 def test_odd_block_and_descent_reduce_once(trivial_model, rref_calls):
-    """The odd block is read from the reduction that certified rank 72, and
-    the descent reduces the trace stack once, which also certifies its span:
-    one call per [-1]-parity block, on its 76 or 60 columns."""
-    assert len(trivial_model.odd_block()) == 3 and not rref_calls
+    """The odd block and the descended forms are both read from the
+    reduction that certified rank 72: neither reduces again."""
+    assert len(trivial_model.odd_block()) == 3
     assert len(trivial_model.descend_to_ground()) == 72
-    assert [cols for _, cols in rref_calls] == [76, 60]
+    assert rref_calls == []
 
 
 def test_descended_forms_vanish_on_twist_points(trivial_model, ref_curve, rng):
@@ -315,33 +317,6 @@ def cubic_pair_curve(p):
     return CurveData(Field.prime(p), [a * b % p, 0, 0, -(a + b) % p, 0, 0, 1])
 
 
-@pytest.mark.parametrize("p", [103, 2147483647])
-def test_trace_descent_on_both_sides_of_the_int64_bound(p, monkeypatch):
-    """The trace descent at working degree 3 sums 3 products of residues:
-    in int64 at p = 103, on Python ints at p = 2^31 - 1, where
-    3 (p-1)^2 > 2^63.  Below the bound an object array gives the same forms
-    as int64; above it the object dtype is taken and the result is
-    certified."""
-    import genus2covers.twist as twist
-    from genus2covers.linalg import to_np
-    alg = EtaleAlgebra(cubic_pair_curve(p))
-    tm = TwistModel(TorsionActionCtx(alg), TwistDatum.trivial(alg))
-    assert tm.field.deg == 3
-    dtypes = []
-
-    def recorded(field, rows, s):
-        arr = to_np(field, rows, s)
-        dtypes.append(arr.dtype)
-        return arr
-
-    monkeypatch.setattr(twist, "to_np", recorded)
-    forms = tm.descend_to_ground()
-    assert set(dtypes) == {np.dtype(np.int64 if p == 103 else object)}
-    if p == 103:
-        monkeypatch.setattr(twist, "to_np", lambda field, rows, s: np.array(rows, dtype=object))
-        assert [q.vector() for q in tm.descend_to_ground()] == [q.vector() for q in forms]
-
-
 def plain_trace_stack(W, rows):
     """Reference trace descent: t^i c through ``mul_arrays``, then the
     Frobenius sum of its e conjugates, one Frobenius-matrix product each;
@@ -361,38 +336,48 @@ def plain_trace_stack(W, rows):
     return np.concatenate(traces, axis=0)
 
 
-TRACE_PRIMES = [3, 5, 101, 1999, 2 ** 31 - 1]
+def trace_descent(tm):
+    """Reference descent: the plain traces of the twisted forms, reduced
+    over the ground field in one joint reduction; their first 72 rows."""
+    k, W = tm.datum.algebra.field, tm.field
+    R, piv = rref_rows(k, plain_trace_stack(W, tm.coeffs) if W.deg > 1 else tm.coeffs)
+    assert len(piv) == 72
+    return R[:72]
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(TRACE_PRIMES), d=st.integers(1, 6), double=st.booleans(),
-       data=st.data())
-def test_trace_stack_matches_frobenius_sums(p, d, double, data):
-    """The Hankel-matrix traces equal the Frobenius sums over F_{p^e}, e a
-    splitting degree 1-6 or its double (e >= 2), in int64 below the bound
-    e (p-1)^2 < 2^63 and on Python ints above it (p = 2^31 - 1)."""
-    e = d * (2 if double else 1)
-    if e == 1:
-        e = 2
-    W = Field.extension(p, e)
-    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
-    entry = st.tuples(*[st.integers(0, p - 1)] * e)
-    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
-    got = trace_stack(W, rows)
-    assert got.dtype == np.dtype(np.int64 if e * (p - 1) ** 2 < 2 ** 63 else object)
-    assert got.shape == (e * nrows, ncols)
-    assert got.tolist() == plain_trace_stack(W, rows).tolist()
+DESCENT_CASES = {
+    "F101^8": ([1, 14, 94, 98, 2, 5, 21], 101, [37, 24, 1, 0, 0, 0], 16),
+    "F1999^6": ([1172, 1636, 510, 880, 1973, 1309, 1170], 1999, None, None),
+    "F3^3": ([2, 2, 0, 2, 0, 1, 1], 3, None, None),
+    "F103^3": (None, 103, None, None),
+    "F2147483647^3": (None, 2 ** 31 - 1, None, None),
+}
 
 
-def test_trace_stack_of_twisted_forms_matches_frobenius_sums(ref_torsion, ref_algebra,
-                                                            ref_curve, rng):
-    """On the 72 twisted forms of a Cassels datum (p = 101), working degree
-    4 or 8."""
-    D = random_point(ref_curve, ref_curve.field, rng)
-    tm = TwistModel(ref_torsion, TwistDatum.from_cassels(ref_algebra, D))
-    rows = [q.vector() for q in tm.forms]
-    assert trace_stack(tm.field, rows).tolist() == plain_trace_stack(tm.field, rows).tolist()
+@pytest.mark.parametrize("case", [*DESCENT_CASES, "split-F31"])
+def test_descent_matches_the_trace_reference(case, split_curve_f31):
+    """The descended forms equal the reduced plain traces of the twisted
+    forms: at the bench's degree-8 datum over F_101, at splitting degree 6,
+    in characteristic 3, and at working degree 3 on both sides of the int64
+    bound of ``fq_rref`` (p = 103, and p = 2^31 - 1 on object arrays).  Over
+    a split curve (W = k) the twisted forms themselves are returned, which
+    span the reference's span."""
+    if case == "split-F31":
+        curve, delta, n = split_curve_f31, None, None
+    else:
+        coeffs, p, delta, n = DESCENT_CASES[case]
+        curve = CurveData(Field.prime(p), coeffs) if coeffs else cubic_pair_curve(p)
+    alg = EtaleAlgebra(curve)
+    datum = TwistDatum(alg, delta, n) if delta else TwistDatum.trivial(alg)
+    tm = TwistModel(TorsionActionCtx(alg), datum)
+    assert tm.field.spec_string() == case.split("-")[-1]
+    got = [q.vector() for q in tm.descend_to_ground()]
+    ref = trace_descent(tm)
+    if case == "split-F31":
+        k = curve.field
+        assert rank_rows(k, got) == rank_rows(k, got + ref) == 72
+    else:
+        assert got == ref
 
 
 def test_odd_block_matches_vdelta(trivial_model, ref_torsion, ref_algebra,
@@ -1012,20 +997,28 @@ def test_kernel_pairs_match_scalar_kernel(data, p):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), p=st.sampled_from([3, 7, 11]))
 def test_scale_points_match_resolve_scale(data, p):
-    """The batched lift against ``resolve_scale``, pair by pair: sparse forms
-    and vectors, so that some pairs kill every form and are skipped, and a
-    planted common scale c0 on some pairs, so that points are found."""
+    """The batched lift against ``resolve_scale``, pair by pair: sparse pure
+    forms and vectors, so that some pairs kill every form and are skipped, a
+    planted common scale c0 on some pairs, so that points are found, and a
+    mixed form that vanishes at every pair, as the search's mixed forms do
+    at (u0 : b), drawn from the kernel of one condition per pair."""
     k = Field.prime(p)
     sparse = st.one_of(st.just(0), st.just(0), st.integers(0, p - 1))
     vec = lambda n: st.lists(sparse, min_size=n, max_size=n).filter(any)
     pairs = data.draw(st.lists(st.tuples(vec(10), vec(6)), min_size=1, max_size=6))
     pairs = [(normalize(k, u0), list(normalize(k, b))) for u0, b in pairs]
-    forms = []
+    mixed = [MONOMIALS[n] for n in MIXED_MONOMIALS]
+    basis = kernel_rows(k, [[u0[i] * b[j - 10] % p for i, j in mixed] for u0, b in pairs])
+    weights = data.draw(st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)))
+    forms = [QuadricForm(k)]
+    for (i, j), cf in zip(mixed, np.array(weights) @ np.array(basis) % p):
+        forms[0].add_term(i, j, int(cf))
     for _ in range(data.draw(st.integers(1, 5))):
         q = QuadricForm(k)
         for _ in range(data.draw(st.integers(0, 4))):
             i = data.draw(st.integers(0, 15))
-            q.add_term(i, data.draw(st.integers(i, 15)), data.draw(st.integers(1, p - 1)))
+            q.add_term(i, data.draw(st.integers(i, 9 if i < 10 else 15)),
+                       data.draw(st.integers(1, p - 1)))
         if data.draw(st.booleans()):  # plant a root c0 on the first pair
             u0, b = pairs[0]
             c0 = data.draw(st.integers(1, p - 1))
